@@ -615,12 +615,17 @@ pub struct Outcome {
 
 /// An untraced run.
 pub fn run_untraced(cfg: &Config) -> io::Result<Outcome> {
-    let pool = cfg.workload.uses_pool().then(|| Pool::new(cfg.seed));
+    // Every workload's set-up embeds the same seeded pool, so `setup_s`
+    // times one CPU-bound profile everywhere; a bare tier start-up is a
+    // few milliseconds of process spawns that host load alone moved by
+    // half. embed_cold leaves the pool idle.
+    let setup_pool = Pool::new(cfg.seed);
+    let pool = cfg.workload.uses_pool().then_some(&setup_pool);
     let mut tally = Tally::default();
     let mut setup_s = Vec::new();
     let mut tier = None;
     for k in 0..SETUPS {
-        let (t, secs) = setup(cfg, k, pool.as_ref(), &mut tally)?;
+        let (t, secs) = setup(cfg, k, Some(&setup_pool), &mut tally)?;
         setup_s.push(secs);
         if k + 1 < SETUPS {
             let dir = t.dir.clone();
@@ -631,14 +636,14 @@ pub fn run_untraced(cfg: &Config) -> io::Result<Outcome> {
         }
     }
     let tier = tier.expect("at least one set-up");
-    let streams = streams(cfg, pool.as_ref());
+    let streams = streams(cfg, pool);
     let cpu_before = tier.cpu_seconds()?;
     let m = measure(cfg, &tier, &streams, cfg.seconds as f64, None, 0)?;
     let ops = m.all.iter().filter(|s| counted(s)).count();
     let cpu_us_per_op = (tier.cpu_seconds()? - cpu_before) * 1e6 / ops.max(1) as f64;
     tally.add(&m.all);
     let rss = tier.peak_rss_mb()?;
-    let state = gate_live(cfg, &tier, pool.as_ref(), &m.all, &mut tally)?;
+    let state = gate_live(cfg, &tier, pool, &m.all, &mut tally)?;
     let dir = tier.dir.clone();
     tier.shutdown()?;
     gate_stored(&dir, &state, &mut tally);
