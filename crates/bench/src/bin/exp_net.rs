@@ -21,6 +21,7 @@ use freqywm_crypto::prf::Secret;
 use freqywm_net::{serve_listener, NetConfig};
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobPayload, JobSpec};
+use freqywm_service::metrics::M;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -171,11 +172,11 @@ fn main() {
     let snap = engine.metrics();
     println!(
         "# served {} conns, {} bytes in, {} bytes out, evicted {}, cache hit rate {:.3}",
-        snap.net.accepted,
-        snap.net.bytes_in,
-        snap.net.bytes_out,
-        snap.net.evicted_slow,
-        snap.cache.hit_rate(),
+        snap[M::NetAccepted],
+        snap[M::NetBytesIn],
+        snap[M::NetBytesOut],
+        snap[M::NetEvictedSlow],
+        snap.cache().hit_rate(),
     );
     engine.shutdown();
 }

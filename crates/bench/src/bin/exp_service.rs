@@ -94,8 +94,8 @@ fn run_load(workers: usize, cache: PrfCacheConfig) -> LoadStats {
         p50_us: m.latency.quantile_upper_micros(0.50),
         p95_us: m.latency.quantile_upper_micros(0.95),
         p99_us: m.latency.quantile_upper_micros(0.99),
-        hit_rate: m.cache.hit_rate(),
-        entries: m.cache.entries as usize,
+        hit_rate: m.cache().hit_rate(),
+        entries: m.cache().entries as usize,
     };
     engine.shutdown();
     stats

@@ -704,7 +704,11 @@ mod tests {
     }
 
     fn sample_file() -> String {
-        let path = tmp("input.txt");
+        // One file per call: tests run in parallel, and a rewrite
+        // truncates the file under a concurrent reader.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp(&format!("input-{n}.txt"));
         // Heavy-tailed token file with plenty of variation.
         let mut text = String::new();
         for i in 0..60u64 {

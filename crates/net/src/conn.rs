@@ -3,7 +3,7 @@
 
 use crate::framing::{LineEvent, LineFramer};
 use crate::poller::Interest;
-use freqywm_service::metrics::NetCounters;
+use freqywm_service::metrics::{Metrics, M};
 use freqywm_service::proto::{frame_too_large_response, Session};
 use freqywm_service::Engine;
 use std::io::{Read, Write};
@@ -56,7 +56,7 @@ impl Conn {
     /// Reads up to [`READ_BUDGET`] bytes and feeds complete frames to
     /// the session. Never blocks; stops at `WouldBlock`, EOF or the
     /// budget (leftover input re-reports readable — level-triggered).
-    pub fn read_ready(&mut self, engine: &Engine, counters: &NetCounters, max_frame: usize) {
+    pub fn read_ready(&mut self, engine: &Engine, counters: &Metrics, max_frame: usize) {
         let mut chunk = [0u8; READ_CHUNK];
         let mut budget = READ_BUDGET;
         while budget > 0 {
@@ -74,7 +74,7 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    counters.add_bytes_in(n as u64);
+                    counters.add(M::NetBytesIn, n as u64);
                     self.last_activity = Instant::now();
                     let session = &mut self.session;
                     self.framer.push(&chunk[..n], |event| match event {
@@ -106,7 +106,7 @@ impl Conn {
 
     /// Writes as much buffered output as the socket accepts. Never
     /// blocks.
-    pub fn flush(&mut self, counters: &NetCounters) {
+    pub fn flush(&mut self, counters: &Metrics) {
         while self.out_pos < self.out_buf.len() {
             match self.stream.write(&self.out_buf[self.out_pos..]) {
                 Ok(0) => {
@@ -115,7 +115,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.out_pos += n;
-                    counters.add_bytes_out(n as u64);
+                    counters.add(M::NetBytesOut, n as u64);
                     self.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,

@@ -25,6 +25,7 @@ use crate::config::NetConfig;
 use crate::conn::Conn;
 use crate::http::HttpConn;
 use crate::poller::{Event, Interest, Poller};
+use freqywm_service::metrics::M;
 use freqywm_service::{Engine, JobId};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
@@ -178,7 +179,7 @@ impl<'a> Reactor<'a> {
                         if ev.readable && !conn.eof && self.draining.is_none() {
                             conn.read_ready(
                                 self.engine,
-                                self.engine.net_counters(),
+                                self.engine.counters(),
                                 self.config.max_frame,
                             );
                         } else if ev.hangup {
@@ -187,7 +188,7 @@ impl<'a> Reactor<'a> {
                             conn.eof = true;
                         }
                         if ev.writable {
-                            conn.flush(self.engine.net_counters());
+                            conn.flush(self.engine.counters());
                         }
                         touched.push(fd);
                     }
@@ -254,7 +255,7 @@ impl<'a> Reactor<'a> {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     if self.conns.len() >= self.config.max_conns {
-                        self.engine.net_counters().conn_rejected();
+                        self.engine.counters().bump(M::NetRejected);
                         continue; // dropped: peer sees an immediate close
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -265,7 +266,7 @@ impl<'a> Reactor<'a> {
                     if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
                         continue;
                     }
-                    self.engine.net_counters().conn_accepted();
+                    self.engine.counters().conn_accepted();
                     self.conns.insert(
                         fd,
                         Conn::new(
@@ -294,7 +295,7 @@ impl<'a> Reactor<'a> {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     if self.conns.len() + self.http_conns.len() >= self.config.max_conns {
-                        self.engine.net_counters().conn_rejected();
+                        self.engine.counters().bump(M::NetRejected);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -305,7 +306,7 @@ impl<'a> Reactor<'a> {
                     if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
                         continue;
                     }
-                    self.engine.net_counters().conn_accepted();
+                    self.engine.counters().conn_accepted();
                     self.http_conns.insert(fd, HttpConn::new(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -320,18 +321,21 @@ impl<'a> Reactor<'a> {
     /// response is out. No jobs are involved, so the whole lifecycle
     /// settles here.
     fn http_event(&mut self, fd: RawFd, ev: Event) {
-        let counters = self.engine.net_counters();
+        let counters = self.engine.counters();
         let Some(conn) = self.http_conns.get_mut(&fd) else {
             return;
         };
         if ev.readable && !conn.responded {
             let engine = self.engine;
-            counters.add_bytes_in(conn.read_ready(|| engine.metrics().to_prom()));
+            counters.add(
+                M::NetBytesIn,
+                conn.read_ready(|| engine.metrics().to_prom()),
+            );
         } else if ev.hangup {
             conn.failed = true;
         }
         if ev.writable || conn.responded {
-            counters.add_bytes_out(conn.flush());
+            counters.add(M::NetBytesOut, conn.flush());
         }
         if conn.failed || conn.settled() {
             self.close_http(fd);
@@ -353,7 +357,7 @@ impl<'a> Reactor<'a> {
     fn close_http(&mut self, fd: RawFd) {
         if self.http_conns.remove(&fd).is_some() {
             let _ = self.poller.deregister(fd);
-            self.engine.net_counters().conn_closed();
+            self.engine.counters().conn_closed();
         }
     }
 
@@ -387,7 +391,7 @@ impl<'a> Reactor<'a> {
             }
             conn.queue_responses();
             if !conn.failed {
-                conn.flush(self.engine.net_counters());
+                conn.flush(self.engine.counters());
             }
             if conn.failed {
                 close = Some(CloseKind::Error);
@@ -439,10 +443,10 @@ impl<'a> Reactor<'a> {
             self.jobs.remove(&id);
             self.orphaned.insert(id);
         }
-        let counters = self.engine.net_counters();
+        let counters = self.engine.counters();
         match kind {
-            CloseKind::SlowEvicted => counters.conn_evicted_slow(),
-            CloseKind::IdleTimedOut => counters.conn_timed_out_idle(),
+            CloseKind::SlowEvicted => counters.bump(M::NetEvictedSlow),
+            CloseKind::IdleTimedOut => counters.bump(M::NetTimedOutIdle),
             CloseKind::Done | CloseKind::Error => {}
         }
         counters.conn_closed();
@@ -475,7 +479,7 @@ impl<'a> Reactor<'a> {
             .map(|(&fd, _)| fd)
             .collect();
         for fd in http_expired {
-            self.engine.net_counters().conn_timed_out_idle();
+            self.engine.counters().bump(M::NetTimedOutIdle);
             self.close_http(fd);
         }
         let Some(idle) = self.config.idle_timeout else {

@@ -6,6 +6,7 @@
 
 use freqywm_net::{serve_listener, Backend, NetConfig};
 use freqywm_service::engine::{Engine, EngineConfig};
+use freqywm_service::metrics::M;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -137,7 +138,7 @@ fn lifecycle(backend: Backend) {
     a.expect_eof();
     b.expect_eof();
     server.join().unwrap().unwrap();
-    assert_eq!(engine.metrics().net.active, 0);
+    assert_eq!(engine.metrics()[M::NetActive], 0);
     engine.shutdown();
 }
 
@@ -304,7 +305,7 @@ fn idle_connections_are_reaped_on_timeout() {
         assert!(Instant::now() < deadline, "idle connection never reaped");
         let r = active.request(r#"{"op":"metrics"}"#);
         assert!(r.contains("\"ok\":true"), "{r}");
-        if engine.metrics().net.timed_out_idle >= 1 {
+        if engine.metrics()[M::NetTimedOutIdle] >= 1 {
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -468,7 +469,7 @@ fn thousand_idle_connections_bounded_threads() {
         herd.push(TcpStream::connect(addr).expect("idle connect"));
     }
     let deadline = Instant::now() + Duration::from_secs(30);
-    while engine.metrics().net.active < IDLE_CONNS as u64 {
+    while engine.metrics()[M::NetActive] < IDLE_CONNS as u64 {
         assert!(Instant::now() < deadline, "reactor never accepted the herd");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -510,7 +511,7 @@ fn thousand_idle_connections_bounded_threads() {
         .collect();
 
     let evict_deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().net.evicted_slow == 0 {
+    while engine.metrics()[M::NetEvictedSlow] == 0 {
         assert!(
             Instant::now() < evict_deadline,
             "slow reader never evicted ({pumped} requests pumped)"
@@ -533,13 +534,13 @@ fn thousand_idle_connections_bounded_threads() {
             .expect("active client failed while slow reader pending");
     }
     let snap = engine.metrics();
-    assert!(snap.net.evicted_slow >= 1);
+    assert!(snap[M::NetEvictedSlow] >= 1);
     assert!(
-        snap.net.active >= IDLE_CONNS as u64,
+        snap[M::NetActive] >= IDLE_CONNS as u64,
         "idle herd was disturbed: {:?}",
-        snap.net
+        snap.values
     );
-    assert_eq!(snap.failed, 0, "jobs failed under load");
+    assert_eq!(snap[M::Failed], 0, "jobs failed under load");
 
     // Clean drain with the herd still connected.
     let ack = owner.request(r#"{"op":"shutdown"}"#);
@@ -553,6 +554,6 @@ fn thousand_idle_connections_bounded_threads() {
         // Drained server closed every idle connection.
         assert_eq!(conn.read(&mut buf).unwrap_or(0), 0);
     }
-    assert_eq!(engine.metrics().net.active, 0);
+    assert_eq!(engine.metrics()[M::NetActive], 0);
     engine.shutdown();
 }

@@ -17,6 +17,7 @@
 //! Everything is `AtomicU64`; there is no unsafe code and no lock on
 //! either side.
 
+pub mod family;
 pub mod history;
 pub mod prom;
 

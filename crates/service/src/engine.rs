@@ -35,7 +35,7 @@ use crate::job::{
     DetectOutcome, EmbedOutcome, JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState,
     MaintainOutcome,
 };
-use crate::metrics::{HistorySample, Metrics, MetricsSnapshot, NetCounters};
+use crate::metrics::{HistorySample, Metrics, MetricsSnapshot, M};
 use crate::persist::DurableRegistry;
 use crate::prf_cache::{PrfCache, PrfCacheConfig};
 use crate::quota::{QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus};
@@ -581,8 +581,10 @@ impl Engine {
                 .lock()
                 .expect("jobs lock poisoned")
                 .remove(&id);
-            self.shared.metrics.job_rejected();
-            self.shared.metrics.tenant_rejected(&tenant);
+            self.shared.metrics.bump(M::Rejected);
+            self.shared
+                .metrics
+                .tenant_add(&tenant, M::TenantRejected, 1);
             Err(err)
         };
         // A follower serves reads only: embed/maintain mutate the
@@ -643,8 +645,10 @@ impl Engine {
                 enqueued: Instant::now(),
             });
         }
-        self.shared.metrics.job_submitted();
-        self.shared.metrics.tenant_admitted(&tenant);
+        self.shared.metrics.bump(M::Submitted);
+        self.shared
+            .metrics
+            .tenant_add(&tenant, M::TenantAdmitted, 1);
         self.shared.queue_cv.notify_one();
         Ok(id)
     }
@@ -700,11 +704,11 @@ impl Engine {
             .expect("hook lock poisoned") = None;
     }
 
-    /// Connection gauges/counters for whatever front-end serves this
-    /// engine. They live with the engine metrics so the `metrics`
-    /// protocol op reports them alongside job counters.
-    pub fn net_counters(&self) -> &NetCounters {
-        &self.shared.metrics.net
+    /// The engine's live counters. Whatever front-end serves the engine
+    /// records its connection families (`M::Net*`) here, so the
+    /// `metrics` protocol op reports them alongside job counters.
+    pub fn counters(&self) -> &Metrics {
+        &self.shared.metrics
     }
 
     /// The engine's span ring. Front-ends record their own stage spans
@@ -765,7 +769,7 @@ impl Engine {
     ) -> Result<DisputeOutcome> {
         check_shard(&self.shared, tenant_a)?;
         check_shard(&self.shared, tenant_b)?;
-        self.shared.metrics.disputes.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.bump(M::Disputes);
         let registry = self.shared.registry.read().expect("registry lock poisoned");
         let wa = registry.require_watermark(tenant_a)?;
         let wb = registry.require_watermark(tenant_b)?;
@@ -816,9 +820,14 @@ impl Engine {
         self.shared.config.shard_gate.as_ref().map(ShardGate::label)
     }
 
-    /// Counters, latency histogram, cache hit-rate, queue depth.
+    /// Every metric family: counters, latency histograms, queue, cache
+    /// and registry gauges, shard label and replication role.
     pub fn metrics(&self) -> MetricsSnapshot {
-        snapshot_shared(&self.shared)
+        let mut snapshot = self.shared.metrics.snapshot(&gauges(&self.shared));
+        snapshot.shard = self.shard_label().map(str::to_string);
+        let follower = self.shared.follower.load(Ordering::SeqCst);
+        snapshot.role = Some(if follower { "follower" } else { "primary" }.to_string());
+        snapshot
     }
 
     /// The retention ring: capacity, sampling interval, and every
@@ -828,7 +837,7 @@ impl Engine {
     pub fn history(&self) -> HistoryReport {
         let now = (
             freqywm_obs::now_us() / 1000,
-            HistorySample::from_snapshot(&snapshot_shared(&self.shared)),
+            self.shared.metrics.history_sample(&gauges(&self.shared)),
         );
         let ring = self.shared.history.lock().expect("history lock poisoned");
         HistoryReport {
@@ -876,7 +885,7 @@ impl Engine {
                 let mut jobs = self.shared.jobs.lock().expect("jobs lock poisoned");
                 for &id in &cancelled {
                     jobs.insert(id, JobState::Cancelled);
-                    self.shared.metrics.job_cancelled();
+                    self.shared.metrics.bump(M::Cancelled);
                 }
                 self.shared.jobs_cv.notify_all();
             }
@@ -935,32 +944,23 @@ fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
     let _ = registry.checkpoint_quota(tenant, used, at_ms, now);
 }
 
-/// Full metrics snapshot from the shared state (used by
-/// [`Engine::metrics`] and the sampler thread).
-fn snapshot_shared(shared: &Shared) -> MetricsSnapshot {
-    let queue_depth = shared.queue.lock().expect("queue lock poisoned").len();
+/// The gauges the engine reads from its own state rather than counting:
+/// queue depth, registry size and log position, PRF-cache counters.
+fn gauges(shared: &Shared) -> [(M, u64); 6] {
+    let queue_depth = shared.queue.lock().expect("queue lock poisoned").len() as u64;
     let (tenants, log_seq) = {
         let registry = shared.registry.read().expect("registry lock poisoned");
-        (registry.len(), registry.next_seq())
+        (registry.len() as u64, registry.next_seq())
     };
-    let mut snapshot = shared
-        .metrics
-        .snapshot(shared.cache.stats(), queue_depth, tenants);
-    snapshot.shard = shared
-        .config
-        .shard_gate
-        .as_ref()
-        .map(|g| g.label().to_string());
-    snapshot.role = Some(
-        if shared.follower.load(Ordering::SeqCst) {
-            "follower"
-        } else {
-            "primary"
-        }
-        .to_string(),
-    );
-    snapshot.log_seq = log_seq;
-    snapshot
+    let cache = shared.cache.stats();
+    [
+        (M::QueueDepth, queue_depth),
+        (M::Tenants, tenants),
+        (M::LogSeq, log_seq),
+        (M::CacheHits, cache.hits),
+        (M::CacheMisses, cache.misses),
+        (M::CacheEntries, cache.entries),
+    ]
 }
 
 /// Retention sampler: pushes one [`HistorySample`] into the history
@@ -969,7 +969,7 @@ fn snapshot_shared(shared: &Shared) -> MetricsSnapshot {
 fn sampler_loop(shared: Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.retain_interval_ms.max(10));
     loop {
-        let sample = HistorySample::from_snapshot(&snapshot_shared(&shared));
+        let sample = shared.metrics.history_sample(&gauges(&shared));
         shared
             .history
             .lock()
@@ -1028,7 +1028,7 @@ fn worker_loop(shared: Arc<Shared>) {
             wait.as_micros() as u64,
         ));
         if Instant::now() > deadline {
-            shared.metrics.job_timed_out();
+            shared.metrics.bump(M::TimedOut);
             finish(
                 &shared,
                 id,
@@ -1063,37 +1063,27 @@ fn worker_loop(shared: Arc<Shared>) {
                 if allowed {
                     emit_slow_log(&shared, &trace, &tenant, op, wait, took);
                 } else {
-                    shared
-                        .metrics
-                        .slow_log_suppressed
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.bump(M::SlowLogSuppressed);
                 }
             }
         }
         let state = match result {
             Ok(Ok(output)) => {
-                shared.metrics.job_completed(took);
-                shared.metrics.tenant_job(&tenant, kind, took);
-                let counter = match kind {
-                    JobKind::Embed => &shared.metrics.embed_jobs,
-                    JobKind::Detect => &shared.metrics.detect_jobs,
-                    JobKind::Maintain => &shared.metrics.maintain_jobs,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.job_completed(&tenant, kind, took);
                 JobState::Completed(output)
             }
             // Reaped at a cancellation checkpoint while running: a
             // timeout, not a failure of the pipeline.
             Ok(Err(ServiceError::DeadlineExceeded)) => {
-                shared.metrics.job_timed_out();
+                shared.metrics.bump(M::TimedOut);
                 JobState::Failed(ServiceError::DeadlineExceeded)
             }
             Ok(Err(e)) => {
-                shared.metrics.job_failed();
+                shared.metrics.bump(M::Failed);
                 JobState::Failed(e)
             }
             Err(panic) => {
-                shared.metrics.job_failed();
+                shared.metrics.bump(M::Failed);
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())

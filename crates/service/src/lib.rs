@@ -51,9 +51,7 @@ pub use job::{
     DetectOutcome, EmbedOutcome, JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState,
     MaintainOutcome,
 };
-pub use metrics::{
-    aggregate_shard_metrics, MetricsSnapshot, NetCounters, NetSnapshot, ShardMetricsPiece,
-};
+pub use metrics::{aggregate_shard_metrics, Metrics, MetricsSnapshot, ShardMetricsPiece, M};
 pub use persist::{DurableRegistry, RecoveryReport, RegistryEvent, ReplicaBatch};
 pub use prf_cache::{CacheStats, PrfCache, PrfCacheConfig};
 pub use quota::{

@@ -37,6 +37,7 @@
 use crate::engine::Engine;
 use crate::error::ServiceError;
 use crate::job::{JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState};
+use crate::metrics::M;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
@@ -138,26 +139,18 @@ pub mod json {
         }
     }
 
-    /// Escapes a string for embedding in JSON output.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
+    pub use freqywm_obs::family::escape_json as escape;
+
+    /// Deepest array/object nesting [`parse`] accepts. The parser
+    /// recurses once per level, so without a cap one long line of `[`
+    /// from the network would overflow the stack of the process.
+    pub const MAX_DEPTH: usize = 64;
 
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     /// Parses one JSON document (trailing whitespace allowed).
@@ -165,6 +158,7 @@ pub mod json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -213,8 +207,22 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                open @ (b'{' | b'[') => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(format!(
+                            "nesting deeper than {MAX_DEPTH} at offset {}",
+                            self.pos
+                        ));
+                    }
+                    self.depth += 1;
+                    let v = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    v
+                }
                 b'"' => Ok(Value::Str(self.string()?)),
                 b't' => self.literal("true", Value::Bool(true)),
                 b'f' => self.literal("false", Value::Bool(false)),
@@ -822,7 +830,7 @@ fn execute_op(engine: &Engine, req: &Value) -> Result<String, String> {
                 .per_tenant
                 .iter()
                 .find(|r| r.tenant == tenant)
-                .map(|r| (r.ops.admitted, r.ops.quota_refused))
+                .map(|r| (r.ops[M::TenantAdmitted], r.ops[M::TenantQuotaRefused]))
                 .unwrap_or((0, 0));
             Ok(format!(
                 concat!(
@@ -1781,6 +1789,23 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_capped_not_a_stack_overflow() {
+        let engine = test_engine();
+        // ~500 KB each: fits under the 1 MiB frame cap.
+        for deep in ["[".repeat(500_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+            let resp = handle_line(&engine, &deep);
+            assert!(resp.starts_with("{\"ok\":false"), "{resp}");
+            assert!(resp.contains("bad json: nesting"), "{resp}");
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(json::MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(json::MAX_DEPTH + 1)).is_err());
+        engine.shutdown();
     }
 
     fn test_engine() -> Engine {

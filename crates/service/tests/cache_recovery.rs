@@ -89,7 +89,7 @@ fn cache_is_cold_but_correct_for_concurrent_tenants_after_recovery() {
             assert!(own, "{tenant} must verify its own copy");
             assert!(!cross, "{tenant} must not verify a neighbour's copy");
         }
-        assert!(engine.metrics().cache.entries > 0, "cache warmed");
+        assert!(engine.metrics().cache().entries > 0, "cache warmed");
         engine.shutdown();
     }
 
@@ -97,9 +97,9 @@ fn cache_is_cold_but_correct_for_concurrent_tenants_after_recovery() {
     let engine = Engine::open(config(), Box::new(storage.clone())).unwrap();
     assert_eq!(engine.registry().len(), TENANTS, "tenants recovered");
     let m = engine.metrics();
-    assert_eq!(m.cache.entries, 0, "cache must start cold after reopen");
-    assert_eq!(m.cache.hits, 0, "hit counter must start at zero");
-    assert_eq!(m.cache.misses, 0, "miss counter must start at zero");
+    assert_eq!(m.cache().entries, 0, "cache must start cold after reopen");
+    assert_eq!(m.cache().hits, 0, "hit counter must start at zero");
+    assert_eq!(m.cache().misses, 0, "miss counter must start at zero");
 
     // First post-recovery wave, all tenants concurrently, one own-copy
     // detection each. Every tenant's PRF keys live under its own cache
@@ -128,10 +128,11 @@ fn cache_is_cold_but_correct_for_concurrent_tenants_after_recovery() {
     }
     let m = engine.metrics();
     assert_eq!(
-        m.cache.hits, 0,
+        m.cache().hits,
+        0,
         "a cold cache cannot hit on first touch per tenant"
     );
-    assert!(m.cache.misses > 0);
+    assert!(m.cache().misses > 0);
 
     // Second wave repeats own detections (cache hits now) and adds the
     // cross detections: every verdict must match generation 1 exactly.
@@ -147,7 +148,7 @@ fn cache_is_cold_but_correct_for_concurrent_tenants_after_recovery() {
         );
     }
     let m = engine.metrics();
-    assert!(m.cache.hits > 0, "repeat detections must hit: {m:?}");
-    assert!(m.cache.hit_rate() > 0.0 && m.cache.hit_rate() < 1.0);
+    assert!(m.cache().hits > 0, "repeat detections must hit: {m:?}");
+    assert!(m.cache().hit_rate() > 0.0 && m.cache().hit_rate() < 1.0);
     engine.shutdown();
 }

@@ -7,6 +7,7 @@ use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobPayload, JobSpec, JobState};
+use freqywm_service::metrics::M;
 use freqywm_service::ServiceError;
 use std::time::Duration;
 
@@ -61,8 +62,8 @@ fn stuck_embed_is_reaped_with_a_deadline_error() {
     // The reap is a timeout, not a pipeline failure, and it must not
     // have recorded a watermark for the failed embed.
     let m = engine.metrics();
-    assert_eq!(m.timed_out, 1, "running reap counts as a timeout");
-    assert_eq!(m.failed, 0, "running reap is not a pipeline failure");
+    assert_eq!(m[M::TimedOut], 1, "running reap counts as a timeout");
+    assert_eq!(m[M::Failed], 0, "running reap is not a pipeline failure");
     assert!(
         engine.registry().latest_watermark("reap").is_none(),
         "a reaped embed must not leave a watermark behind"

@@ -9,6 +9,7 @@ use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, power_law_dataset_seeded, PowerLawConfig};
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
+use freqywm_service::metrics::M;
 use freqywm_service::prf_cache::PrfCacheConfig;
 use freqywm_service::ServiceError;
 use std::sync::Arc;
@@ -226,21 +227,22 @@ fn batched_redetection_has_nonzero_cache_hit_rate() {
     );
     // The embed sweep itself goes through the cache (cache-aware
     // embed), so measure the detection phase against this baseline.
-    let after_embed = engine.metrics().cache;
+    let after_embed = engine.metrics().cache();
     let params = DetectionParams::default().with_t(0).with_k(1);
     for _ in 0..5 {
         assert!(detect(&engine, "acme", &wm, params).accepted);
     }
     let m = engine.metrics();
     assert!(
-        m.cache.hits > after_embed.hits,
+        m.cache().hits > after_embed.hits,
         "re-detections must hit the PRF cache: {m:?}"
     );
     assert_eq!(
-        m.cache.misses, after_embed.misses,
+        m.cache().misses,
+        after_embed.misses,
         "every detection lookup is embed-warmed — no new misses"
     );
-    assert_eq!(m.detect_jobs, 5);
+    assert_eq!(m[M::DetectJobs], 5);
     assert!(m.to_json().contains("\"hit_rate\""));
     engine.shutdown();
 }
@@ -270,7 +272,7 @@ fn embed_sweep_reuses_and_warms_the_prf_cache() {
     // Cold embed: every sweep draw is a miss, but each one lands in the
     // cache under the tenant's tag.
     let wm1 = embed(&engine, "warm", hist.clone(), gen_params);
-    let after_first = engine.metrics().cache;
+    let after_first = engine.metrics().cache();
     assert_eq!(after_first.hits, 0, "cold sweep cannot hit");
     assert!(
         after_first.misses > 0 && after_first.entries > 0,
@@ -286,7 +288,7 @@ fn embed_sweep_reuses_and_warms_the_prf_cache() {
         DetectionParams::default().with_t(0).with_k(1),
     );
     assert!(outcome.accepted);
-    let after_detect = engine.metrics().cache;
+    let after_detect = engine.metrics().cache();
     assert!(
         after_detect.hits > after_first.hits,
         "detect must hit embed-warmed entries: {after_detect:?}"
@@ -300,7 +302,7 @@ fn embed_sweep_reuses_and_warms_the_prf_cache() {
     // first mark): the sweep's candidate pairs overlap heavily, so the
     // second `WM_Generate` reuses cached moduli instead of recomputing.
     let _wm2 = embed(&engine, "warm", wm1, gen_params);
-    let after_second = engine.metrics().cache;
+    let after_second = engine.metrics().cache();
     let sweep_hits = after_second.hits - after_detect.hits;
     let sweep_misses = after_second.misses - after_detect.misses;
     assert!(
@@ -336,8 +338,8 @@ fn disabled_cache_reports_zero_hits() {
         assert!(detect(&engine, "acme", &wm, params).accepted);
     }
     let m = engine.metrics();
-    assert_eq!(m.cache.hits, 0);
-    assert!(m.cache.misses > 0);
+    assert_eq!(m.cache().hits, 0);
+    assert!(m.cache().misses > 0);
     engine.shutdown();
 }
 
@@ -508,12 +510,12 @@ fn thread_storm_loses_no_jobs() {
 
     let m = engine.metrics();
     let total = (SUBMITTERS * PER_THREAD) as u64 + TENANTS as u64; // + embeds
-    assert_eq!(m.submitted, total);
-    assert_eq!(m.completed, total);
-    assert_eq!(m.failed, 0);
-    assert_eq!(m.timed_out, 0);
-    assert_eq!(m.queue_depth, 0);
-    assert_eq!(m.detect_jobs, (SUBMITTERS * PER_THREAD) as u64);
+    assert_eq!(m[M::Submitted], total);
+    assert_eq!(m[M::Completed], total);
+    assert_eq!(m[M::Failed], 0);
+    assert_eq!(m[M::TimedOut], 0);
+    assert_eq!(m[M::QueueDepth], 0);
+    assert_eq!(m[M::DetectJobs], (SUBMITTERS * PER_THREAD) as u64);
     engine.shutdown();
 }
 
@@ -619,6 +621,6 @@ fn backpressure_deadlines_and_graceful_shutdown() {
         Err(ServiceError::ShuttingDown)
     ));
     let m = engine.metrics();
-    assert_eq!(m.rejected as usize, rejected + 1); // + the post-shutdown submit
+    assert_eq!(m[M::Rejected] as usize, rejected + 1); // + the post-shutdown submit
     engine.shutdown(); // idempotent
 }

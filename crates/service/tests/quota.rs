@@ -19,6 +19,7 @@ use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
+use freqywm_service::metrics::M;
 use freqywm_service::storage::InMemoryStorage;
 use freqywm_service::{QuotaConfig, QuotaLimits, ServiceError, UNLIMITED};
 
@@ -91,9 +92,17 @@ fn quota_refusal_leaves_job_flow_metrics_untouched() {
 
     let after = engine.metrics();
     // Only the quota counters moved.
-    assert_eq!(after.quota_refused, before.quota_refused + 1);
-    assert_eq!(after.submitted, before.submitted, "refused ≠ submitted");
-    assert_eq!(after.rejected, before.rejected, "refused ≠ rejected");
+    assert_eq!(after[M::QuotaRefused], before[M::QuotaRefused] + 1);
+    assert_eq!(
+        after[M::Submitted],
+        before[M::Submitted],
+        "refused ≠ submitted"
+    );
+    assert_eq!(
+        after[M::Rejected],
+        before[M::Rejected],
+        "refused ≠ rejected"
+    );
     assert_eq!(
         after.queue_wait.count, before.queue_wait.count,
         "a refused job never waits in the queue"
@@ -106,10 +115,14 @@ fn quota_refusal_leaves_job_flow_metrics_untouched() {
             .ops
     };
     let (b, a) = (row(&before), row(&after));
-    assert_eq!(a.quota_refused, b.quota_refused + 1);
-    assert_eq!(a.embed, b.embed, "no op attribution for a refused job");
-    assert_eq!(a.admitted, b.admitted);
-    assert_eq!(a.rejected, b.rejected);
+    assert_eq!(a[M::TenantQuotaRefused], b[M::TenantQuotaRefused] + 1);
+    assert_eq!(
+        a[M::TenantEmbed],
+        b[M::TenantEmbed],
+        "no op attribution for a refused job"
+    );
+    assert_eq!(a[M::TenantAdmitted], b[M::TenantAdmitted]);
+    assert_eq!(a[M::TenantRejected], b[M::TenantRejected]);
 
     // Detect stays unlimited for the same tenant, and a co-tenant's
     // embed budget is its own: fairness is per tenant, per class.
@@ -134,9 +147,9 @@ fn refused_job_never_enters_the_queue() {
         Err(ServiceError::QuotaExhausted { .. })
     ));
     let snap = engine.metrics();
-    assert_eq!(snap.queue_depth, 0);
-    assert_eq!(snap.submitted, 0);
-    assert_eq!(snap.quota_refused, 1);
+    assert_eq!(snap[M::QueueDepth], 0);
+    assert_eq!(snap[M::Submitted], 0);
+    assert_eq!(snap[M::QuotaRefused], 1);
     engine.shutdown();
 }
 

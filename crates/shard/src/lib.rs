@@ -31,7 +31,7 @@ mod router;
 pub mod signal;
 
 #[cfg(unix)]
-pub use router::{run_router, run_router_with_metrics, RouterConfig};
+pub use router::{run_router, run_router_with_metrics, RouterConfig, ROUTER};
 
 pub use ring::{fnv1a64, jump_hash, tenant_shard, ShardMap};
 

@@ -32,10 +32,11 @@ use crate::ring::ShardMap;
 use crate::signal;
 use freqywm_net::http::HttpConn;
 use freqywm_net::{Backend, Event, Interest, LineEvent, LineFramer, Poller};
-use freqywm_obs::prom::{PromKind, PromText};
-use freqywm_service::metrics::{
-    aggregate_shard_metrics, latency_to_prom, LatencyHistogram, ShardMetricsPiece,
+use freqywm_obs::family::{
+    counter, gauge, histogram, info, write_prom, JsonObject, LatencyHistogram, Val,
 };
+use freqywm_obs::prom::PromText;
+use freqywm_service::metrics::{aggregate_shard_metrics, ShardMetricsPiece};
 use freqywm_service::proto::{
     err_response, frame_too_large_response, id_echo, json, route_of, token_eq, RouteInfo,
 };
@@ -53,6 +54,55 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 const TOKEN_METRICS_LISTENER: u64 = u64::MAX - 2;
 const TOKEN_BACKEND_BASE: u64 = 1 << 40;
+
+const SHARD_INFO: &str = "Shard address and replication role; value is always 1.";
+
+freqywm_obs::families! {
+    /// Every router metric: `ROUTER[r as usize]` declares `r`. Per-row
+    /// families are one `shard_map` entry in JSON and one `{shard}`
+    /// series in the exposition; [`Router::metric`] reads each value.
+    pub enum R in ROUTER {
+        RouterInfo => info("", "freqywm_router_info", "shards",
+            "Router tier metadata; value is always 1."),
+        ClientsAccepted => counter("router.clients_accepted",
+            "freqywm_router_clients_accepted_total", "Client connections accepted."),
+        ClientsActive => gauge("router.clients_active", "freqywm_router_clients_active",
+            "Currently connected clients."),
+        Forwarded => counter("router.forwarded", "freqywm_router_forwarded_total",
+            "Requests forwarded to a shard."),
+        Refused => counter("router.refused", "freqywm_router_refused_total",
+            "Requests answered with a router-side error."),
+        InflightFailed => counter("router.inflight_failed",
+            "freqywm_router_inflight_failed_total",
+            "Forwarded requests errored because their backend died."),
+        Draining => gauge("router.draining", "freqywm_router_draining",
+            "1 while the router is draining."),
+        Addr => info("addr", "freqywm_router_shard_info", "addr", SHARD_INFO).per_row(),
+        Role => info("role", "freqywm_router_shard_info", "role", SHARD_INFO).per_row(),
+        Up => gauge("up", "freqywm_router_shard_up", "Backend connected.").per_row(),
+        Healthy => gauge("healthy", "freqywm_router_shard_healthy",
+            "Last probe answered successfully.").per_row(),
+        Standby => info("standby", "", "standby", "Standby address, if one is configured.")
+            .per_row(),
+        Promoting => gauge("promoting", "", "A standby promotion is in progress.").per_row(),
+        FailedOver => gauge("failed_over", "freqywm_router_shard_failed_over",
+            "Shard is served by a promoted standby.").per_row(),
+        StandbyUp => gauge("", "freqywm_router_shard_standby_up",
+            "Configured standby answered its last probe.").per_row(),
+        Routed => counter("routed", "freqywm_router_shard_routed_total",
+            "Requests forwarded to this shard.").per_row(),
+        LogSeq => gauge("log_seq", "freqywm_router_shard_log_seq",
+            "Durable-log sequence the shard primary last reported.").per_row(),
+        StandbyLogSeq => gauge("standby_log_seq", "freqywm_router_shard_standby_log_seq",
+            "Durable-log sequence the shard standby last reported.").per_row(),
+        ReplLag => gauge("repl_lag", "freqywm_router_shard_replication_lag",
+            "Log events the standby trails its primary by (primary log_seq - standby log_seq).")
+            .per_row(),
+        Rtt => histogram("latency", "freqywm_router_shard_rtt_seconds",
+            concat!("Router-observed request round-trip time per shard (send to response, ",
+                "including the shard's own queueing and run time).")).per_row(),
+    }
+}
 
 /// Scrape connections that sent no complete request within this window
 /// are reaped (they never wait on jobs, so a fixed bound is safe).
@@ -611,6 +661,11 @@ fn flush_stream(
     }
 }
 
+/// An optional string value: `null` in JSON while unknown.
+fn text(v: Option<&str>) -> Val<'_> {
+    v.map_or(Val::Null, |t| Val::Str(t.into()))
+}
+
 fn connect_backend(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let resolved = addr
         .to_socket_addrs()?
@@ -936,182 +991,53 @@ impl Router {
         Some(primary.saturating_sub(standby))
     }
 
+    /// The value of router family `i`, for shard `row` when the family
+    /// is per-shard. The table says how each value renders; this says
+    /// where it comes from.
+    fn metric(&self, i: usize, row: Option<usize>, probes: &[StandbyProbe]) -> Val<'_> {
+        let Some(s) = row else {
+            return match R::ALL[i] {
+                R::RouterInfo => Val::Str(self.backends.len().to_string().into()),
+                R::ClientsAccepted => Val::Num(self.stats.accepted),
+                R::ClientsActive => Val::Num(self.clients.len() as u64),
+                R::Forwarded => Val::Num(self.stats.forwarded),
+                R::Refused => Val::Num(self.stats.refused),
+                R::InflightFailed => Val::Num(self.stats.inflight_failed),
+                R::Draining => Val::Bool(self.drain.is_some()),
+                _ => Val::Absent,
+            };
+        };
+        let b = &self.backends[s];
+        let num = |v: Option<u64>| v.map_or(Val::Null, Val::Num);
+        match R::ALL[i] {
+            R::Addr => Val::Str(b.addr.as_str().into()),
+            R::Role => text(b.role.as_deref()),
+            R::Up => Val::Bool(b.conn.is_some()),
+            R::Healthy => Val::Bool(b.healthy),
+            R::Standby => text(b.standby.as_deref()),
+            R::Promoting => Val::Bool(b.promoting.is_some()),
+            R::FailedOver => Val::Bool(b.failed_over),
+            R::StandbyUp => Val::Bool(b.standby.is_some() && probes[s].up),
+            R::Routed => Val::Num(b.routed),
+            R::LogSeq => num(b.log_seq),
+            R::StandbyLogSeq => num(probes[s].log_seq),
+            R::ReplLag => num(self.repl_lag(s, probes)),
+            R::Rtt => Val::Brief(b.latency.snapshot()),
+            _ => Val::Absent,
+        }
+    }
+
     /// The router's own Prometheus exposition: tier counters plus one
-    /// labelled series per shard (up/health/routed/role/log_seq/
-    /// replication lag and the router-observed RTT histogram). Shard
-    /// *engine* metrics are not re-exported here — scrape each engine's
-    /// own `--metrics-listen` for those; this endpoint is the router's
-    /// view of the tier.
+    /// `{shard}` series per shard. Shard *engine* metrics are not
+    /// re-exported here — scrape each engine's own `--metrics-listen`
+    /// for those; this endpoint is the router's view of the tier.
     fn router_prom(&self) -> String {
-        let mut w = PromText::new();
-        w.family(
-            "freqywm_router_info",
-            PromKind::Gauge,
-            "Router tier metadata; value is always 1.",
-        );
-        w.sample(
-            "freqywm_router_info",
-            &[("shards", &self.backends.len().to_string())],
-            1.0,
-        );
-        for (name, help, v) in [
-            (
-                "freqywm_router_clients_accepted_total",
-                "Client connections accepted.",
-                self.stats.accepted,
-            ),
-            (
-                "freqywm_router_forwarded_total",
-                "Requests forwarded to a shard.",
-                self.stats.forwarded,
-            ),
-            (
-                "freqywm_router_refused_total",
-                "Requests answered with a router-side error.",
-                self.stats.refused,
-            ),
-            (
-                "freqywm_router_inflight_failed_total",
-                "Forwarded requests errored because their backend died.",
-                self.stats.inflight_failed,
-            ),
-        ] {
-            w.scalar(name, PromKind::Counter, help, v as f64);
-        }
-        w.scalar(
-            "freqywm_router_clients_active",
-            PromKind::Gauge,
-            "Currently connected clients.",
-            self.clients.len() as f64,
-        );
-        w.scalar(
-            "freqywm_router_draining",
-            PromKind::Gauge,
-            "1 while the router is draining.",
-            if self.drain.is_some() { 1.0 } else { 0.0 },
-        );
         let probes = self.standby_probes();
-        let shard_labels: Vec<String> = (0..self.backends.len()).map(|i| i.to_string()).collect();
-        w.family(
-            "freqywm_router_shard_info",
-            PromKind::Gauge,
-            "Shard address and replication role; value is always 1.",
-        );
-        for (i, b) in self.backends.iter().enumerate() {
-            w.sample(
-                "freqywm_router_shard_info",
-                &[
-                    ("shard", &shard_labels[i]),
-                    ("addr", &b.addr),
-                    ("role", b.role.as_deref().unwrap_or("unknown")),
-                ],
-                1.0,
-            );
-        }
-        type FlagGetter = fn(&BackendSlot) -> bool;
-        let flags: [(&str, &str, FlagGetter); 4] = [
-            ("freqywm_router_shard_up", "Backend connected.", |b| {
-                b.conn.is_some()
-            }),
-            (
-                "freqywm_router_shard_healthy",
-                "Last probe answered successfully.",
-                |b| b.healthy,
-            ),
-            (
-                "freqywm_router_shard_failed_over",
-                "Shard is served by a promoted standby.",
-                |b| b.failed_over,
-            ),
-            (
-                "freqywm_router_shard_standby_up",
-                "Configured standby answered its last probe.",
-                |b| b.standby.is_some(),
-            ),
-        ];
-        for (name, help, get) in flags {
-            w.family(name, PromKind::Gauge, help);
-            for (i, b) in self.backends.iter().enumerate() {
-                let v = if name == "freqywm_router_shard_standby_up" {
-                    get(b) && probes[i].up
-                } else {
-                    get(b)
-                };
-                w.sample(
-                    name,
-                    &[("shard", &shard_labels[i])],
-                    if v { 1.0 } else { 0.0 },
-                );
-            }
-        }
-        w.family(
-            "freqywm_router_shard_routed_total",
-            PromKind::Counter,
-            "Requests forwarded to this shard.",
-        );
-        for (i, b) in self.backends.iter().enumerate() {
-            w.sample(
-                "freqywm_router_shard_routed_total",
-                &[("shard", &shard_labels[i])],
-                b.routed as f64,
-            );
-        }
-        w.family(
-            "freqywm_router_shard_log_seq",
-            PromKind::Gauge,
-            "Durable-log sequence the shard primary last reported.",
-        );
-        for (i, b) in self.backends.iter().enumerate() {
-            if let Some(seq) = b.log_seq {
-                w.sample(
-                    "freqywm_router_shard_log_seq",
-                    &[("shard", &shard_labels[i])],
-                    seq as f64,
-                );
-            }
-        }
-        w.family(
-            "freqywm_router_shard_standby_log_seq",
-            PromKind::Gauge,
-            "Durable-log sequence the shard standby last reported.",
-        );
-        for i in 0..self.backends.len() {
-            if let Some(seq) = probes[i].log_seq {
-                w.sample(
-                    "freqywm_router_shard_standby_log_seq",
-                    &[("shard", &shard_labels[i])],
-                    seq as f64,
-                );
-            }
-        }
-        w.family(
-            "freqywm_router_shard_replication_lag",
-            PromKind::Gauge,
-            "Log events the standby trails its primary by (primary log_seq - standby log_seq).",
-        );
-        for (i, label) in shard_labels.iter().enumerate() {
-            if let Some(lag) = self.repl_lag(i, &probes) {
-                w.sample(
-                    "freqywm_router_shard_replication_lag",
-                    &[("shard", label)],
-                    lag as f64,
-                );
-            }
-        }
-        w.family(
-            "freqywm_router_shard_rtt_seconds",
-            PromKind::Histogram,
-            "Router-observed request round-trip time per shard (send to response, \
-             including the shard's own queueing and run time).",
-        );
-        for (i, b) in self.backends.iter().enumerate() {
-            latency_to_prom(
-                &mut w,
-                "freqywm_router_shard_rtt_seconds",
-                &[("shard", &shard_labels[i])],
-                &b.latency.snapshot(),
-            );
-        }
+        let shards: Vec<String> = (0..self.backends.len()).map(|i| i.to_string()).collect();
+        let mut w = PromText::new();
+        write_prom(&mut w, ROUTER, "shard", &shards, |i, row| {
+            self.metric(i, row, &probes)
+        });
         w.finish()
     }
 
@@ -1915,65 +1841,23 @@ impl Router {
                         metrics: f.pieces[i].as_ref().and_then(|v| v.get("metrics").cloned()),
                     })
                     .collect();
-                let shard_map: Vec<String> = self
-                    .backends
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| {
-                        let lat = b.latency.snapshot();
-                        let standby = match &b.standby {
-                            Some(s) => format!("\"{}\"", json::escape(s)),
-                            None => "null".to_string(),
-                        };
-                        let role = match &b.role {
-                            Some(r) => format!("\"{}\"", json::escape(r)),
-                            None => "null".to_string(),
-                        };
-                        let num_or_null =
-                            |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
-                        format!(
-                            concat!(
-                                "{{\"shard\":{},\"addr\":\"{}\",\"up\":{},\"healthy\":{},",
-                                "\"standby\":{},\"promoting\":{},\"failed_over\":{},",
-                                "\"role\":{},\"log_seq\":{},\"standby_log_seq\":{},",
-                                "\"repl_lag\":{},",
-                                "\"routed\":{},\"latency\":{{\"count\":{},\"mean_us\":{:.0},",
-                                "\"p50_us\":{},\"p99_us\":{}}}}}"
-                            ),
-                            i,
-                            json::escape(&b.addr),
-                            b.conn.is_some(),
-                            b.healthy,
-                            standby,
-                            b.promoting.is_some(),
-                            b.failed_over,
-                            role,
-                            num_or_null(b.log_seq),
-                            num_or_null(probes.get(i).and_then(|p| p.log_seq)),
-                            num_or_null(self.repl_lag(i, &probes)),
-                            b.routed,
-                            lat.count,
-                            lat.mean_micros(),
-                            lat.quantile_upper_micros(0.50),
-                            lat.quantile_upper_micros(0.99),
-                        )
+                let mut top = JsonObject::default();
+                top.families(ROUTER, false, |i| self.metric(i, None, &probes));
+                let shard_map: Vec<String> = (0..self.backends.len())
+                    .map(|s| {
+                        let mut row = JsonObject::default();
+                        row.push("shard", s.to_string());
+                        row.families(ROUTER, true, |i| self.metric(i, Some(s), &probes));
+                        row.render()
                     })
                     .collect();
                 format!(
                     concat!(
-                        "{{\"ok\":true{},\"op\":\"metrics\",\"scheme\":\"jump\",",
-                        "\"router\":{{\"clients_accepted\":{},\"clients_active\":{},",
-                        "\"forwarded\":{},\"refused\":{},\"inflight_failed\":{},",
-                        "\"draining\":{}}},",
+                        "{{\"ok\":true{},\"op\":\"metrics\",\"scheme\":\"jump\",{},",
                         "\"shard_map\":[{}],\"metrics\":{}}}"
                     ),
                     f.id_part,
-                    self.stats.accepted,
-                    self.clients.len(),
-                    self.stats.forwarded,
-                    self.stats.refused,
-                    self.stats.inflight_failed,
-                    self.drain.is_some(),
+                    top.members(),
                     shard_map.join(","),
                     aggregate_shard_metrics(&pieces),
                 )

@@ -4,9 +4,10 @@
 
 use freqywm_net::{serve_listener, NetConfig};
 use freqywm_service::engine::{Engine, EngineConfig, ShardGate};
+use freqywm_service::metrics::M;
 use freqywm_service::proto::json;
 use freqywm_service::FollowerConfig;
-use freqywm_shard::{run_router, tenant_shard, RouterConfig};
+use freqywm_shard::{run_router, run_router_with_metrics, tenant_shard, RouterConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -157,8 +158,8 @@ fn routes_tenants_aggregates_metrics_and_drains() {
         expect0 > 0 && expect1 > 0,
         "degenerate split {expect0}/{expect1}"
     );
-    assert_eq!(b0.engine.metrics().tenants as usize, expect0);
-    assert_eq!(b1.engine.metrics().tenants as usize, expect1);
+    assert_eq!(b0.engine.metrics()[M::Tenants] as usize, expect0);
+    assert_eq!(b1.engine.metrics()[M::Tenants] as usize, expect1);
 
     // Aggregated metrics: totals sum across shards, shard map attached.
     let m = c.request(r#"{"op":"metrics","id":"agg"}"#);
@@ -598,7 +599,10 @@ fn failover_promotes_standby_and_redirects_traffic() {
 
     // Mutations land on the promoted standby through the router.
     onboard(&mut c, "post-failover");
-    assert_eq!(standby.engine.metrics().tenants, tenants.len() as u64 + 1);
+    assert_eq!(
+        standby.engine.metrics()[M::Tenants],
+        tenants.len() as u64 + 1
+    );
 
     // The shard map records the swap: the slot now points at the
     // consumed standby and is flagged failed_over.
@@ -690,4 +694,115 @@ fn auth_gates_clients_and_authenticates_to_backends() {
     router.join().unwrap().expect("router exits cleanly");
     b0.handle.join().unwrap().expect("backend drains");
     b0.engine.shutdown();
+}
+
+/// A ~500 KB line of `[` fits under the frame cap, and the recursive
+/// JSON parser used to overflow the stack on it — before any auth
+/// check, in the router and in every shard. Both now answer `ok:false`
+/// and keep serving the same connection.
+#[test]
+fn deeply_nested_json_is_refused_and_both_tiers_keep_serving() {
+    let b0 = start_backend(None, None);
+    let (router_addr, router) = start_router(&[&b0], |_| {});
+    let deep = "[".repeat(500_000);
+    for addr in [router_addr, b0.addr] {
+        let mut c = Client::connect(addr);
+        let r = c.request(&deep);
+        assert!(r.starts_with("{\"ok\":false"), "{r}");
+        assert!(r.contains("bad json: nesting deeper than 64"), "{r}");
+        let m = c.request(r#"{"op":"metrics"}"#);
+        assert!(m.contains("\"ok\":true"), "{m}");
+    }
+    let mut c = Client::connect(router_addr);
+    wait_until_shards_up(&mut c, 1);
+    let ack = c.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    router.join().unwrap().expect("router exits cleanly");
+    b0.handle.join().unwrap().expect("backend drains");
+    b0.engine.shutdown();
+}
+
+#[path = "../../service/tests/wire/mod.rs"]
+mod wire;
+
+/// One blocking `GET /metrics`; returns the response body.
+fn scrape(addr: SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect metrics");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read scrape");
+    let (_, body) = raw.split_once("\r\n\r\n").expect("header terminator");
+    body.to_string()
+}
+
+/// Pins the router's wire format: after a fixed script, the `metrics`
+/// answer and the `GET /metrics` exposition must match fixtures
+/// captured from a known-good build. Addresses, round-trip latencies,
+/// probe-driven health and connection byte counts vary from run to run
+/// and are checked for presence only.
+#[test]
+fn metrics_wire_format_matches_fixtures() {
+    let b0 = start_backend(Some((0, 2)), None);
+    let b1 = start_backend(Some((1, 2)), None);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let router_addr = listener.local_addr().unwrap();
+    let metrics = TcpListener::bind("127.0.0.1:0").expect("bind metrics");
+    let metrics_addr = metrics.local_addr().unwrap();
+    let mut config = RouterConfig::new(vec![b0.addr.to_string(), b1.addr.to_string()]);
+    config.probe_interval = Duration::from_millis(200);
+    let router =
+        std::thread::spawn(move || run_router_with_metrics(listener, Some(metrics), config));
+
+    let mut c = Client::connect(router_addr);
+    wait_until_shards_up(&mut c, 2);
+    for t in ["wire-0", "wire-1", "wire-2", "wire-3", "wire-4", "wire-5"] {
+        onboard(&mut c, t);
+        let r = c.request(&format!(
+            "{{\"op\":\"detect\",\"tenant\":\"{t}\",\"t\":2,\"k\":1,\"counts\":{}}}",
+            counts_json(60)
+        ));
+        assert!(r.contains("\"ok\":true"), "detect {t}: {r}");
+    }
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let answer = c.request(r#"{"op":"metrics"}"#);
+    let exposition = scrape(metrics_addr);
+    wire::assert_json_matches(
+        "router metrics op",
+        &wire::fixture(dir, "router_metrics.json"),
+        &answer,
+        &[
+            "shard_map[*].addr",
+            "shard_map[*].healthy",
+            "shard_map[*].latency.*",
+            "metrics.per_shard[*].addr",
+            "metrics.per_shard[*].metrics.uptime_s",
+            "metrics.per_shard[*].metrics.*.mean_us",
+            "metrics.per_shard[*].metrics.*.p50_us",
+            "metrics.per_shard[*].metrics.*.p95_us",
+            "metrics.per_shard[*].metrics.*.p99_us",
+            "metrics.per_shard[*].metrics.*.buckets_us_pow2",
+            "metrics.per_shard[*].metrics.per_tenant.*.latency_sum_us",
+            "metrics.per_shard[*].metrics.net.*",
+            "metrics.totals.net.*",
+        ],
+    );
+    wire::assert_prom_matches(
+        "router exposition",
+        &wire::fixture(dir, "router.prom"),
+        &exposition,
+        &["freqywm_router_shard_info", "freqywm_router_shard_healthy"],
+    );
+
+    let ack = c.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    router.join().unwrap().expect("router exits cleanly");
+    b0.handle.join().unwrap().expect("backend 0 drains");
+    b1.handle.join().unwrap().expect("backend 1 drains");
+    b0.engine.shutdown();
+    b1.engine.shutdown();
 }
