@@ -11,12 +11,13 @@
 //!
 //! Complexity: pairs whose tokens have a zero boundary are pruned
 //! before hashing (tied tails — the dominant case on flat data), and
-//! the inner digest `H(R ‖ tk_j)` is cached per token, so the O(n²)
-//! sweep costs one outer SHA-256 per surviving pair.
+//! the inner digest `H(R ‖ tk_j)` is computed once per token, so the
+//! O(n²) sweep costs one outer SHA-256 per surviving pair — a single
+//! compression when `tk_i` is at most 23 bytes.
 
 use crate::params::WeightScheme;
-use freqywm_crypto::prf::{PrfProvider, Secret};
-use freqywm_crypto::sha256::{sha256_concat, Sha256};
+use freqywm_crypto::prf::{inner_digest, outer_modulus, PrfProvider, Secret};
+use freqywm_crypto::Digest;
 use freqywm_data::histogram::Histogram;
 
 /// An eligible pair, in histogram-rank coordinates (`i < j`, so
@@ -49,41 +50,6 @@ impl EligiblePair {
     }
 }
 
-/// Reduces a 256-bit digest modulo `z` (big-endian), mirroring
-/// `freqywm_crypto::prf::pair_modulus` but reusing cached inner digests.
-fn digest_mod(digest: &[u8; 32], z: u64) -> u64 {
-    let z = z as u128;
-    let mut acc: u128 = 0;
-    for &b in digest {
-        acc = ((acc << 8) | b as u128) % z;
-    }
-    acc as u64
-}
-
-/// Computes `s_ij` for ranks `(i, j)` of `hist` using cached inner
-/// digests (`inner[j] = H(R ‖ tk_j)`).
-pub(crate) fn s_from_cached(
-    hist: &Histogram,
-    inner: &[[u8; 32]],
-    i: usize,
-    j: usize,
-    z: u64,
-) -> u64 {
-    let tk_i = hist.entries()[i].0.as_bytes();
-    let mut h = Sha256::new();
-    h.update(tk_i);
-    h.update(&inner[j]);
-    digest_mod(&h.finalize(), z)
-}
-
-/// Precomputes the inner digests `H(R ‖ tk_j)` for every token.
-pub(crate) fn inner_digests(hist: &Histogram, secret: &Secret) -> Vec<[u8; 32]> {
-    hist.entries()
-        .iter()
-        .map(|(t, _)| sha256_concat(&[secret.as_bytes(), t.as_bytes()]))
-        .collect()
-}
-
 /// Enumerates all eligible pairs of `hist` under secret `secret` and
 /// modulo base `z`. Pairs are returned in `(i, j)` lexicographic order.
 pub fn eligible_pairs(hist: &Histogram, secret: &Secret, z: u64) -> Vec<EligiblePair> {
@@ -109,80 +75,14 @@ pub fn eligible_pairs_with_min(
     z: u64,
     min_s: u64,
 ) -> Vec<EligiblePair> {
-    let min_s = min_s.max(2);
-    let Some(Sweep {
-        counts,
-        min_bound,
-        candidates,
-    }) = Sweep::prepare(hist, z)
-    else {
-        return Vec::new();
-    };
-    let inner = inner_digests(hist, secret);
-    let mut out = Vec::new();
-    for (a, &i) in candidates.iter().enumerate() {
-        for &j in &candidates[a + 1..] {
-            let cap = min_bound[i].min(min_bound[j]);
-            let s = s_from_cached(hist, &inner, i, j, z);
-            if s < min_s {
-                continue;
-            }
-            // ceil(s/2) <= cap  <=>  s <= 2*cap (integer arithmetic,
-            // avoiding overflow for cap = u64::MAX).
-            if s.div_ceil(2) > cap {
-                continue;
-            }
-            let rm = (counts[i] - counts[j]) % s;
-            out.push(EligiblePair { i, j, s, rm });
-        }
-    }
-    out
+    eligible_pairs_parallel(hist, secret, z, min_s, 1)
 }
 
-/// Candidate preparation shared by every sweep variant: rank counts,
-/// the per-token minimum boundary, and the indices that can
-/// participate in any pair at all.
-///
-/// A token with min-boundary `m` can only participate with
-/// `ceil(s/2) <= m`, i.e. `s <= 2m`; `m == 0` rules the token out
-/// entirely (`s >= 2` always needs `m >= 1`).
-struct Sweep {
-    counts: Vec<u64>,
-    min_bound: Vec<u64>,
-    candidates: Vec<usize>,
-}
-
-impl Sweep {
-    fn prepare(hist: &Histogram, z: u64) -> Option<Sweep> {
-        let counts = hist.counts();
-        let bounds = hist.boundaries();
-        let n = counts.len();
-        if n < 2 || z < 2 {
-            return None;
-        }
-        let min_bound: Vec<u64> = bounds
-            .iter()
-            .zip(&counts)
-            .map(|(b, &c)| b.upper.min(b.lower.min(c.saturating_sub(1))))
-            .collect();
-        let candidates: Vec<usize> = (0..n).filter(|&i| min_bound[i] >= 1).collect();
-        if candidates.len() < 2 {
-            return None;
-        }
-        Some(Sweep {
-            counts,
-            min_bound,
-            candidates,
-        })
-    }
-}
-
-/// Parallel variant of [`eligible_pairs_with_min`]: splits the
-/// candidate sweep across `threads` scoped threads. Results
-/// are identical to the sequential version (same `(i, j)` order) — the
-/// sweep is embarrassingly parallel once the inner digests are cached.
-/// Worth it from roughly 10⁶ candidate pairs (the Chicago-Taxi regime,
-/// where the SHA sweep dominates Table II's generation time).
+/// [`eligible_pairs_with_min`] split across `threads` scoped threads
+/// (`threads ≤ 1` sweeps on the calling thread). Results are identical
+/// to the sequential sweep, in the same `(i, j)` order. Worth it from
+/// roughly 10⁶ candidate pairs (the Chicago-Taxi regime, where the SHA
+/// sweep dominates Table II's generation time).
 pub fn eligible_pairs_parallel(
     hist: &Histogram,
     secret: &Secret,
@@ -190,69 +90,41 @@ pub fn eligible_pairs_parallel(
     min_s: u64,
     threads: usize,
 ) -> Vec<EligiblePair> {
-    let min_s = min_s.max(2);
-    let Some(Sweep {
-        counts,
-        min_bound,
-        candidates,
-    }) = Sweep::prepare(hist, z)
-    else {
+    let Some(sweep) = Sweep::prepare(hist, z, min_s) else {
         return Vec::new();
     };
-    let threads = threads.max(1).min(candidates.len());
-    let inner = inner_digests(hist, secret);
-    let mut shards: Vec<Vec<EligiblePair>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let counts = &counts;
-            let min_bound = &min_bound;
-            let candidates = &candidates;
-            let inner = &inner;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                // Strided outer loop balances the triangular workload.
-                let mut a = t;
-                while a < candidates.len() {
-                    let i = candidates[a];
-                    for &j in &candidates[a + 1..] {
-                        let cap = min_bound[i].min(min_bound[j]);
-                        let s = s_from_cached(hist, inner, i, j, z);
-                        if s < min_s || s.div_ceil(2) > cap {
-                            continue;
-                        }
-                        let rm = (counts[i] - counts[j]) % s;
-                        out.push(EligiblePair { i, j, s, rm });
-                    }
-                    a += threads;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            shards.push(h.join().expect("eligibility worker panicked"));
-        }
+    let entries = hist.entries();
+    let inner: Vec<Digest> = entries
+        .iter()
+        .map(|(t, _)| inner_digest(secret, t.as_bytes()))
+        .collect();
+    let s_of = |i: usize, j: usize| outer_modulus(entries[i].0.as_bytes(), &inner[j], z);
+    let threads = threads.clamp(1, sweep.candidates.len());
+    if threads == 1 {
+        return sweep.rows(0, 1, s_of);
+    }
+    let mut out: Vec<EligiblePair> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let sweep = &sweep;
+                let s_of = &s_of;
+                scope.spawn(move || sweep.rows(t, threads, s_of))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("eligibility worker panicked"))
+            .collect()
     });
-    let mut out: Vec<EligiblePair> = shards.into_iter().flatten().collect();
     out.sort_unstable_by_key(|p| (p.i, p.j));
     out
 }
 
-/// [`eligible_pairs_with_min`] with the pair PRF routed through a
-/// [`PrfProvider`], so the sweep's `s_ij` draws hit whatever
-/// memoization layer the deployment interposes (the service crate's
-/// sharded LRU). This is the cache-aware embed path: a `WM_Generate`
-/// over a vocabulary that earlier embed or detect traffic already
-/// touched reuses those moduli instead of recomputing them, and the
-/// moduli it does compute pre-warm later detections of the chosen
-/// pairs.
-///
-/// Trade-off versus the direct sweep: the provider recomputes the
-/// inner digest `H(R ‖ tk_j)` per *pair* on a miss (the per-token
-/// inner-digest cache cannot reach through the provider interface), so
-/// a fully cold sweep pays roughly twice the hashing. Use this entry
-/// point when a shared cache exists; [`eligible_pairs_with_min`]
-/// otherwise.
+/// [`eligible_pairs_with_min`] with every `s_ij` drawn from a
+/// [`PrfProvider`], called exactly once per swept pair — for callers
+/// that count or interpose on the PRF. The direct sweep is faster: it
+/// computes each token's inner digest `H(R ‖ tk_j)` once, where a
+/// provider recomputes it for every pair.
 pub fn eligible_pairs_with_prf<P: PrfProvider + ?Sized>(
     hist: &Histogram,
     secret: &Secret,
@@ -260,93 +132,78 @@ pub fn eligible_pairs_with_prf<P: PrfProvider + ?Sized>(
     min_s: u64,
     prf: &P,
 ) -> Vec<EligiblePair> {
-    let min_s = min_s.max(2);
-    let Some(Sweep {
-        counts,
-        min_bound,
-        candidates,
-    }) = Sweep::prepare(hist, z)
-    else {
+    let Some(sweep) = Sweep::prepare(hist, z, min_s) else {
         return Vec::new();
     };
     let entries = hist.entries();
-    let mut out = Vec::new();
-    for (a, &i) in candidates.iter().enumerate() {
-        for &j in &candidates[a + 1..] {
-            let cap = min_bound[i].min(min_bound[j]);
-            let s = prf.pair_modulus(secret, entries[i].0.as_bytes(), entries[j].0.as_bytes(), z);
-            if s < min_s || s.div_ceil(2) > cap {
-                continue;
-            }
-            let rm = (counts[i] - counts[j]) % s;
-            out.push(EligiblePair { i, j, s, rm });
-        }
-    }
-    out
+    sweep.rows(0, 1, |i, j| {
+        prf.pair_modulus(secret, entries[i].0.as_bytes(), entries[j].0.as_bytes(), z)
+    })
 }
 
-/// Parallel variant of [`eligible_pairs_with_prf`] (same strided split
-/// as [`eligible_pairs_parallel`], same `(i, j)` result order). The
-/// provider is shared across the worker threads, so it must tolerate
-/// concurrent lookups — the service cache shards its locks for exactly
-/// this access pattern.
-pub fn eligible_pairs_parallel_with_prf<P: PrfProvider + Sync + ?Sized>(
-    hist: &Histogram,
-    secret: &Secret,
-    z: u64,
+/// The candidate set of one sweep: rank counts, the per-token minimum
+/// boundary, and the indices that can participate in any pair at all.
+///
+/// A token with min-boundary `m` can only participate with
+/// `ceil(s/2) <= m`, i.e. `s <= 2m`; `m == 0` rules the token out
+/// entirely (`s >= 2` always needs `m >= 1`), so pairs of tied tokens
+/// are pruned before hashing.
+struct Sweep {
+    counts: Vec<u64>,
+    min_bound: Vec<u64>,
+    candidates: Vec<usize>,
     min_s: u64,
-    threads: usize,
-    prf: &P,
-) -> Vec<EligiblePair> {
-    let min_s = min_s.max(2);
-    let Some(Sweep {
-        counts,
-        min_bound,
-        candidates,
-    }) = Sweep::prepare(hist, z)
-    else {
-        return Vec::new();
-    };
-    let threads = threads.max(1).min(candidates.len());
-    let entries = hist.entries();
-    let mut shards: Vec<Vec<EligiblePair>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let counts = &counts;
-            let min_bound = &min_bound;
-            let candidates = &candidates;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                let mut a = t;
-                while a < candidates.len() {
-                    let i = candidates[a];
-                    for &j in &candidates[a + 1..] {
-                        let cap = min_bound[i].min(min_bound[j]);
-                        let s = prf.pair_modulus(
-                            secret,
-                            entries[i].0.as_bytes(),
-                            entries[j].0.as_bytes(),
-                            z,
-                        );
-                        if s < min_s || s.div_ceil(2) > cap {
-                            continue;
-                        }
-                        let rm = (counts[i] - counts[j]) % s;
-                        out.push(EligiblePair { i, j, s, rm });
-                    }
-                    a += threads;
+}
+
+impl Sweep {
+    fn prepare(hist: &Histogram, z: u64, min_s: u64) -> Option<Sweep> {
+        let counts = hist.counts();
+        let bounds = hist.boundaries();
+        if counts.len() < 2 || z < 2 {
+            return None;
+        }
+        let min_bound: Vec<u64> = bounds
+            .iter()
+            .zip(&counts)
+            .map(|(b, &c)| b.upper.min(b.lower.min(c.saturating_sub(1))))
+            .collect();
+        let candidates: Vec<usize> = (0..counts.len()).filter(|&i| min_bound[i] >= 1).collect();
+        if candidates.len() < 2 {
+            return None;
+        }
+        Some(Sweep {
+            counts,
+            min_bound,
+            candidates,
+            min_s: min_s.max(2),
+        })
+    }
+
+    /// The eligible pairs whose first token is candidate `a` for
+    /// `a = first, first + stride, …` (a strided split balances the
+    /// triangular workload across threads), in `(i, j)` order.
+    fn rows(
+        &self,
+        first: usize,
+        stride: usize,
+        s_of: impl Fn(usize, usize) -> u64,
+    ) -> Vec<EligiblePair> {
+        let mut out = Vec::new();
+        for a in (first..self.candidates.len()).step_by(stride) {
+            let i = self.candidates[a];
+            for &j in &self.candidates[a + 1..] {
+                let s = s_of(i, j);
+                // ceil(s/2) <= cap, in integers (cap may be u64::MAX).
+                let cap = self.min_bound[i].min(self.min_bound[j]);
+                if s < self.min_s || s.div_ceil(2) > cap {
+                    continue;
                 }
-                out
-            }));
+                let rm = (self.counts[i] - self.counts[j]) % s;
+                out.push(EligiblePair { i, j, s, rm });
+            }
         }
-        for h in handles {
-            shards.push(h.join().expect("eligibility worker panicked"));
-        }
-    });
-    let mut out: Vec<EligiblePair> = shards.into_iter().flatten().collect();
-    out.sort_unstable_by_key(|p| (p.i, p.j));
-    out
+        out
+    }
 }
 
 /// The paper's `r_max` (Sec. IV-A1): the largest frequency difference,
@@ -551,18 +408,7 @@ mod tests {
         for min_s in [2u64, 8] {
             let want = eligible_pairs_with_min(&h, &secret(), 257, min_s);
             let got = eligible_pairs_with_prf(&h, &secret(), 257, min_s, &DirectPrf);
-            assert_eq!(got, want, "sequential provider sweep diverged");
-            for threads in [1usize, 3] {
-                let par = eligible_pairs_parallel_with_prf(
-                    &h,
-                    &secret(),
-                    257,
-                    min_s,
-                    threads,
-                    &DirectPrf,
-                );
-                assert_eq!(par, want, "parallel provider sweep diverged");
-            }
+            assert_eq!(got, want, "provider sweep diverged");
         }
     }
 

@@ -7,16 +7,13 @@
 //! points additionally materialise the add/remove token edits with
 //! secret-keyed placement.
 
-use crate::eligible::{
-    eligible_pairs_parallel, eligible_pairs_parallel_with_prf, eligible_pairs_with_min,
-    eligible_pairs_with_prf, r_max, EligiblePair,
-};
+use crate::eligible::{eligible_pairs_parallel, r_max};
 use crate::error::{Error, Result};
 use crate::modify::pair_deltas;
 use crate::params::GenerationParams;
 use crate::secret::SecretList;
 use crate::select::select_pairs;
-use freqywm_crypto::prf::{KeyStream, PrfProvider, Secret};
+use freqywm_crypto::prf::{KeyStream, Secret};
 use freqywm_data::dataset::{Dataset, Table};
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
@@ -88,55 +85,13 @@ impl Watermarker {
     /// when eligible pairs exist but none fits the budget.
     pub fn generate_histogram(&self, hist: &Histogram, secret: Secret) -> Result<GenerationOutput> {
         self.validate(hist)?;
-        let eligible = if self.params.threads > 1 {
-            eligible_pairs_parallel(
-                hist,
-                &secret,
-                self.params.z,
-                self.params.min_modulus,
-                self.params.threads,
-            )
-        } else {
-            eligible_pairs_with_min(hist, &secret, self.params.z, self.params.min_modulus)
-        };
-        self.finish(hist, secret, eligible)
-    }
-
-    /// [`Watermarker::generate_histogram`] with the eligible-pair sweep
-    /// routed through a [`PrfProvider`], so repeated embeds over
-    /// overlapping vocabularies (and detections that follow them) share
-    /// one memoized set of `s_ij` draws. The provider must be safe to
-    /// query from multiple threads when `params.threads > 1`.
-    pub fn generate_histogram_with<P: PrfProvider + Sync + ?Sized>(
-        &self,
-        hist: &Histogram,
-        secret: Secret,
-        prf: &P,
-    ) -> Result<GenerationOutput> {
-        self.validate(hist)?;
-        let eligible = if self.params.threads > 1 {
-            eligible_pairs_parallel_with_prf(
-                hist,
-                &secret,
-                self.params.z,
-                self.params.min_modulus,
-                self.params.threads,
-                prf,
-            )
-        } else {
-            eligible_pairs_with_prf(hist, &secret, self.params.z, self.params.min_modulus, prf)
-        };
-        self.finish(hist, secret, eligible)
-    }
-
-    /// Selection + modification + reporting, shared by the direct and
-    /// provider-backed sweeps.
-    fn finish(
-        &self,
-        hist: &Histogram,
-        secret: Secret,
-        eligible: Vec<EligiblePair>,
-    ) -> Result<GenerationOutput> {
+        let eligible = eligible_pairs_parallel(
+            hist,
+            &secret,
+            self.params.z,
+            self.params.min_modulus,
+            self.params.threads,
+        );
         if eligible.is_empty() {
             return Err(Error::NoEligiblePairs);
         }
@@ -423,21 +378,22 @@ mod tests {
 
     #[test]
     fn provider_backed_generation_matches_direct() {
+        use crate::eligible::eligible_pairs_with_prf;
         use freqywm_crypto::prf::DirectPrf;
         let h = zipf_hist(0.6, 120, 120_000);
+        let params = GenerationParams::default().with_z(101);
+        let provided = eligible_pairs_with_prf(&h, &secret(), 101, params.min_modulus, &DirectPrf);
+        let chosen: Vec<(Token, Token)> = select_pairs(&h, &provided, &params)
+            .chosen
+            .iter()
+            .map(|p| (h.entries()[p.i].0.clone(), h.entries()[p.j].0.clone()))
+            .collect();
         for threads in [1usize, 4] {
-            let wm = Watermarker::new(
-                GenerationParams::default()
-                    .with_z(101)
-                    .with_threads(threads),
-            );
-            let direct = wm.generate_histogram(&h, secret()).unwrap();
-            let provided = wm
-                .generate_histogram_with(&h, secret(), &DirectPrf)
+            let direct = Watermarker::new(params.with_threads(threads))
+                .generate_histogram(&h, secret())
                 .unwrap();
-            assert_eq!(direct.watermarked, provided.watermarked);
-            assert_eq!(direct.secrets, provided.secrets);
-            assert_eq!(direct.report, provided.report);
+            assert_eq!(direct.report.eligible_pairs, provided.len());
+            assert_eq!(direct.secrets.pairs, chosen);
         }
     }
 

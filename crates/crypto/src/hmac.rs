@@ -10,29 +10,50 @@ const BLOCK_LEN: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    let mut mac = HmacSha256::new(key);
+    mac.update(message);
+    mac.finalize()
+}
+
+/// Incremental HMAC-SHA-256, for a message produced in pieces.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSha256 {
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..32].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+
+        let mut ipad = [0x36u8; BLOCK_LEN];
+        let mut opad = [0x5cu8; BLOCK_LEN];
+        for i in 0..BLOCK_LEN {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
     }
 
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    pub fn finalize(self) -> Digest {
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Constant-time digest comparison. Watermark secrets are compared with
@@ -48,6 +69,19 @@ pub fn digest_eq(a: &Digest, b: &Digest) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn incremental_matches_one_shot() {
+        let msg: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        for key in [&b"k"[..], &[0x0b; 20], &[0xaa; 131]] {
+            for split in [0, 1, 63, 64, 65, 200, 300] {
+                let mut mac = HmacSha256::new(key);
+                mac.update(&msg[..split]);
+                mac.update(&msg[split..]);
+                assert_eq!(mac.finalize(), hmac_sha256(key, &msg), "split {split}");
+            }
+        }
+    }
     use crate::hex;
 
     // RFC 4231 test vectors for HMAC-SHA-256.

@@ -20,7 +20,9 @@ pub mod prf;
 pub mod sha256;
 
 pub use hmac::hmac_sha256;
-pub use prf::{pair_modulus, DirectPrf, KeyStream, PrfProvider, Secret};
+pub use prf::{
+    inner_digest, outer_modulus, pair_modulus, DirectPrf, KeyStream, PrfProvider, Secret,
+};
 pub use sha256::{sha256, Sha256};
 
 /// Number of bytes in a SHA-256 digest.

@@ -10,7 +10,10 @@
 //!
 //! where `||` is byte concatenation and `z ∈ Z+` is the public-ish
 //! modulo parameter. [`pair_modulus`] implements exactly this, reducing
-//! the 256-bit digest modulo `z` in big-endian order.
+//! the 256-bit digest modulo `z` in big-endian order. It is the
+//! composition of [`inner_digest`] (`H(R || tk_j)`, per token) and
+//! [`outer_modulus`] (per pair), which sweeps over many pairs call
+//! separately.
 //!
 //! [`KeyStream`] turns the same secret into a deterministic random
 //! stream (HMAC-SHA-256 in counter mode). The generation algorithm uses
@@ -20,6 +23,7 @@
 
 use crate::hmac::hmac_sha256;
 use crate::sha256::{sha256_concat, Sha256};
+use crate::Digest;
 use rand::{CryptoRng, RngCore, SeedableRng};
 
 /// Security parameter λ in bytes (256 bits, matching SHA-256 output).
@@ -87,6 +91,8 @@ impl Secret {
         for b in self.bytes.iter_mut() {
             // Volatile so the wipe cannot be optimised away as a dead
             // store right before deallocation.
+            // SAFETY: `b` is an exclusive, aligned reference into
+            // `self.bytes`, valid for a one-byte write.
             unsafe { std::ptr::write_volatile(b, 0) };
         }
         std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
@@ -113,15 +119,30 @@ impl Drop for Secret {
     }
 }
 
-/// Reduces a 256-bit big-endian digest modulo `z`.
-fn digest_mod(digest: &[u8; 32], z: u64) -> u64 {
+/// Reduces a 256-bit big-endian digest modulo `z` (`z ≥ 1`), one
+/// 64-bit limb at a time: `acc < z` holds between steps, so
+/// `acc · 2^64 + limb` fits a `u128`.
+fn digest_mod(digest: &Digest, z: u64) -> u64 {
     debug_assert!(z > 0);
-    let z = z as u128;
+    let z = u128::from(z);
     let mut acc: u128 = 0;
-    for &b in digest {
-        acc = ((acc << 8) | b as u128) % z;
+    for limb in digest.chunks_exact(8) {
+        let limb = u64::from_be_bytes(limb.try_into().expect("8-byte limb"));
+        acc = ((acc << 64) | u128::from(limb)) % z;
     }
     acc as u64
+}
+
+/// The PRF's inner digest `H(R ‖ tk_j)`. It depends on the second
+/// token only, so a sweep over all pairs computes it once per token.
+pub fn inner_digest(secret: &Secret, tk_j: &[u8]) -> Digest {
+    sha256_concat(&[secret.as_bytes(), tk_j])
+}
+
+/// The PRF's outer step `H(tk_i ‖ inner) mod z`, given
+/// `inner = `[`inner_digest`]`(R, tk_j)`.
+pub fn outer_modulus(tk_i: &[u8], inner: &Digest, z: u64) -> u64 {
+    digest_mod(&sha256_concat(&[tk_i, inner]), z)
 }
 
 /// Computes the paper's pair modulus `s_ij = H(tk_i || H(R || tk_j)) mod z`.
@@ -129,9 +150,7 @@ fn digest_mod(digest: &[u8; 32], z: u64) -> u64 {
 /// `z` must be ≥ 1; callers treat results `< 2` as ineligible (modulo 0
 /// is undefined and modulo 1 is identically 0).
 pub fn pair_modulus(secret: &Secret, tk_i: &[u8], tk_j: &[u8], z: u64) -> u64 {
-    let inner = sha256_concat(&[secret.as_bytes(), tk_j]);
-    let outer = sha256_concat(&[tk_i, &inner]);
-    digest_mod(&outer, z)
+    outer_modulus(tk_i, &inner_digest(secret, tk_j), z)
 }
 
 /// Source of pair moduli.
@@ -284,19 +303,56 @@ mod tests {
         assert_ne!(m1, m2);
     }
 
-    #[test]
-    fn digest_mod_agrees_with_u128_reference() {
-        // Cross-check the byte-wise reduction against direct arithmetic
-        // on the low 128 bits for moduli where the top bits are masked out.
-        let d = crate::sha256::sha256(b"reference");
-        for z in [2u64, 7, 97, 131, 1031, 65_537] {
-            let got = digest_mod(&d, z);
-            // Reference: full 256-bit value mod z via repeated folding.
-            let mut acc: u128 = 0;
-            for &b in &d {
-                acc = ((acc << 8) | b as u128) % z as u128;
+    /// Independent reference: shift-and-subtract long division, one
+    /// bit of the digest at a time.
+    fn bitwise_mod(digest: &Digest, z: u64) -> u64 {
+        let z = u128::from(z);
+        let mut acc: u128 = 0;
+        for byte in digest {
+            for bit in (0..8).rev() {
+                acc = (acc << 1) | u128::from((byte >> bit) & 1);
+                if acc >= z {
+                    acc -= z;
+                }
             }
-            assert_eq!(got, acc as u64);
+        }
+        acc as u64
+    }
+
+    #[test]
+    fn digest_mod_agrees_with_bitwise_long_division() {
+        let mut digests = vec![[0u8; 32], [0xFF; 32]];
+        digests.extend((0..64u32).map(|i| crate::sha256::sha256(&i.to_be_bytes())));
+        for d in &digests {
+            for z in [
+                1u64,
+                2,
+                3,
+                7,
+                131,
+                1031,
+                65_537,
+                (1 << 32) + 15,
+                (1 << 63) + 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(digest_mod(d, z), bitwise_mod(d, z), "z={z}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_modulus_is_inner_then_outer() {
+        let s = secret(4);
+        for (a, b) in [("", "x"), ("tok-a", "tok-b"), ("a".repeat(40).as_str(), "")] {
+            let inner = crate::sha256::sha256_concat(&[s.as_bytes(), b.as_bytes()]);
+            assert_eq!(inner_digest(&s, b.as_bytes()), inner);
+            let outer = crate::sha256::sha256_concat(&[a.as_bytes(), &inner]);
+            assert_eq!(
+                pair_modulus(&s, a.as_bytes(), b.as_bytes(), 65_537),
+                bitwise_mod(&outer, 65_537)
+            );
         }
     }
 

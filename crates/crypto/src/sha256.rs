@@ -1,9 +1,16 @@
 //! FIPS 180-4 SHA-256.
 //!
-//! Straightforward, dependency-free implementation with an incremental
-//! [`Sha256`] hasher and a one-shot [`sha256`] convenience function.
-//! Performance is adequate for FreqyWM's workload (a few hash calls per
-//! candidate token pair); a criterion bench tracks throughput.
+//! Dependency-free implementation with an incremental [`Sha256`]
+//! hasher and one-shot [`sha256`] / [`sha256_concat`] helpers. The
+//! compression function has two implementations: the portable
+//! [`compress_scalar`], and [`compress_sha_ni`] on the x86 SHA
+//! extensions (Gulley et al., *Intel SHA Extensions*, 2013). Every
+//! compression picks SHA-NI when the CPU reports it at runtime and the
+//! scalar code otherwise, so one binary runs everywhere.
+//!
+//! Messages of at most [`ONE_BLOCK_MAX`] bytes — every pair-PRF message
+//! whose token is 23 bytes or shorter — fit one padded block and take
+//! [`sha256_one_block`], which skips the streaming buffer entirely.
 
 use crate::Digest;
 
@@ -73,16 +80,13 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         while rest.len() >= 64 {
             let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            compress(&mut self.state, block.try_into().expect("64-byte block"));
             rest = tail;
         }
         if !rest.is_empty() {
@@ -94,79 +98,221 @@ impl Sha256 {
     /// Finishes the hash and returns the digest. Consumes the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length, written
+        // into the buffer directly.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // Manual: appending the length must not re-enter the padding logic.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        compress(&mut self.state, &self.buf);
+        state_bytes(&self.state)
+    }
+}
+
+/// Big-endian serialisation of a finished state.
+fn state_bytes(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+/// One compression with the fastest implementation the CPU supports.
+#[inline]
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    if !compress_sha_ni(state, block) {
+        compress_scalar(state, block);
+    }
+}
+
+/// The portable SHA-256 compression function: absorbs one 64-byte
+/// block into `state`.
+pub fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
     }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The SHA-256 compression on the x86 SHA extensions. Returns `false`,
+/// leaving `state` untouched, when the CPU lacks SHA, SSSE3 or SSE4.1
+/// (or is not x86-64); the caller then falls back to
+/// [`compress_scalar`].
+#[inline]
+pub fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        // SAFETY: `available()` just confirmed at runtime that the CPU
+        // supports every feature `sha_ni::compress` is compiled for.
+        unsafe { sha_ni::compress(state, block) };
+        return true;
+    }
+    let _ = (state, block);
+    false
+}
+
+/// Whether [`compress_sha_ni`] runs on this CPU.
+pub fn sha_ni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return sha_ni::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3")
+    }
+
+    /// Four rounds: adds the round constants to the schedule words `w`
+    /// and runs two `sha256rnds2` steps.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`]; `i` must be below 16.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        // SAFETY: `i < 16`, so the 16-byte load at `K[4 * i]` stays in
+        // the 64-word table; `loadu` has no alignment requirement.
+        let k = _mm_loadu_si128(K.as_ptr().add(4 * i).cast());
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four message-schedule words from the previous sixteen.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSSE3 and SSE4.1 ([`available`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte-swaps each 32-bit word (the message is big-endian).
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY (all loads and stores below): `state` is 32 bytes and
+        // `block` 64, read and written as 16-byte unaligned lanes that
+        // stay inside them.
+        let p = state.as_mut_ptr().cast::<__m128i>();
+        let dcba = _mm_shuffle_epi32(_mm_loadu_si128(p), 0xB1);
+        let hgfe = _mm_shuffle_epi32(_mm_loadu_si128(p.add(1)), 0x1B);
+        let mut abef = _mm_alignr_epi8(dcba, hgfe, 8);
+        let mut cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let m = block.as_ptr().cast::<__m128i>();
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(m), bswap);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(1)), bswap);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(2)), bswap);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(3)), bswap);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for i in 4..16 {
+            let w4 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w4, i);
+            (w0, w1, w2, w3) = (w1, w2, w3, w4);
+        }
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(p, _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(p.add(1), _mm_alignr_epi8(dchg, feba, 8));
+    }
+}
+
+/// Longest message that fits one padded block: 64 bytes minus the
+/// `0x80` terminator and the 8-byte length.
+pub const ONE_BLOCK_MAX: usize = 55;
+
+/// SHA-256 of the concatenation of `parts` in one compression, or
+/// `None` when they total more than [`ONE_BLOCK_MAX`] bytes.
+pub fn sha256_one_block(parts: &[&[u8]]) -> Option<Digest> {
+    let mut block = [0u8; 64];
+    let mut len = 0;
+    for p in parts {
+        block.get_mut(len..len + p.len())?.copy_from_slice(p);
+        len += p.len();
+    }
+    if len > ONE_BLOCK_MAX {
+        return None;
+    }
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    Some(state_bytes(&state))
 }
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[data])
 }
 
 /// One-shot SHA-256 over the concatenation of several byte slices,
 /// avoiding an intermediate allocation.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
+    if let Some(d) = sha256_one_block(parts) {
+        return d;
+    }
     let mut h = Sha256::new();
     for p in parts {
         h.update(p);
@@ -178,9 +324,61 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 mod tests {
     use super::*;
     use crate::hex;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn hash_hex(data: &[u8]) -> String {
         hex::encode(&sha256(data))
+    }
+
+    /// The five FIPS 180-4 / NIST example messages and their digests.
+    fn nist_vectors() -> Vec<(Vec<u8>, &'static str)> {
+        vec![
+            (
+                b"".to_vec(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                    .to_vec(),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                vec![b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ]
+    }
+
+    /// SHA-256 of `data` through one given compression function, with
+    /// the padding done here rather than by [`Sha256`].
+    fn hash_with(compress: impl Fn(&mut [u32; 8], &[u8; 64]), data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut state, block.try_into().unwrap());
+        }
+        state_bytes(&state)
+    }
+
+    /// [`compress_sha_ni`] as a plain compression; panics on a CPU
+    /// without SHA-NI, so callers check [`sha_ni_available`] first.
+    fn sha_ni_only(state: &mut [u32; 8], block: &[u8; 64]) {
+        assert!(compress_sha_ni(state, block), "SHA-NI unavailable");
     }
 
     #[test]
@@ -225,6 +423,66 @@ mod tests {
             hash_hex(&data),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn nist_vectors_through_compress_scalar() {
+        for (msg, want) in nist_vectors() {
+            assert_eq!(hex::encode(&hash_with(compress_scalar, &msg)), want);
+        }
+    }
+
+    #[test]
+    fn nist_vectors_through_compress_sha_ni() {
+        if !sha_ni_available() {
+            eprintln!("CPU lacks SHA-NI; only the scalar compression is tested");
+            return;
+        }
+        for (msg, want) in nist_vectors() {
+            assert_eq!(hex::encode(&hash_with(sha_ni_only, &msg)), want);
+        }
+    }
+
+    #[test]
+    fn compressions_agree_on_random_state_and_block() {
+        if !sha_ni_available() {
+            eprintln!("CPU lacks SHA-NI; only the scalar compression is tested");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x5_4a_2b);
+        for _ in 0..2_000 {
+            let mut state = [0u32; 8];
+            state.iter_mut().for_each(|w| *w = rng.next_u32());
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let (mut a, mut b) = (state, state);
+            compress_scalar(&mut a, &block);
+            sha_ni_only(&mut b, &block);
+            assert_eq!(a, b, "state {state:08x?}");
+        }
+    }
+
+    #[test]
+    fn one_block_matches_streaming_at_every_length_and_split() {
+        let data: Vec<u8> = (0..ONE_BLOCK_MAX as u8)
+            .map(|i| i.wrapping_mul(37))
+            .collect();
+        for len in 0..=ONE_BLOCK_MAX {
+            let msg = &data[..len];
+            let mut h = Sha256::new();
+            h.update(msg);
+            let want = h.finalize();
+            for split in 0..=len {
+                let (a, b) = msg.split_at(split);
+                assert_eq!(
+                    sha256_one_block(&[a, b]),
+                    Some(want),
+                    "len {len} split {split}"
+                );
+            }
+        }
+        assert_eq!(sha256_one_block(&[&[0u8; 40], &[0u8; 16]]), None);
+        assert_eq!(sha256_one_block(&[&[0u8; 70]]), None);
     }
 
     #[test]

@@ -774,11 +774,11 @@ impl Engine {
         let wa = registry.require_watermark(tenant_a)?;
         let wb = registry.require_watermark(tenant_b)?;
         let claim_a = Claim {
-            histogram: wa.watermarked.clone(),
+            histogram: wa.watermarked.to_histogram(),
             secrets: wa.secrets.clone(),
         };
         let claim_b = Claim {
-            histogram: wb.watermarked.clone(),
+            histogram: wb.watermarked.to_histogram(),
             secrets: wb.secrets.clone(),
         };
         let tag_a = registry.cache_tag(tenant_a)?;
@@ -1220,29 +1220,19 @@ fn run_payload(
             data,
             params,
         } => {
-            let (secret, tag) = {
-                let registry = shared.registry.read().expect("registry lock poisoned");
-                (
-                    registry.secret(&tenant)?.clone(),
-                    registry.cache_tag(&tenant)?,
-                )
-            };
+            let secret = shared
+                .registry
+                .read()
+                .expect("registry lock poisoned")
+                .secret(&tenant)?
+                .clone();
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
-            // Embed sweeps through the tenant's PRF cache view: moduli
-            // already warmed by earlier embeds/detections over
-            // overlapping vocabularies are reused, and the sweep's own
-            // draws pre-warm detection of the chosen pairs. With the
-            // cache disabled the direct sweep is faster (it memoizes
-            // inner digests per token, which the provider interface
-            // cannot), so fall back to it.
-            let watermarker = Watermarker::new(params);
+            // Embed sweeps the PRF directly, never through the cache: a
+            // cold sweep draws more moduli than the cache holds, and
+            // sending them through it would only evict detect entries.
             let sweep_started = Instant::now();
-            let out = if shared.cache.is_enabled() {
-                watermarker.generate_histogram_with(&hist, secret, &shared.cache.for_tag(tag))?
-            } else {
-                watermarker.generate_histogram(&hist, secret)?
-            };
+            let out = Watermarker::new(params).generate_histogram(&hist, secret)?;
             sweep_span(&tenant, JobKind::Embed, sweep_started);
             // Reap before recording: the caller sees a deadline error,
             // so the registry must not keep a watermark they never got.
@@ -1302,7 +1292,7 @@ fn run_payload(
                     freqywm_core::params::GenerationParams::default().with_z(wm.secrets.z),
                 )
             };
-            let mut maintainer = IncrementalWatermarker::new(params, secrets, hist);
+            let mut maintainer = IncrementalWatermarker::new(params, secrets, hist.to_histogram());
             let sweep_started = Instant::now();
             let report = maintainer.apply_updates(&updates, replenish)?;
             sweep_span(&tenant, JobKind::Maintain, sweep_started);

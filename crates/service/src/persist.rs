@@ -17,14 +17,16 @@
 //! Compaction: after `snapshot_every` events a snapshot of the full
 //! registry (including the chain, which is the dispute evidence and is
 //! never discarded) is installed and the log reset, so replay work is
-//! O(snapshot + recent events), not O(history).
+//! O(snapshot + recent events), not O(history). The snapshot is
+//! streamed to storage a tenant at a time, so compaction holds no
+//! second copy of the registry.
 
 use crate::error::{Result, ServiceError};
 use crate::quota::QuotaLimits;
-use crate::registry::{KeyRegistry, QuotaRecord, TenantSnapshot};
+use crate::registry::{KeyRegistry, QuotaRecord, StoredHistogram, StoredWatermark, TenantSnapshot};
 use crate::storage::Storage;
 use freqywm_core::secret::SecretList;
-use freqywm_crypto::hmac::{digest_eq, hmac_sha256};
+use freqywm_crypto::hmac::{digest_eq, hmac_sha256, HmacSha256};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
@@ -32,6 +34,7 @@ use freqywm_ledger::codec::{
     decode_entry, encode_entry, frame, put_bytes, put_str, put_u64, scan_frames, CodecError, Reader,
 };
 use freqywm_ledger::Ledger;
+use std::io::Write;
 
 /// Default number of events between automatic snapshots.
 pub const DEFAULT_SNAPSHOT_EVERY: usize = 256;
@@ -104,7 +107,7 @@ impl RegistryEvent {
     }
 }
 
-fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
+pub(crate) fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
     put_u64(buf, h.len() as u64);
     for (token, count) in h.entries() {
         put_bytes(buf, token.as_bytes());
@@ -112,7 +115,7 @@ fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
     }
 }
 
-fn read_histogram(r: &mut Reader<'_>) -> std::result::Result<Histogram, CodecError> {
+pub(crate) fn read_histogram(r: &mut Reader<'_>) -> std::result::Result<Histogram, CodecError> {
     let n = r.u64()? as usize;
     let mut counts = Vec::with_capacity(n);
     for _ in 0..n {
@@ -295,6 +298,25 @@ fn decode_event(payload: &[u8]) -> std::result::Result<(u64, RegistryEvent), Cod
 /// `HMAC(ledger-key, body)` so any bit of tenant state — not just the
 /// embedded chain entries — is integrity- and key-bound.
 fn encode_snapshot(next_seq: u64, clock: u64, registry: &KeyRegistry, key: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_snapshot(next_seq, clock, registry, key, &mut buf).expect("writing to a Vec cannot fail");
+    buf
+}
+
+/// [`encode_snapshot`], streamed into `out` a tenant at a time so no
+/// registry-sized buffer is built.
+fn write_snapshot(
+    next_seq: u64,
+    clock: u64,
+    registry: &KeyRegistry,
+    key: &[u8],
+    out: &mut dyn Write,
+) -> std::io::Result<()> {
+    let mut mac = HmacSha256::new(key);
+    let mut emit = |bytes: &[u8]| {
+        mac.update(bytes);
+        out.write_all(bytes)
+    };
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(&mut buf, next_seq);
@@ -304,17 +326,19 @@ fn encode_snapshot(next_seq: u64, clock: u64, registry: &KeyRegistry, key: &[u8]
     for e in entries {
         put_bytes(&mut buf, &encode_entry(e));
     }
-    let tenants = registry.tenant_snapshots();
+    let tenants = registry.tenants_sorted();
     put_u64(&mut buf, tenants.len() as u64);
-    for t in &tenants {
-        put_str(&mut buf, &t.tenant);
+    for (tenant, t) in tenants {
+        put_str(&mut buf, tenant);
         buf.extend_from_slice(t.secret.as_bytes());
         put_u64(&mut buf, t.ledger_index);
         put_u64(&mut buf, t.registered_at);
         put_u64(&mut buf, t.watermarks.len() as u64);
         for wm in &t.watermarks {
             put_bytes(&mut buf, wm.secrets.to_text().as_bytes());
-            put_histogram(&mut buf, &wm.watermarked);
+            emit(&buf)?;
+            buf.clear();
+            emit(wm.watermarked.as_bytes())?;
             put_u64(&mut buf, wm.ledger_index);
             put_u64(&mut buf, wm.registered_at);
         }
@@ -333,9 +357,8 @@ fn encode_snapshot(next_seq: u64, clock: u64, registry: &KeyRegistry, key: &[u8]
         }
         put_u64(&mut buf, q.used_at_ms);
     }
-    let mac = hmac_sha256(key, &buf);
-    buf.extend_from_slice(&mac);
-    buf
+    emit(&buf)?;
+    out.write_all(&mac.finalize())
 }
 
 struct DecodedSnapshot {
@@ -383,8 +406,8 @@ fn decode_snapshot(
             let mut watermarks = Vec::with_capacity(n_wm);
             for _ in 0..n_wm {
                 let secrets = read_secret_list(&mut r)?;
-                let watermarked = read_histogram(&mut r)?;
-                watermarks.push(crate::registry::StoredWatermark {
+                let watermarked = StoredHistogram::new(&read_histogram(&mut r)?);
+                watermarks.push(StoredWatermark {
                     secrets,
                     watermarked,
                     ledger_index: r.u64()?,
@@ -664,14 +687,14 @@ impl DurableRegistry {
         if !self.storage.is_durable() {
             return Ok(());
         }
-        let bytes = encode_snapshot(
+        let (next_seq, clock, registry, key) = (
             self.next_seq,
             self.clock_floor,
             &self.inner,
             &self.ledger_key,
         );
         self.storage
-            .install_snapshot(&bytes)
+            .install_snapshot_from(&mut |w| write_snapshot(next_seq, clock, registry, key, w))
             .map_err(|e| ServiceError::Storage(e.to_string()))?;
         self.log_len = 0;
         self.events_since_snapshot = 0;

@@ -1,11 +1,14 @@
-//! Sharded LRU memoization of the pair PRF.
+//! Sharded LRU memoization of the pair PRF, for detection.
 //!
 //! Detection re-derives `s_ij = H(tk_i ‖ H(R ‖ tk_j)) mod z` for every
 //! stored pair on every run — two SHA-256 compressions per pair. A
 //! marketplace re-verifying the same vocabularies against the same
 //! tenants pays that again and again; this cache keys the final modulus
 //! on `(tenant tag, z, tk_i, tk_j)` and turns repeat detections into
-//! hash-map hits.
+//! hash-map hits. Detect and dispute go through it; embed does not: a
+//! cold `WM_Generate` sweep draws every candidate pair once, more pairs
+//! than the cache holds, and the direct sweep — one inner digest per
+//! token, one SHA-NI outer hash per pair — is cheaper than a lookup.
 //!
 //! Sharding: the key hash picks one of `shards` independently locked
 //! LRU maps, so concurrent detect jobs rarely contend. Each shard is a

@@ -1848,7 +1848,7 @@ mod tests {
             .require_watermark("acme")
             .unwrap()
             .watermarked
-            .clone();
+            .to_histogram();
         let counts: Vec<String> = wm
             .entries()
             .iter()

@@ -11,12 +11,52 @@
 //! a tenant leaves no key material in freed memory.
 
 use crate::error::{Result, ServiceError};
+use crate::persist::{put_histogram, read_histogram};
 use crate::quota::QuotaLimits;
 use freqywm_core::secret::SecretList;
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
+use freqywm_ledger::codec::Reader;
 use freqywm_ledger::Ledger;
 use std::collections::HashMap;
+
+/// A watermarked histogram at rest, held as the durable log's own
+/// encoding of it: a few bytes per token, where a [`Histogram`] also
+/// keeps a token index with a second copy of every token. Maintenance
+/// and disputes decode it with [`StoredHistogram::to_histogram`].
+#[derive(Clone, PartialEq, Eq)]
+pub struct StoredHistogram(Box<[u8]>);
+
+impl StoredHistogram {
+    /// Encodes `hist` for storage.
+    pub fn new(hist: &Histogram) -> Self {
+        let mut buf = Vec::new();
+        put_histogram(&mut buf, hist);
+        StoredHistogram(buf.into_boxed_slice())
+    }
+
+    /// Decodes the stored histogram.
+    pub fn to_histogram(&self) -> Histogram {
+        read_histogram(&mut Reader::new(&self.0)).expect("encoded by StoredHistogram::new")
+    }
+
+    /// The encoded bytes, as the log and snapshots write them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl PartialEq<Histogram> for StoredHistogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        *self == StoredHistogram::new(other)
+    }
+}
+
+impl std::fmt::Debug for StoredHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "StoredHistogram({} bytes)", self.0.len())
+    }
+}
 
 /// One embedded watermark on record for a tenant.
 #[derive(Debug, Clone)]
@@ -25,7 +65,7 @@ pub struct StoredWatermark {
     pub secrets: SecretList,
     /// The watermarked histogram (the data version this mark lives in);
     /// kept for maintenance and dispute claims.
-    pub watermarked: Histogram,
+    pub watermarked: StoredHistogram,
     /// Index of this watermark's fingerprint in the ledger chain.
     pub ledger_index: u64,
     /// Logical registration timestamp (engine clock tick).
@@ -45,14 +85,14 @@ pub struct TenantSnapshot {
 }
 
 #[derive(Debug)]
-struct TenantRecord {
-    secret: Secret,
+pub(crate) struct TenantRecord {
+    pub(crate) secret: Secret,
     /// Precomputed [`Secret::cache_tag`] so per-job cache keying does
     /// not re-hash the secret.
     cache_tag: u64,
-    ledger_index: u64,
-    registered_at: u64,
-    watermarks: Vec<StoredWatermark>,
+    pub(crate) ledger_index: u64,
+    pub(crate) registered_at: u64,
+    pub(crate) watermarks: Vec<StoredWatermark>,
 }
 
 /// Durable per-tenant quota state: explicit limits (if any) plus the
@@ -160,21 +200,12 @@ impl KeyRegistry {
         self.quotas = quotas.into_iter().collect();
     }
 
-    /// Materialises every tenant for a snapshot, sorted by id so the
-    /// snapshot bytes are deterministic for a given state.
-    pub fn tenant_snapshots(&self) -> Vec<TenantSnapshot> {
-        let mut out: Vec<TenantSnapshot> = self
-            .tenants
-            .iter()
-            .map(|(tenant, r)| TenantSnapshot {
-                tenant: tenant.clone(),
-                secret: r.secret.clone(),
-                ledger_index: r.ledger_index,
-                registered_at: r.registered_at,
-                watermarks: r.watermarks.clone(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+    /// Every tenant with its record, sorted by id so the snapshot
+    /// bytes are deterministic for a given state.
+    pub(crate) fn tenants_sorted(&self) -> Vec<(&str, &TenantRecord)> {
+        let mut out: Vec<(&str, &TenantRecord)> =
+            self.tenants.iter().map(|(t, r)| (t.as_str(), r)).collect();
+        out.sort_unstable_by_key(|(t, _)| *t);
         out
     }
 
@@ -276,7 +307,7 @@ impl KeyRegistry {
         let record = self.tenants.get_mut(tenant).expect("checked above");
         record.watermarks.push(StoredWatermark {
             secrets,
-            watermarked,
+            watermarked: StoredHistogram::new(&watermarked),
             ledger_index,
             registered_at: now,
         });
@@ -305,7 +336,7 @@ impl KeyRegistry {
         let latest = record.watermarks.last_mut().expect("non-empty");
         *latest = StoredWatermark {
             secrets,
-            watermarked,
+            watermarked: StoredHistogram::new(&watermarked),
             ledger_index,
             registered_at: now,
         };
@@ -434,6 +465,16 @@ mod tests {
         // Chain keeps all history even though the record was replaced.
         assert_eq!(r.ledger().len(), 3);
         assert!(r.ledger().verify_chain().is_ok());
+    }
+
+    #[test]
+    fn stored_histogram_round_trips_and_compares() {
+        let h = hist();
+        let stored = StoredHistogram::new(&h);
+        assert_eq!(stored.to_histogram(), h);
+        assert!(stored == h);
+        let other = Histogram::from_counts([(Token::new("a"), 10), (Token::new("b"), 6)]);
+        assert!(stored != other);
     }
 
     #[test]

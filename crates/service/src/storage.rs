@@ -19,7 +19,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -51,6 +51,9 @@ impl From<std::io::Error> for StorageError {
 
 pub type StorageResult<T> = Result<T, StorageError>;
 
+/// Streams a snapshot's bytes into the given sink, in order.
+pub type SnapshotWriter<'a> = dyn FnMut(&mut dyn Write) -> std::io::Result<()> + 'a;
+
 /// A place the registry's event log and snapshots live.
 ///
 /// Contract: `append_log` is durable when it returns `Ok` (a crash
@@ -76,6 +79,15 @@ pub trait Storage: Send + Sync {
     fn truncate_log(&mut self, len: u64) -> StorageResult<()>;
     /// Atomically replaces the snapshot, then truncates the log.
     fn install_snapshot(&mut self, snapshot: &[u8]) -> StorageResult<()>;
+    /// [`Storage::install_snapshot`] for a snapshot that `write`
+    /// streams out in pieces. The default collects the pieces first; a
+    /// file-backed store writes them straight to disk, so compaction
+    /// never holds a registry-sized buffer.
+    fn install_snapshot_from(&mut self, write: &mut SnapshotWriter<'_>) -> StorageResult<()> {
+        let mut buf = Vec::new();
+        write(&mut buf)?;
+        self.install_snapshot(&buf)
+    }
     /// Reads the current snapshot, if one was ever installed.
     fn read_snapshot(&mut self) -> StorageResult<Option<Vec<u8>>>;
 }
@@ -268,11 +280,15 @@ impl Storage for DiskLog {
     }
 
     fn install_snapshot(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+        self.install_snapshot_from(&mut |w| w.write_all(snapshot))
+    }
+
+    fn install_snapshot_from(&mut self, write: &mut SnapshotWriter<'_>) -> StorageResult<()> {
         let tmp = self.dir.join(SNAPSHOT_TMP);
         {
-            let mut f = File::create(&tmp)?;
-            f.write_all(snapshot)?;
-            f.sync_all()?;
+            let mut f = BufWriter::new(File::create(&tmp)?);
+            write(&mut f)?;
+            f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         }
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         self.sync_dir()?;

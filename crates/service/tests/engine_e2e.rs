@@ -10,7 +10,7 @@ use freqywm_data::synthetic::{power_law_counts, power_law_dataset_seeded, PowerL
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_service::metrics::M;
-use freqywm_service::prf_cache::PrfCacheConfig;
+use freqywm_service::prf_cache::{CacheStats, PrfCacheConfig};
 use freqywm_service::ServiceError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -225,36 +225,37 @@ fn batched_redetection_has_nonzero_cache_hit_rate() {
         zipf_hist(0.6, 250, 250_000),
         GenerationParams::default().with_z(101),
     );
-    // The embed sweep itself goes through the cache (cache-aware
-    // embed), so measure the detection phase against this baseline.
-    let after_embed = engine.metrics().cache();
+    // Embed sweeps the PRF directly and leaves the cache empty, so the
+    // first detect misses once per present pair and the rest only hit.
+    assert_eq!(engine.metrics().cache(), CacheStats::default());
     let params = DetectionParams::default().with_t(0).with_k(1);
-    for _ in 0..5 {
+    let first = detect(&engine, "acme", &wm, params);
+    assert!(first.accepted);
+    let present = first.present_pairs as u64;
+    assert_eq!(
+        engine.metrics().cache().misses,
+        present,
+        "the first detect misses once per present pair"
+    );
+    for _ in 0..4 {
         assert!(detect(&engine, "acme", &wm, params).accepted);
     }
     let m = engine.metrics();
-    assert!(
-        m.cache().hits > after_embed.hits,
-        "re-detections must hit the PRF cache: {m:?}"
-    );
     assert_eq!(
-        m.cache().misses,
-        after_embed.misses,
-        "every detection lookup is embed-warmed — no new misses"
+        (m.cache().hits, m.cache().misses),
+        (4 * present, present),
+        "re-detections must only hit the PRF cache: {m:?}"
     );
     assert_eq!(m[M::DetectJobs], 5);
     assert!(m.to_json().contains("\"hit_rate\""));
     engine.shutdown();
 }
 
-/// With the cache disabled the same workload reports zero hits.
-/// Cache-aware embed (ROADMAP item): `WM_Generate` threads the PRF
-/// provider through the eligible-pair sweep, so embeds over
-/// overlapping vocabularies reuse the sharded detect cache instead of
-/// recomputing every `s_ij` — and embed-warmed moduli serve later
-/// detections.
+/// Embed never touches the PRF cache: a cold sweep draws more moduli
+/// than the cache holds, so only detect fills it — once per present
+/// pair — and repeat detects add only hits, even across a re-embed.
 #[test]
-fn embed_sweep_reuses_and_warms_the_prf_cache() {
+fn embed_bypasses_the_prf_cache_and_detect_fills_it() {
     let engine = Engine::start(EngineConfig {
         workers: 2,
         cache: PrfCacheConfig {
@@ -267,53 +268,44 @@ fn embed_sweep_reuses_and_warms_the_prf_cache() {
         .register_tenant("warm", Secret::from_label("cache-aware-embed"))
         .unwrap();
     let gen_params = GenerationParams::default().with_z(101);
-    let hist = zipf_hist(0.6, 150, 200_000);
-
-    // Cold embed: every sweep draw is a miss, but each one lands in the
-    // cache under the tenant's tag.
-    let wm1 = embed(&engine, "warm", hist.clone(), gen_params);
-    let after_first = engine.metrics().cache();
-    assert_eq!(after_first.hits, 0, "cold sweep cannot hit");
-    assert!(
-        after_first.misses > 0 && after_first.entries > 0,
-        "embed sweep must populate the cache: {after_first:?}"
-    );
-
-    // Detection of the embedded mark runs entirely on embed-warmed
-    // entries: the chosen pairs' moduli were drawn during the sweep.
-    let outcome = detect(
-        &engine,
-        "warm",
-        &wm1,
-        DetectionParams::default().with_t(0).with_k(1),
-    );
-    assert!(outcome.accepted);
-    let after_detect = engine.metrics().cache();
-    assert!(
-        after_detect.hits > after_first.hits,
-        "detect must hit embed-warmed entries: {after_detect:?}"
-    );
+    let detect_params = DetectionParams::default().with_t(0).with_k(1);
+    let wm1 = embed(&engine, "warm", zipf_hist(0.6, 150, 200_000), gen_params);
     assert_eq!(
-        after_detect.misses, after_first.misses,
-        "detect of the fresh mark should add no misses"
+        engine.metrics().cache(),
+        CacheStats::default(),
+        "embed must leave the cache untouched"
     );
 
-    // Re-embed over the same vocabulary (the histogram now carries the
-    // first mark): the sweep's candidate pairs overlap heavily, so the
-    // second `WM_Generate` reuses cached moduli instead of recomputing.
-    let _wm2 = embed(&engine, "warm", wm1, gen_params);
-    let after_second = engine.metrics().cache();
-    let sweep_hits = after_second.hits - after_detect.hits;
-    let sweep_misses = after_second.misses - after_detect.misses;
-    assert!(
-        sweep_hits > 0,
-        "overlapping-vocabulary embed must reuse the cache: {after_second:?}"
+    let outcome = detect(&engine, "warm", &wm1, detect_params);
+    assert!(outcome.accepted);
+    let present = outcome.present_pairs as u64;
+    let after_detect = engine.metrics().cache();
+    assert_eq!(
+        after_detect,
+        CacheStats {
+            hits: 0,
+            misses: present,
+            entries: present,
+        },
+        "the first detect misses exactly once per present pair"
     );
-    assert!(
-        sweep_hits > sweep_misses,
-        "most of the second sweep should be cache hits \
-         ({sweep_hits} hits vs {sweep_misses} misses)"
+
+    for _ in 0..3 {
+        assert!(detect(&engine, "warm", &wm1, detect_params).accepted);
+    }
+    let after_repeats = engine.metrics().cache();
+    assert_eq!(
+        after_repeats,
+        CacheStats {
+            hits: 3 * present,
+            ..after_detect
+        },
+        "repeat detects add only hits"
     );
+
+    // A re-embed over the warmed vocabulary still bypasses the cache.
+    embed(&engine, "warm", wm1, gen_params);
+    assert_eq!(engine.metrics().cache(), after_repeats);
     engine.shutdown();
 }
 
@@ -427,7 +419,7 @@ fn maintain_job_repairs_watermark() {
         .require_watermark("acme")
         .unwrap()
         .watermarked
-        .clone();
+        .to_histogram();
     let pairs = engine
         .registry()
         .require_watermark("acme")
