@@ -14,14 +14,16 @@ use std::fmt;
 /// cannot appear in well-formed CSV field text.
 pub const FIELD_SEP: char = '\u{1f}';
 
-/// A dataset token.
+/// A dataset token. Held as a `Box<str>`: no spare capacity, and 8
+/// bytes less than a `String` in every histogram row and secret pair a
+/// tenant keeps.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Token(String);
+pub struct Token(Box<str>);
 
 impl Token {
     /// Single-attribute token.
     pub fn new(value: impl Into<String>) -> Self {
-        Token(value.into())
+        Token(value.into().into_boxed_str())
     }
 
     /// Multi-attribute (composite) token, e.g. `[Age, WorkClass]`.
@@ -46,7 +48,7 @@ impl Token {
             out.push_str(f);
             first = false;
         }
-        Token(out)
+        Token(out.into_boxed_str())
     }
 
     /// The token's string form (composite fields joined by `FIELD_SEP`).
@@ -98,7 +100,7 @@ impl From<&str> for Token {
 
 impl From<String> for Token {
     fn from(s: String) -> Self {
-        Token(s)
+        Token::new(s)
     }
 }
 

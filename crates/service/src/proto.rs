@@ -42,6 +42,7 @@ use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
@@ -52,6 +53,13 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
 pub mod json {
     //! Minimal JSON: parse into a [`Value`] tree, escape strings out.
+    //!
+    //! One scanner serves every reader of request text: [`parse`] builds
+    //! a whole tree, while [`super::Envelope`] builds only the top-level
+    //! fields and steps over the bulk arrays with `Parser::skip_value`,
+    //! which checks them exactly as [`parse`] would, error text included.
+
+    use std::borrow::Cow;
 
     /// A parsed JSON value. Numbers are `f64` (counts fit exactly up to
     /// 2^53, far beyond any realistic token frequency).
@@ -146,29 +154,47 @@ pub mod json {
     /// from the network would overflow the stack of the process.
     pub const MAX_DEPTH: usize = 64;
 
-    struct Parser<'a> {
+    /// Parses one JSON document (trailing whitespace allowed).
+    pub fn parse(input: &str) -> Result<Value, String> {
+        let mut p = Parser::new(input);
+        let v = p.value()?;
+        p.finish()?;
+        Ok(v)
+    }
+
+    /// The scanner behind [`parse`]. Its entry points build a [`Value`]
+    /// ([`Parser::value`]), check a value without building anything
+    /// ([`Parser::skip_value`]), or hand each object field / array item
+    /// to a callback ([`Parser::object`], [`Parser::array`]) so a caller
+    /// can decode straight into its own types. All of them accept and
+    /// refuse the same text with the same errors.
+    pub(super) struct Parser<'a> {
+        input: &'a str,
         bytes: &'a [u8],
         pos: usize,
         /// Arrays and objects currently open.
         depth: usize,
     }
 
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
     impl<'a> Parser<'a> {
+        pub(super) fn new(input: &'a str) -> Self {
+            Parser {
+                input,
+                bytes: input.as_bytes(),
+                pos: 0,
+                depth: 0,
+            }
+        }
+
+        /// Refuses anything but whitespace after the document.
+        pub(super) fn finish(&mut self) -> Result<(), String> {
+            self.skip_ws();
+            if self.pos != self.bytes.len() {
+                return Err(format!("trailing bytes at offset {}", self.pos));
+            }
+            Ok(())
+        }
+
         fn skip_ws(&mut self) {
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -179,7 +205,8 @@ pub mod json {
             }
         }
 
-        fn peek(&mut self) -> Result<u8, String> {
+        /// The next non-whitespace byte, not consumed.
+        pub(super) fn peek(&mut self) -> Result<u8, String> {
             self.skip_ws();
             self.bytes
                 .get(self.pos)
@@ -196,142 +223,221 @@ pub mod json {
             }
         }
 
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        fn literal(&mut self, lit: &str) -> Result<(), String> {
             if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
-                Ok(v)
+                Ok(())
             } else {
                 Err(format!("bad literal at offset {}", self.pos))
             }
         }
 
-        fn value(&mut self) -> Result<Value, String> {
+        /// Builds the next value as a tree.
+        pub(super) fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                open @ (b'{' | b'[') => {
-                    if self.depth == MAX_DEPTH {
-                        return Err(format!(
-                            "nesting deeper than {MAX_DEPTH} at offset {}",
-                            self.pos
-                        ));
-                    }
-                    self.depth += 1;
-                    let v = if open == b'{' {
-                        self.object()
-                    } else {
-                        self.array()
-                    };
-                    self.depth -= 1;
-                    v
+                b'{' => {
+                    let mut fields = Vec::new();
+                    self.object(|p, key| {
+                        fields.push((key.into_owned(), p.value()?));
+                        Ok(())
+                    })?;
+                    Ok(Value::Obj(fields))
                 }
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+                b'[' => {
+                    let mut items = Vec::new();
+                    self.array(|p| {
+                        items.push(p.value()?);
+                        Ok(())
+                    })?;
+                    Ok(Value::Arr(items))
+                }
+                b'"' => Ok(Value::Str(self.string()?.into_owned())),
+                b't' => self.literal("true").map(|()| Value::Bool(true)),
+                b'f' => self.literal("false").map(|()| Value::Bool(false)),
+                b'n' => self.literal("null").map(|()| Value::Null),
+                _ => {
+                    let (start, text) = self.number_text();
+                    text.parse::<f64>()
+                        .map(Value::Num)
+                        .map_err(|_| bad_number(text, start))
                 }
             }
         }
 
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
+        /// Checks the next value exactly as [`Parser::value`] would and
+        /// returns its text, building nothing (an object key inside it
+        /// is decoded only if it carries an escape).
+        pub(super) fn skip_value(&mut self) -> Result<&'a str, String> {
+            let first = self.peek()?;
+            let start = self.pos;
+            match first {
+                b'{' => self.object(|p, _| p.skip_value().map(drop))?,
+                b'[' => self.array(|p| p.skip_value().map(drop))?,
+                b'"' => {
+                    self.scan_string(None)?;
+                }
+                b't' => self.literal("true")?,
+                b'f' => self.literal("false")?,
+                b'n' => self.literal("null")?,
+                _ => {
+                    let (at, text) = self.number_text();
+                    // Plain digits always parse; skip the float parse.
+                    if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+                        text.parse::<f64>().map_err(|_| bad_number(text, at))?;
                     }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
                 }
             }
+            Ok(&self.input[start..self.pos])
         }
 
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                self.pos += 4;
-                                // Surrogate pairs unsupported (BMP only) —
-                                // tokens in this protocol are ordinary text.
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or("surrogate \\u escape unsupported")?,
-                                );
-                            }
-                            _ => return Err(format!("bad escape at offset {}", self.pos)),
+        /// Opens one array or object level (the next byte is its bracket).
+        fn nested(
+            &mut self,
+            body: impl FnOnce(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at offset {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let result = body(self);
+            self.depth -= 1;
+            result
+        }
+
+        /// Scans an object, calling `field` with each key once the
+        /// parser stands on that key's value; `field` must consume it.
+        pub(super) fn object(
+            &mut self,
+            mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.nested(|p| {
+                p.expect(b'{')?;
+                if p.peek()? == b'}' {
+                    p.pos += 1;
+                    return Ok(());
+                }
+                loop {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.expect(b':')?;
+                    field(p, key)?;
+                    match p.peek()? {
+                        b',' => p.pos += 1,
+                        b'}' => {
+                            p.pos += 1;
+                            return Ok(());
                         }
-                    }
-                    _ => {
-                        // Re-sync to char boundary for multi-byte UTF-8.
-                        let start = self.pos - 1;
-                        let width = utf8_width(b);
-                        let end = start + width;
-                        let chunk = self
-                            .bytes
-                            .get(start..end)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        let s =
-                            std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8 in string")?;
-                        out.push_str(s);
-                        self.pos = end;
+                        _ => return Err(format!("expected ',' or '}}' at offset {}", p.pos)),
                     }
                 }
+            })
+        }
+
+        /// Scans an array, calling `item` when the parser stands on each
+        /// element; `item` must consume it.
+        pub(super) fn array(
+            &mut self,
+            mut item: impl FnMut(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.nested(|p| {
+                p.expect(b'[')?;
+                if p.peek()? == b']' {
+                    p.pos += 1;
+                    return Ok(());
+                }
+                loop {
+                    item(p)?;
+                    match p.peek()? {
+                        b',' => p.pos += 1,
+                        b']' => {
+                            p.pos += 1;
+                            return Ok(());
+                        }
+                        _ => return Err(format!("expected ',' or ']' at offset {}", p.pos)),
+                    }
+                }
+            })
+        }
+
+        /// Scans a string, borrowing its text from the input unless it
+        /// carries an escape.
+        pub(super) fn string(&mut self) -> Result<Cow<'a, str>, String> {
+            let from = self.pos;
+            let (raw, escaped) = self.scan_string(None)?;
+            if !escaped {
+                return Ok(Cow::Borrowed(raw));
+            }
+            self.pos = from;
+            let mut out = String::with_capacity(raw.len());
+            self.scan_string(Some(&mut out))?;
+            Ok(Cow::Owned(out))
+        }
+
+        /// Scans one string literal, checking every escape, and appends
+        /// its decoded text to `out` when given. Returns the raw text
+        /// between the quotes and whether it held an escape.
+        fn scan_string(&mut self, mut out: Option<&mut String>) -> Result<(&'a str, bool), String> {
+            self.expect(b'"')?;
+            let start = self.pos;
+            let mut run = start;
+            let mut escaped = false;
+            loop {
+                // The input is a `str`: no byte of a multi-byte character
+                // is a quote or a backslash, so scanning bytes is exact.
+                let Some(off) = self.bytes[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                else {
+                    self.pos = self.bytes.len();
+                    return Err("unterminated string".to_string());
+                };
+                let at = self.pos + off;
+                self.pos = at + 1;
+                if let Some(out) = out.as_deref_mut() {
+                    out.push_str(&self.input[run..at]);
+                }
+                if self.bytes[at] == b'"' {
+                    return Ok((&self.input[start..at], escaped));
+                }
+                escaped = true;
+                let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
+                self.pos += 1;
+                let c = match e {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b't' => '\t',
+                    b'r' => '\r',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'u' => {
+                        let hex = self
+                            .bytes
+                            .get(self.pos..self.pos + 4)
+                            .ok_or("truncated \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        self.pos += 4;
+                        // Surrogate pairs unsupported (BMP only) —
+                        // tokens in this protocol are ordinary text.
+                        char::from_u32(code).ok_or("surrogate \\u escape unsupported")?
+                    }
+                    _ => return Err(format!("bad escape at offset {}", self.pos)),
+                };
+                if let Some(out) = out.as_deref_mut() {
+                    out.push(c);
+                }
+                run = self.pos;
             }
         }
 
-        fn number(&mut self) -> Result<Value, String> {
+        /// Scans the characters a number may hold; returns where it
+        /// started and its text, unchecked.
+        pub(super) fn number_text(&mut self) -> (usize, &'a str) {
             self.skip_ws();
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
@@ -341,21 +447,12 @@ pub mod json {
                     break;
                 }
             }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number {text:?} at offset {start}"))
+            (start, &self.input[start..self.pos])
         }
     }
 
-    fn utf8_width(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
+    fn bad_number(text: &str, start: usize) -> String {
+        format!("bad number {text:?} at offset {start}")
     }
 }
 
@@ -385,66 +482,191 @@ pub fn id_echo(id: Option<&Value>) -> String {
     }
 }
 
-fn parse_counts(v: &Value) -> Result<Vec<(Token, u64)>, String> {
-    let arr = v.as_arr().ok_or("counts must be an array")?;
-    let mut seen = std::collections::HashSet::with_capacity(arr.len());
-    arr.iter()
-        .map(|pair| {
-            let p = pair
-                .as_arr()
-                .ok_or("counts entries must be [token, count]")?;
-            match p {
-                [Value::Str(tok), n] => {
-                    let c = n.as_u64().ok_or("count must be a non-negative integer")?;
-                    // A duplicate token would put two rows into the
-                    // histogram and corrupt its rank invariants.
-                    if !seen.insert(tok.clone()) {
-                        return Err(format!("duplicate token {tok:?} in counts"));
+/// A request line decoded for routing and planning. Every top-level
+/// field is a [`Value`] except the bulk arrays (`counts`, `tokens`,
+/// `updates`): those are checked for syntax and kept as slices of the
+/// line. A shard decodes the slices straight into rows when it plans
+/// the job; the router never decodes them.
+pub struct Envelope<'a> {
+    /// The non-bulk fields, in request order, as a [`Value::Obj`].
+    fields: Value,
+    counts: Option<&'a str>,
+    tokens: Option<&'a str>,
+    updates: Option<&'a str>,
+}
+
+impl<'a> Envelope<'a> {
+    /// Accepts and refuses exactly the lines [`json::parse`] does, with
+    /// the same error text. A repeated key keeps its first value, as
+    /// [`Value::get`] does; a top-level value that is not an object
+    /// has no fields.
+    pub fn parse(line: &'a str) -> Result<Self, String> {
+        let mut p = json::Parser::new(line);
+        let mut fields = Vec::new();
+        let (mut counts, mut tokens, mut updates) = (None, None, None);
+        if p.peek()? == b'{' {
+            p.object(|p, key| {
+                let bulk = match &*key {
+                    "counts" => &mut counts,
+                    "tokens" => &mut tokens,
+                    "updates" => &mut updates,
+                    _ => {
+                        fields.push((key.into_owned(), p.value()?));
+                        return Ok(());
                     }
-                    Ok((Token::new(tok.clone()), c))
-                }
-                _ => Err("counts entries must be [token, count]".to_string()),
-            }
+                };
+                let raw = p.skip_value()?;
+                bulk.get_or_insert(raw);
+                Ok(())
+            })?;
+        } else {
+            p.skip_value()?;
+        }
+        p.finish()?;
+        Ok(Envelope {
+            fields: Value::Obj(fields),
+            counts,
+            tokens,
+            updates,
         })
-        .collect()
+    }
+
+    /// A non-bulk top-level field.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.fields.get(key)
+    }
+
+    /// Every non-bulk top-level field, as a [`Value::Obj`].
+    pub fn fields(&self) -> &Value {
+        &self.fields
+    }
 }
 
-fn parse_updates(v: &Value) -> Result<Vec<(Token, i64)>, String> {
-    let arr = v.as_arr().ok_or("updates must be an array")?;
-    arr.iter()
-        .map(|pair| {
-            let p = pair
-                .as_arr()
-                .ok_or("updates entries must be [token, delta]")?;
-            match p {
-                [Value::Str(tok), n] => {
-                    let d = n.as_i64().ok_or("delta must be an integer")?;
-                    Ok((Token::new(tok.clone()), d))
-                }
-                _ => Err("updates entries must be [token, delta]".to_string()),
+/// One `[token, value]` row of a bulk array: the token, and the value's
+/// text when it is a number. Anything but a two-element array led by a
+/// string is the `shape` error.
+fn token_row<'a>(
+    p: &mut json::Parser<'a>,
+    shape: &str,
+) -> Result<(Cow<'a, str>, Option<&'a str>), String> {
+    if p.peek()? != b'[' {
+        return Err(shape.to_string());
+    }
+    let (mut token, mut number, mut len) = (None, None, 0);
+    p.array(|p| {
+        len += 1;
+        match (len, p.peek()?) {
+            (1, b'"') => token = Some(p.string()?),
+            (2, b'{' | b'[' | b'"' | b't' | b'f' | b'n') => {
+                p.skip_value()?;
             }
-        })
-        .collect()
+            (2, _) => number = Some(p.number_text().1),
+            _ => return Err(shape.to_string()),
+        }
+        Ok(())
+    })?;
+    match token {
+        Some(token) if len == 2 => Ok((token, number)),
+        _ => Err(shape.to_string()),
+    }
 }
 
-fn parse_data(req: &Value) -> Result<JobData, String> {
-    if let Some(counts) = req.get("counts") {
-        let counts = parse_counts(counts)?;
+/// Up to 15 decimal digits, optionally negated: exact in an `f64`, so
+/// equal to what the float route gives.
+fn small_int(text: &str) -> Option<i64> {
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    if digits.is_empty() || digits.len() > 15 {
+        return None;
+    }
+    let mut n = 0i64;
+    for b in digits.bytes() {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + i64::from(b - b'0');
+    }
+    Some(if digits.len() < text.len() { -n } else { n })
+}
+
+/// The number `text` read as [`Value::as_u64`] reads it.
+fn count_of(text: &str) -> Option<u64> {
+    match small_int(text) {
+        Some(n) => u64::try_from(n).ok(),
+        None => Value::Num(text.parse().ok()?).as_u64(),
+    }
+}
+
+/// The number `text` read as [`Value::as_i64`] reads it.
+fn delta_of(text: &str) -> Option<i64> {
+    small_int(text).or_else(|| Value::Num(text.parse().ok()?).as_i64())
+}
+
+/// A parser over a checked bulk slice, refusing anything but an array.
+fn bulk_array<'a>(raw: &'a str, field: &str) -> Result<json::Parser<'a>, String> {
+    let mut p = json::Parser::new(raw);
+    if p.peek()? != b'[' {
+        return Err(format!("{field} must be an array"));
+    }
+    Ok(p)
+}
+
+/// Decodes a checked `counts` slice into histogram rows.
+fn decode_counts(raw: &str) -> Result<Vec<(Token, u64)>, String> {
+    let mut p = bulk_array(raw, "counts")?;
+    let mut rows = Vec::new();
+    let decoded = p.array(|p| {
+        let (token, n) = token_row(p, "counts entries must be [token, count]")?;
+        let c = n
+            .and_then(count_of)
+            .ok_or("count must be a non-negative integer")?;
+        rows.push((Token::new(token), c));
+        Ok(())
+    });
+    // A duplicate token would put two rows into the histogram and
+    // corrupt its rank invariants. Rows decode in order up to the first
+    // malformed one, so whichever fault comes first in the array wins.
+    let mut seen = std::collections::HashSet::with_capacity(rows.len());
+    if let Some((token, _)) = rows.iter().find(|(t, _)| !seen.insert(t)) {
+        return Err(format!("duplicate token {:?} in counts", token.as_str()));
+    }
+    decoded.map(|()| rows)
+}
+
+/// Decodes a checked `updates` slice into `(token, delta)` rows.
+fn decode_updates(raw: &str) -> Result<Vec<(Token, i64)>, String> {
+    let mut p = bulk_array(raw, "updates")?;
+    let mut rows = Vec::new();
+    p.array(|p| {
+        let (token, n) = token_row(p, "updates entries must be [token, delta]")?;
+        let d = n.and_then(delta_of).ok_or("delta must be an integer")?;
+        rows.push((Token::new(token), d));
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Decodes a checked `tokens` slice.
+fn decode_tokens(raw: &str) -> Result<Vec<Token>, String> {
+    let mut p = bulk_array(raw, "tokens")?;
+    let mut tokens = Vec::new();
+    p.array(|p| {
+        if p.peek()? != b'"' {
+            return Err("tokens entries must be strings".to_string());
+        }
+        tokens.push(Token::new(p.string()?));
+        Ok(())
+    })?;
+    Ok(tokens)
+}
+
+fn parse_data(env: &Envelope<'_>) -> Result<JobData, String> {
+    if let Some(raw) = env.counts {
         return Ok(JobData::Histogram(
-            freqywm_data::histogram::Histogram::from_counts(counts),
+            freqywm_data::histogram::Histogram::from_counts(decode_counts(raw)?),
         ));
     }
-    if let Some(tokens) = req.get("tokens") {
-        let arr = tokens.as_arr().ok_or("tokens must be an array")?;
-        let tokens: Result<Vec<Token>, String> = arr
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .map(Token::new)
-                    .ok_or_else(|| "tokens entries must be strings".to_string())
-            })
-            .collect();
-        return Ok(JobData::Tokens(tokens?));
+    if let Some(raw) = env.tokens {
+        return Ok(JobData::Tokens(decode_tokens(raw)?));
     }
     Err("request needs \"counts\" or \"tokens\"".to_string())
 }
@@ -563,29 +785,32 @@ pub enum Planned {
 
 /// Parses one request line into its echoed id and execution plan.
 pub fn plan(line: &str) -> (Option<Value>, Result<Planned, String>) {
-    let req = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return (None, Err(format!("bad json: {e}"))),
-    };
-    let (id, planned) = plan_value(req);
+    match Envelope::parse(line) {
+        Ok(env) => plan_envelope(env),
+        Err(e) => (None, Err(format!("bad json: {e}"))),
+    }
+}
+
+/// [`plan`] over an already-parsed request (the auth gate parses
+/// before planning).
+fn plan_envelope(env: Envelope<'_>) -> (Option<Value>, Result<Planned, String>) {
+    let id = env.get("id").cloned();
+    let planned = plan_request(env);
     (id, planned)
 }
 
-/// [`plan`] over an already-parsed request (the auth gate and the
-/// router both parse before planning).
-pub fn plan_value(req: Value) -> (Option<Value>, Result<Planned, String>) {
-    let id = req.get("id").cloned();
-    let planned = plan_request(req);
-    (id, planned)
+/// The id a request line carries, if it parses: what a refusal that
+/// never plans the request echoes.
+pub fn request_id(line: &str) -> Option<Value> {
+    Envelope::parse(line).ok()?.get("id").cloned()
 }
 
-fn plan_request(req: Value) -> Result<Planned, String> {
-    let op = req_str(&req, "op")?;
-    match op {
+fn plan_request(env: Envelope<'_>) -> Result<Planned, String> {
+    match req_str(env.fields(), "op")? {
         "register" | "dispute" | "quota" | "metrics" | "history" | "trace" | "hello"
-        | "replicate" | "promote" => Ok(Planned::Op(req)),
+        | "replicate" | "promote" => Ok(Planned::Op(env.fields)),
         "shutdown" => Ok(Planned::Shutdown),
-        "embed" | "detect" | "maintain" => plan_job(&req),
+        "embed" | "detect" | "maintain" => plan_job(&env),
         other => Err(format!("unknown op {other:?}")),
     }
 }
@@ -610,10 +835,10 @@ pub enum RouteInfo {
     Unroutable(String),
 }
 
-/// Classifies a parsed request for routing. Mirrors [`plan_value`]'s op
-/// table — an op added there must be classified here, or the router
-/// will refuse it before a shard ever sees it.
-pub fn route_of(req: &Value) -> RouteInfo {
+/// Classifies a parsed request for routing. Mirrors [`plan`]'s op table
+/// — an op added there must be classified here, or the router will
+/// refuse it before a shard ever sees it.
+pub fn route_of(req: &Envelope<'_>) -> RouteInfo {
     let Some(op) = req.get("op").and_then(Value::as_str) else {
         return RouteInfo::Unroutable("missing string field \"op\"".to_string());
     };
@@ -646,12 +871,13 @@ pub fn route_of(req: &Value) -> RouteInfo {
     }
 }
 
-fn plan_job(req: &Value) -> Result<Planned, String> {
+fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
+    let req = env.fields();
     let op = req_str(req, "op")?;
     match op {
         "embed" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(req)?;
+            let data = parse_data(env)?;
             let mut params = GenerationParams::default();
             if let Some(b) = req.get("budget").and_then(Value::as_f64) {
                 params = params.with_budget(b);
@@ -677,7 +903,7 @@ fn plan_job(req: &Value) -> Result<Planned, String> {
         }
         "detect" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(req)?;
+            let data = parse_data(env)?;
             let mut params = DetectionParams::default();
             if let Some(t) = req.get("t").and_then(Value::as_u64) {
                 params = params.with_t(t);
@@ -686,6 +912,10 @@ fn plan_job(req: &Value) -> Result<Planned, String> {
                 params = params.with_k(k as usize);
             }
             if let Some(s) = req.get("scale").and_then(Value::as_f64) {
+                // Refused here: the worker would assert on it.
+                if !(s.is_finite() && s > 0.0) {
+                    return Err("scale must be a positive finite number".to_string());
+                }
                 params = params.with_scale(s);
             }
             let mut spec = JobSpec::new(JobPayload::Detect {
@@ -703,7 +933,7 @@ fn plan_job(req: &Value) -> Result<Planned, String> {
         }
         "maintain" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let updates = parse_updates(req.get("updates").ok_or("missing \"updates\"")?)?;
+            let updates = decode_updates(env.updates.ok_or("missing \"updates\"")?)?;
             let replenish = req
                 .get("replenish")
                 .and_then(Value::as_bool)
@@ -1238,16 +1468,15 @@ impl Session {
             // The transport normally stops feeding after shutdown; a
             // pipelined straggler still gets an orderly refusal (with
             // its id echoed, so pipelining clients can match it up).
-            let (id, _) = plan(line);
             self.slots.push_back(Slot::Ready(err_response(
-                id.as_ref(),
+                request_id(line).as_ref(),
                 "session shutting down",
             )));
             return;
         }
         if let Some(token) = self.auth_token.clone() {
             if !self.authed {
-                match json::parse(line) {
+                match Envelope::parse(line) {
                     Err(e) => {
                         self.slots
                             .push_back(Slot::Ready(err_response(None, &format!("bad json: {e}"))));
@@ -1264,7 +1493,7 @@ impl Session {
     /// One request on a locked session: a `hello` op with the right
     /// token unlocks it, a matching per-request `auth` field admits
     /// just this request, anything else is refused.
-    fn push_locked(&mut self, engine: &Engine, req: Value, token: &str, started: Instant) {
+    fn push_locked(&mut self, engine: &Engine, req: Envelope<'_>, token: &str, started: Instant) {
         // Every request handled on a locked session pays an auth check;
         // record it as its own span so auth overhead is visible in
         // traces separately from parse/run time.
@@ -1295,7 +1524,7 @@ impl Session {
         if presented.is_some_and(|p| token_eq(p, token)) {
             // Stateless per-request auth: this request runs, the
             // session stays locked.
-            let (id, planned) = plan_value(req);
+            let (id, planned) = plan_envelope(req);
             self.push_planned(engine, id, planned, started);
             return;
         }
@@ -1943,6 +2172,47 @@ mod tests {
     }
 
     #[test]
+    fn detect_scale_must_be_positive_and_finite() {
+        let engine = test_engine();
+        handle_line(
+            &engine,
+            r#"{"op":"register","tenant":"sc","secret_label":"scale"}"#,
+        );
+        let embed = handle_line(
+            &engine,
+            &format!(
+                r#"{{"op":"embed","tenant":"sc","z":101,"counts":{}}}"#,
+                counts_json(80)
+            ),
+        );
+        assert!(embed.contains("\"ok\":true"), "{embed}");
+        // Refused as a bad request before any worker sees it.
+        for scale in ["0", "-1", "1e400", "-0"] {
+            let r = handle_line(
+                &engine,
+                &format!(
+                    r#"{{"op":"detect","tenant":"sc","scale":{scale},"id":5,"counts":{}}}"#,
+                    counts_json(80)
+                ),
+            );
+            assert_eq!(
+                r, r#"{"ok":false,"id":5,"error":"scale must be a positive finite number"}"#,
+                "scale {scale}"
+            );
+        }
+        let ok = handle_line(
+            &engine,
+            &format!(
+                r#"{{"op":"detect","tenant":"sc","scale":1,"counts":{}}}"#,
+                counts_json(80)
+            ),
+        );
+        assert!(ok.contains("\"op\":\"detect\""), "{ok}");
+        assert_eq!(engine.metrics()[M::Failed], 0);
+        engine.shutdown();
+    }
+
+    #[test]
     fn protocol_errors() {
         let engine = test_engine();
         assert!(handle_line(&engine, "not json").contains("\"ok\":false"));
@@ -2207,7 +2477,7 @@ mod tests {
 
     #[test]
     fn route_classification() {
-        let route = |line: &str| super::route_of(&parse(line).unwrap());
+        let route = |line: &str| super::route_of(&Envelope::parse(line).unwrap());
         assert_eq!(
             route(r#"{"op":"embed","tenant":"t1","counts":[]}"#),
             RouteInfo::Tenant("t1".into())

@@ -38,7 +38,8 @@ use freqywm_obs::family::{
 use freqywm_obs::prom::PromText;
 use freqywm_service::metrics::{aggregate_shard_metrics, ShardMetricsPiece};
 use freqywm_service::proto::{
-    err_response, frame_too_large_response, id_echo, json, route_of, token_eq, RouteInfo,
+    err_response, frame_too_large_response, id_echo, json, request_id, route_of, token_eq,
+    Envelope, RouteInfo,
 };
 use json::Value;
 use std::collections::{HashMap, VecDeque};
@@ -558,7 +559,7 @@ struct Router {
 /// request is correlatable across the tier (client → router → shard).
 /// Client-supplied ids are forwarded verbatim — the insert is textual
 /// (right after the opening brace), never a reparse/rewrite.
-fn ensure_trace(line: &str, req: &Value) -> String {
+fn ensure_trace(line: &str, req: &Envelope<'_>) -> String {
     if req.get("trace").and_then(Value::as_str).is_some() {
         return line.to_string();
     }
@@ -1522,12 +1523,13 @@ impl Router {
             return;
         };
         if self.drain.is_some() {
-            let (id, _) = freqywm_service::proto::plan(line);
-            conn.push_ready(err_response(id.as_ref(), "router draining"));
+            conn.push_ready(err_response(request_id(line).as_ref(), "router draining"));
             self.stats.refused += 1;
             return;
         }
-        let req = match json::parse(line) {
+        // Only the envelope: the bulk arrays are checked for syntax but
+        // never decoded here — the shard decodes them once.
+        let req = match Envelope::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 conn.push_ready(err_response(None, &format!("bad json: {e}")));
