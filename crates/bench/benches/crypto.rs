@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use freqywm_crypto::hmac::hmac_sha256;
-use freqywm_crypto::prf::{pair_modulus, Secret};
+use freqywm_crypto::prf::{inner_digest, outer_moduli, pair_modulus, Secret};
 use freqywm_crypto::sha256::sha256;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -50,6 +50,20 @@ fn bench_pair_modulus(c: &mut Criterion) {
             })
         });
     }
+    // One sweep row as the eligible-pair sweep runs it: an embed-sized
+    // row of 128 inner digests against a 9-byte token (report ns/pair
+    // as time per iteration over 128).
+    let inners: Vec<_> = (0..128)
+        .map(|j| inner_digest(&secret, format!("e7c0-{j}").as_bytes()))
+        .collect();
+    let mut row = Vec::with_capacity(inners.len());
+    g.throughput(Throughput::Elements(inners.len() as u64));
+    g.bench_function("row", |b| {
+        b.iter(|| {
+            outer_moduli(black_box(b"e7c0-417"), black_box(&inners), 1031, &mut row);
+            black_box(row.len())
+        })
+    });
     g.finish();
 }
 

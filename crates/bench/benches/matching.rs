@@ -3,6 +3,12 @@
 //! heuristic runtime trade-off behind Fig. 2.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use freqywm_core::eligible::eligible_pairs;
+use freqywm_core::params::GenerationParams;
+use freqywm_core::select::select_pairs;
+use freqywm_crypto::prf::Secret;
+use freqywm_data::histogram::Histogram;
+use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
 use freqywm_matching::blossom::max_weight_matching;
 use freqywm_matching::graph::Graph;
 use freqywm_matching::greedy::greedy_matching;
@@ -43,5 +49,26 @@ fn bench_matchers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matchers);
+/// `OptMatch` at the size of a served embed: a 625-token power-law
+/// histogram at z = 131, about 1300 edges once free pairs are excluded
+/// — the graph build, blossom and the budget knapsack together.
+fn bench_select_optimal(c: &mut Criterion) {
+    let hist = Histogram::from_counts(power_law_counts(&PowerLawConfig {
+        distinct_tokens: 625,
+        sample_size: 625_000,
+        alpha: 0.4,
+    }));
+    let params = GenerationParams::default()
+        .with_z(131)
+        .with_exclude_free_pairs(true);
+    let eligible = eligible_pairs(&hist, &Secret::from_label("select-bench"), 131);
+    let mut group = c.benchmark_group("select_pairs");
+    group.sample_size(10);
+    group.bench_function("optimal", |b| {
+        b.iter(|| select_pairs(black_box(&hist), black_box(&eligible), &params))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_matchers, bench_select_optimal);
 criterion_main!(benches);

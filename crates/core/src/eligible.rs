@@ -13,10 +13,13 @@
 //! before hashing (tied tails — the dominant case on flat data), and
 //! the inner digest `H(R ‖ tk_j)` is computed once per token, so the
 //! O(n²) sweep costs one outer SHA-256 per surviving pair — a single
-//! compression when `tk_i` is at most 23 bytes.
+//! compression when `tk_i` is at most 23 bytes. The sweep runs a row
+//! (one `tk_i` against every later candidate) at a time through
+//! [`outer_moduli`], which pads the row's block once and hashes two
+//! pairs at a time.
 
 use crate::params::WeightScheme;
-use freqywm_crypto::prf::{inner_digest, outer_modulus, PrfProvider, Secret};
+use freqywm_crypto::prf::{inner_digest, outer_moduli, PrfProvider, Secret};
 use freqywm_crypto::Digest;
 use freqywm_data::histogram::Histogram;
 
@@ -94,21 +97,27 @@ pub fn eligible_pairs_parallel(
         return Vec::new();
     };
     let entries = hist.entries();
-    let inner: Vec<Digest> = entries
+    // Inner digests in candidate order, so row `a` hashes against the
+    // contiguous tail `inner[a + 1..]`.
+    let inner: Vec<Digest> = sweep
+        .candidates
         .iter()
-        .map(|(t, _)| inner_digest(secret, t.as_bytes()))
+        .map(|&j| inner_digest(secret, entries[j].0.as_bytes()))
         .collect();
-    let s_of = |i: usize, j: usize| outer_modulus(entries[i].0.as_bytes(), &inner[j], z);
+    let row = |a: usize, out: &mut Vec<u64>| {
+        let tk_i = entries[sweep.candidates[a]].0.as_bytes();
+        outer_moduli(tk_i, &inner[a + 1..], z, out)
+    };
     let threads = threads.clamp(1, sweep.candidates.len());
     if threads == 1 {
-        return sweep.rows(0, 1, s_of);
+        return sweep.rows(0, 1, row);
     }
     let mut out: Vec<EligiblePair> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let sweep = &sweep;
-                let s_of = &s_of;
-                scope.spawn(move || sweep.rows(t, threads, s_of))
+                let row = &row;
+                scope.spawn(move || sweep.rows(t, threads, row))
             })
             .collect();
         handles
@@ -136,8 +145,15 @@ pub fn eligible_pairs_with_prf<P: PrfProvider + ?Sized>(
         return Vec::new();
     };
     let entries = hist.entries();
-    sweep.rows(0, 1, |i, j| {
-        prf.pair_modulus(secret, entries[i].0.as_bytes(), entries[j].0.as_bytes(), z)
+    let candidates = &sweep.candidates;
+    sweep.rows(0, 1, |a, out: &mut Vec<u64>| {
+        let tk_i = entries[candidates[a]].0.as_bytes();
+        out.clear();
+        out.extend(
+            candidates[a + 1..]
+                .iter()
+                .map(|&j| prf.pair_modulus(secret, tk_i, entries[j].0.as_bytes(), z)),
+        );
     })
 }
 
@@ -182,17 +198,21 @@ impl Sweep {
     /// The eligible pairs whose first token is candidate `a` for
     /// `a = first, first + stride, …` (a strided split balances the
     /// triangular workload across threads), in `(i, j)` order.
+    /// `row(a, out)` fills `out` with the moduli `s_ij` of `i =
+    /// candidates[a]` against every later candidate `j`, in order.
     fn rows(
         &self,
         first: usize,
         stride: usize,
-        s_of: impl Fn(usize, usize) -> u64,
+        row: impl Fn(usize, &mut Vec<u64>),
     ) -> Vec<EligiblePair> {
         let mut out = Vec::new();
+        let mut moduli = Vec::with_capacity(self.candidates.len());
         for a in (first..self.candidates.len()).step_by(stride) {
             let i = self.candidates[a];
-            for &j in &self.candidates[a + 1..] {
-                let s = s_of(i, j);
+            row(a, &mut moduli);
+            debug_assert_eq!(moduli.len(), self.candidates.len() - a - 1);
+            for (&j, &s) in self.candidates[a + 1..].iter().zip(&moduli) {
                 // ceil(s/2) <= cap, in integers (cap may be u64::MAX).
                 let cap = self.min_bound[i].min(self.min_bound[j]);
                 if s < self.min_s || s.div_ceil(2) > cap {
@@ -409,6 +429,28 @@ mod tests {
             let want = eligible_pairs_with_min(&h, &secret(), 257, min_s);
             let got = eligible_pairs_with_prf(&h, &secret(), 257, min_s, &DirectPrf);
             assert_eq!(got, want, "provider sweep diverged");
+        }
+    }
+
+    #[test]
+    fn row_sweep_matches_provider_across_token_lengths() {
+        use freqywm_crypto::prf::DirectPrf;
+        // Tokens of 1 to 41 bytes: rows on both sides of the 23-byte
+        // one-block limit, and odd and even row lengths.
+        let counts: Vec<(Token, u64)> = (0..40u64)
+            .map(|k| {
+                let token = format!("{k}{}", "x".repeat(k as usize));
+                (Token::new(token), 50_000 - 1_100 * k)
+            })
+            .collect();
+        let h = Histogram::from_counts(counts);
+        for (z, min_s) in [(257u64, 2u64), (1031, 8)] {
+            let want = eligible_pairs_with_prf(&h, &secret(), z, min_s, &DirectPrf);
+            assert!(!want.is_empty());
+            for threads in [1usize, 2, 4] {
+                let got = eligible_pairs_parallel(&h, &secret(), z, min_s, threads);
+                assert_eq!(got, want, "threads={threads} z={z}");
+            }
         }
     }
 

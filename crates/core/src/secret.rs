@@ -40,18 +40,11 @@ impl SecretList {
 
     /// Serialises to the `freqywm-secret-v1` text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("freqywm-secret-v1\n");
-        out.push_str(&format!("z={}\n", self.z));
-        out.push_str(&format!("r={}\n", self.secret.to_hex()));
-        for (a, b) in &self.pairs {
-            out.push_str(&format!(
-                "pair={},{}\n",
-                hex::encode(a.as_bytes()),
-                hex::encode(b.as_bytes())
-            ));
-        }
-        out
+        secret_text(
+            self.pairs.iter().map(|(a, b)| (a.as_str(), b.as_str())),
+            &self.secret,
+            self.z,
+        )
     }
 
     /// Parses the `freqywm-secret-v1` text format.
@@ -117,6 +110,25 @@ impl SecretList {
         let secret = r.ok_or_else(|| Error::MalformedSecret("missing r".into()))?;
         Ok(SecretList { pairs, secret, z })
     }
+}
+
+/// The `freqywm-secret-v1` text of a secret list given as its parts:
+/// [`SecretList::to_text`] for callers that hold the pairs in another
+/// form.
+pub fn secret_text<'a>(
+    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    secret: &Secret,
+    z: u64,
+) -> String {
+    let mut out = format!("freqywm-secret-v1\nz={z}\nr={}\n", secret.to_hex());
+    for (a, b) in pairs {
+        out.push_str("pair=");
+        out.push_str(&hex::encode(a.as_bytes()));
+        out.push(',');
+        out.push_str(&hex::encode(b.as_bytes()));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]

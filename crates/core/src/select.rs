@@ -153,25 +153,26 @@ fn select_optimal(
             similarity_pct: 100.0,
         };
     }
-    // Compress the vertex space to ranks that actually occur.
-    let mut vertex_of = std::collections::HashMap::new();
+    // Compress the vertex space to ranks that actually occur, numbered
+    // in order of first appearance.
+    let mut vertex_of = vec![usize::MAX; counts.len()];
+    let mut vertices = 0;
     for p in eligible {
-        let next = vertex_of.len();
-        vertex_of.entry(p.i).or_insert(next);
-        let next = vertex_of.len();
-        vertex_of.entry(p.j).or_insert(next);
+        for rank in [p.i, p.j] {
+            if vertex_of[rank] == usize::MAX {
+                vertex_of[rank] = vertices;
+                vertices += 1;
+            }
+        }
     }
     // T must exceed every subtracted cost so all edge weights stay
     // positive and MWM maximises cardinality first (paper: T > C).
     let t_big = eligible.iter().map(|p| p.s as i64).max().unwrap_or(0) + 1;
-    let mut graph = Graph::new(vertex_of.len());
-    for (idx, p) in eligible.iter().enumerate() {
-        // Edge weights carry the eligible-pair index via a side table;
-        // Graph dedups (i, j) but eligible pairs are unique per (i, j).
-        let _ = idx;
+    let mut graph = Graph::new(vertices);
+    for p in eligible {
         graph.add_edge(
-            vertex_of[&p.i],
-            vertex_of[&p.j],
+            vertex_of[p.i],
+            vertex_of[p.j],
             p.weight(params.weights, t_big),
         );
     }
@@ -179,7 +180,7 @@ fn select_optimal(
     // Recover matched eligible pairs.
     let mut matched: Vec<&EligiblePair> = eligible
         .iter()
-        .filter(|p| mate[vertex_of[&p.i]] == Some(vertex_of[&p.j]))
+        .filter(|p| mate[vertex_of[p.i]] == Some(vertex_of[p.j]))
         .collect();
     let matched_count = matched.len();
     // Equally-valued knapsack: ascending cost, admit under the budget.

@@ -22,7 +22,7 @@
 //! new instances would leak the watermarked pairs.
 
 use crate::hmac::hmac_sha256;
-use crate::sha256::{sha256_concat, Sha256};
+use crate::sha256::{one_block_states, sha256_concat, Sha256};
 use crate::Digest;
 use rand::{CryptoRng, RngCore, SeedableRng};
 
@@ -119,18 +119,30 @@ impl Drop for Secret {
     }
 }
 
-/// Reduces a 256-bit big-endian digest modulo `z` (`z ≥ 1`), one
-/// 64-bit limb at a time: `acc < z` holds between steps, so
-/// `acc · 2^64 + limb` fits a `u128`.
-fn digest_mod(digest: &Digest, z: u64) -> u64 {
+/// Reduces the 256-bit number with big-endian 64-bit `limbs` modulo
+/// `z` (`z ≥ 1`), one limb at a time: `acc < z` holds between steps,
+/// so `acc · 2^64 + limb` fits a `u128`.
+fn limbs_mod(limbs: [u64; 4], z: u64) -> u64 {
     debug_assert!(z > 0);
-    let z = u128::from(z);
-    let mut acc: u128 = 0;
-    for limb in digest.chunks_exact(8) {
-        let limb = u64::from_be_bytes(limb.try_into().expect("8-byte limb"));
-        acc = ((acc << 64) | u128::from(limb)) % z;
+    let z128 = u128::from(z);
+    let mut acc = limbs[0] % z;
+    for limb in &limbs[1..] {
+        acc = (((u128::from(acc) << 64) | u128::from(*limb)) % z128) as u64;
     }
-    acc as u64
+    acc
+}
+
+/// A 256-bit big-endian digest modulo `z`.
+fn digest_mod(digest: &Digest, z: u64) -> u64 {
+    let limb = |k: usize| u64::from_be_bytes(digest[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+    limbs_mod([limb(0), limb(1), limb(2), limb(3)], z)
+}
+
+/// A finished SHA-256 state modulo `z`: the state words are the
+/// digest's big-endian 32-bit words, so no digest bytes are built.
+fn state_mod(state: &[u32; 8], z: u64) -> u64 {
+    let limb = |k: usize| (u64::from(state[2 * k]) << 32) | u64::from(state[2 * k + 1]);
+    limbs_mod([limb(0), limb(1), limb(2), limb(3)], z)
 }
 
 /// The PRF's inner digest `H(R ‖ tk_j)`. It depends on the second
@@ -143,6 +155,21 @@ pub fn inner_digest(secret: &Secret, tk_j: &[u8]) -> Digest {
 /// `inner = `[`inner_digest`]`(R, tk_j)`.
 pub fn outer_modulus(tk_i: &[u8], inner: &Digest, z: u64) -> u64 {
     digest_mod(&sha256_concat(&[tk_i, inner]), z)
+}
+
+/// One row of the pair sweep: replaces the contents of `out` with
+/// [`outer_modulus`]`(tk_i, &inners[k], z)` for every `k`, in order.
+///
+/// When `tk_i ‖ inner` fits one SHA-256 block (`tk_i` of at most 23
+/// bytes) the row pads that block once and rewrites only the inner
+/// digest per pair, two compressions at a time; longer tokens fall back
+/// to [`outer_modulus`] per pair.
+pub fn outer_moduli(tk_i: &[u8], inners: &[Digest], z: u64, out: &mut Vec<u64>) {
+    out.clear();
+    out.reserve(inners.len());
+    if !one_block_states(tk_i, inners, |state| out.push(state_mod(state, z))) {
+        out.extend(inners.iter().map(|inner| outer_modulus(tk_i, inner, z)));
+    }
 }
 
 /// Computes the paper's pair modulus `s_ij = H(tk_i || H(R || tk_j)) mod z`.
@@ -338,6 +365,50 @@ mod tests {
                 u64::MAX,
             ] {
                 assert_eq!(digest_mod(d, z), bitwise_mod(d, z), "z={z}");
+            }
+        }
+    }
+
+    #[test]
+    fn outer_moduli_match_outer_modulus_across_the_one_block_boundary() {
+        let s = secret(6);
+        let token: Vec<u8> = (0..64u8).map(|i| b'a' + i % 26).collect();
+        let inners: Vec<Digest> = (0..5u8).map(|j| inner_digest(&s, &[b'j', j])).collect();
+        let mut row = vec![7u64; 3];
+        for len in 0..=64 {
+            let tk_i = &token[..len];
+            for n in 0..=inners.len() {
+                for z in [
+                    1u64,
+                    2,
+                    3,
+                    131,
+                    1031,
+                    (1 << 32) + 15,
+                    (1 << 63) + 1,
+                    u64::MAX,
+                ] {
+                    outer_moduli(tk_i, &inners[..n], z, &mut row);
+                    let want: Vec<u64> = inners[..n]
+                        .iter()
+                        .map(|inner| outer_modulus(tk_i, inner, z))
+                        .collect();
+                    assert_eq!(row, want, "tk_i of {len} bytes, {n} pairs, z={z}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_mod_matches_digest_mod() {
+        for i in 0..64u32 {
+            let d = crate::sha256::sha256(&i.to_be_bytes());
+            let mut state = [0u32; 8];
+            for (w, chunk) in state.iter_mut().zip(d.chunks_exact(4)) {
+                *w = u32::from_be_bytes(chunk.try_into().unwrap());
+            }
+            for z in [1u64, 2, 131, (1 << 63) + 1, u64::MAX] {
+                assert_eq!(state_mod(&state, z), digest_mod(&d, z), "z={z}");
             }
         }
     }

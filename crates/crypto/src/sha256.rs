@@ -10,7 +10,10 @@
 //!
 //! Messages of at most [`ONE_BLOCK_MAX`] bytes — every pair-PRF message
 //! whose token is 23 bytes or shorter — fit one padded block and take
-//! [`sha256_one_block`], which skips the streaming buffer entirely.
+//! [`sha256_one_block`], which skips the streaming buffer entirely. A
+//! row of such messages sharing a prefix ([`one_block_states`], the
+//! pair-PRF sweep) pads the block once, checks CPU features once, and
+//! runs two compressions interleaved.
 
 use crate::Digest;
 
@@ -197,9 +200,15 @@ pub fn sha_ni_available() -> bool {
     false
 }
 
+/// Two independent compressions: `states[k]` absorbs `blocks[k]`.
+fn compress2_scalar(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
+    compress_scalar(&mut states[0], blocks[0]);
+    compress_scalar(&mut states[1], blocks[1]);
+}
+
 #[cfg(target_arch = "x86_64")]
 mod sha_ni {
-    use super::K;
+    use super::{Digest, K};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -238,28 +247,71 @@ mod sha_ni {
         _mm_sha256msg2_epu32(t, w3)
     }
 
+    /// A state in the `(ABEF, CDGH)` register layout `sha256rnds2`
+    /// works on.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
+        // SAFETY: `state` is 32 bytes, read as two unaligned 16-byte lanes.
+        let p = state.as_ptr().cast::<__m128i>();
+        let dcba = _mm_shuffle_epi32(_mm_loadu_si128(p), 0xB1);
+        let hgfe = _mm_shuffle_epi32(_mm_loadu_si128(p.add(1)), 0x1B);
+        (
+            _mm_alignr_epi8(dcba, hgfe, 8),
+            _mm_blend_epi16(hgfe, dcba, 0xF0),
+        )
+    }
+
+    /// Inverse of [`load_state`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        // SAFETY: `state` is 32 bytes, written as two unaligned 16-byte
+        // lanes.
+        let p = state.as_mut_ptr().cast::<__m128i>();
+        _mm_storeu_si128(p, _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(p.add(1), _mm_alignr_epi8(dchg, feba, 8));
+    }
+
+    /// The four big-endian message words of `block`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_block(block: &[u8; 64]) -> [__m128i; 4] {
+        // Byte-swaps each 32-bit word (the message is big-endian).
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `block` is 64 bytes, read as four unaligned 16-byte
+        // lanes.
+        let m = block.as_ptr().cast::<__m128i>();
+        [
+            _mm_shuffle_epi8(_mm_loadu_si128(m), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(m.add(1)), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(m.add(2)), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(m.add(3)), bswap),
+        ]
+    }
+
     /// # Safety
     ///
     /// The CPU must support SHA, SSSE3 and SSE4.1 ([`available`]).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        // Byte-swaps each 32-bit word (the message is big-endian).
-        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        // SAFETY (all loads and stores below): `state` is 32 bytes and
-        // `block` 64, read and written as 16-byte unaligned lanes that
-        // stay inside them.
-        let p = state.as_mut_ptr().cast::<__m128i>();
-        let dcba = _mm_shuffle_epi32(_mm_loadu_si128(p), 0xB1);
-        let hgfe = _mm_shuffle_epi32(_mm_loadu_si128(p.add(1)), 0x1B);
-        let mut abef = _mm_alignr_epi8(dcba, hgfe, 8);
-        let mut cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+        let (mut abef, mut cdgh) = load_state(state);
         let (abef_in, cdgh_in) = (abef, cdgh);
-
-        let m = block.as_ptr().cast::<__m128i>();
-        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(m), bswap);
-        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(1)), bswap);
-        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(2)), bswap);
-        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(3)), bswap);
+        let [mut w0, mut w1, mut w2, mut w3] = load_block(block);
         rounds4(&mut abef, &mut cdgh, w0, 0);
         rounds4(&mut abef, &mut cdgh, w1, 1);
         rounds4(&mut abef, &mut cdgh, w2, 2);
@@ -269,19 +321,81 @@ mod sha_ni {
             rounds4(&mut abef, &mut cdgh, w4, i);
             (w0, w1, w2, w3) = (w1, w2, w3, w4);
         }
+        store_state(
+            state,
+            _mm_add_epi32(abef, abef_in),
+            _mm_add_epi32(cdgh, cdgh_in),
+        );
+    }
 
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(p, _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128(p.add(1), _mm_alignr_epi8(dchg, feba, 8));
+    /// Two independent compressions with their rounds interleaved, so
+    /// one lane's `sha256rnds2` issues while the other's is in flight.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress2(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
+        let (mut abef0, mut cdgh0) = load_state(&states[0]);
+        let (mut abef1, mut cdgh1) = load_state(&states[1]);
+        let (abef0_in, cdgh0_in, abef1_in, cdgh1_in) = (abef0, cdgh0, abef1, cdgh1);
+        let mut w = load_block(blocks[0]);
+        let mut v = load_block(blocks[1]);
+        for i in 0..4 {
+            rounds4(&mut abef0, &mut cdgh0, w[i], i);
+            rounds4(&mut abef1, &mut cdgh1, v[i], i);
+        }
+        for i in 4..16 {
+            let w4 = schedule(w[0], w[1], w[2], w[3]);
+            let v4 = schedule(v[0], v[1], v[2], v[3]);
+            rounds4(&mut abef0, &mut cdgh0, w4, i);
+            rounds4(&mut abef1, &mut cdgh1, v4, i);
+            w = [w[1], w[2], w[3], w4];
+            v = [v[1], v[2], v[3], v4];
+        }
+        store_state(
+            &mut states[0],
+            _mm_add_epi32(abef0, abef0_in),
+            _mm_add_epi32(cdgh0, cdgh0_in),
+        );
+        store_state(
+            &mut states[1],
+            _mm_add_epi32(abef1, abef1_in),
+            _mm_add_epi32(cdgh1, cdgh1_in),
+        );
+    }
+
+    /// [`super::one_block_states`] on the SHA extensions.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`]; `at + 32 <= 64`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn one_block_states(
+        template: &[u8; 64],
+        at: usize,
+        suffixes: &[Digest],
+        emit: impl FnMut(&[u32; 8]),
+    ) {
+        super::two_lane_sweep(template, at, suffixes, emit, |states, blocks| {
+            // SAFETY: the caller of this function guarantees the CPU
+            // features `compress2` needs.
+            unsafe { compress2(states, blocks) }
+        });
     }
 }
 
 /// Longest message that fits one padded block: 64 bytes minus the
 /// `0x80` terminator and the 8-byte length.
 pub const ONE_BLOCK_MAX: usize = 55;
+
+/// Writes the padding of a `len`-byte one-block message (`len ≤`
+/// [`ONE_BLOCK_MAX`]) into `block`, whose bytes past `len` are zero.
+fn pad_one_block(block: &mut [u8; 64], len: usize) {
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+}
 
 /// SHA-256 of the concatenation of `parts` in one compression, or
 /// `None` when they total more than [`ONE_BLOCK_MAX`] bytes.
@@ -295,11 +409,64 @@ pub fn sha256_one_block(parts: &[&[u8]]) -> Option<Digest> {
     if len > ONE_BLOCK_MAX {
         return None;
     }
-    block[len] = 0x80;
-    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    pad_one_block(&mut block, len);
     let mut state = H0;
     compress(&mut state, &block);
     Some(state_bytes(&state))
+}
+
+/// The finished SHA-256 state of `prefix ‖ suffix` for every `suffix`
+/// in `suffixes`, passed to `emit` in order — the big-endian bytes of
+/// a state are the digest. Returns `false`, emitting nothing, when
+/// `prefix ‖ suffix` exceeds [`ONE_BLOCK_MAX`] bytes.
+///
+/// The padded block is built once and only the suffix is rewritten per
+/// message; the CPU is asked for SHA-NI once per call, and on SHA-NI
+/// two messages are compressed at a time, interleaved.
+pub(crate) fn one_block_states(
+    prefix: &[u8],
+    suffixes: &[Digest],
+    emit: impl FnMut(&[u32; 8]),
+) -> bool {
+    let at = prefix.len();
+    let len = at + crate::DIGEST_LEN;
+    if len > ONE_BLOCK_MAX {
+        return false;
+    }
+    let mut template = [0u8; 64];
+    template[..at].copy_from_slice(prefix);
+    pad_one_block(&mut template, len);
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        // SAFETY: `available()` just confirmed the CPU features, and
+        // `at + 32 = len <= ONE_BLOCK_MAX < 64`.
+        unsafe { sha_ni::one_block_states(&template, at, suffixes, emit) };
+        return true;
+    }
+    two_lane_sweep(&template, at, suffixes, emit, compress2_scalar);
+    true
+}
+
+/// Compresses `template` with each suffix written at `template[at..at +
+/// 32]`, from the initial state, two messages per `compress2` call, and
+/// passes each finished state to `emit` in order. An odd last message
+/// runs in both lanes.
+#[inline(always)]
+fn two_lane_sweep(
+    template: &[u8; 64],
+    at: usize,
+    suffixes: &[Digest],
+    mut emit: impl FnMut(&[u32; 8]),
+    compress2: impl Fn(&mut [[u32; 8]; 2], [&[u8; 64]; 2]),
+) {
+    let mut blocks = [*template; 2];
+    for pair in suffixes.chunks(2) {
+        blocks[0][at..at + 32].copy_from_slice(&pair[0]);
+        blocks[1][at..at + 32].copy_from_slice(pair.last().expect("chunks are non-empty"));
+        let mut states = [H0; 2];
+        compress2(&mut states, [&blocks[0], &blocks[1]]);
+        states[..pair.len()].iter().for_each(&mut emit);
+    }
 }
 
 /// One-shot SHA-256 of `data`.
@@ -459,6 +626,72 @@ mod tests {
             compress_scalar(&mut a, &block);
             sha_ni_only(&mut b, &block);
             assert_eq!(a, b, "state {state:08x?}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn two_lane_compressions_agree_on_random_block_pairs() {
+        if !sha_ni_available() {
+            eprintln!("CPU lacks SHA-NI; only the scalar compression is tested");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x2_1a_7e);
+        for _ in 0..2_000 {
+            let mut states = [[0u32; 8]; 2];
+            states
+                .iter_mut()
+                .flatten()
+                .for_each(|w| *w = rng.next_u32());
+            let mut blocks = [[0u8; 64]; 2];
+            blocks.iter_mut().for_each(|b| rng.fill_bytes(b));
+            let (mut a, mut b) = (states, states);
+            compress2_scalar(&mut a, [&blocks[0], &blocks[1]]);
+            // SAFETY: `sha_ni_available()` confirmed the CPU features.
+            unsafe { sha_ni::compress2(&mut b, [&blocks[0], &blocks[1]]) };
+            assert_eq!(a, b, "states {states:08x?}");
+        }
+    }
+
+    #[test]
+    fn one_block_states_match_one_block_hashes() {
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(53)).collect();
+        let suffixes: Vec<Digest> = (0..5u32).map(|i| sha256(&i.to_be_bytes())).collect();
+        for prefix_len in 0..=64 {
+            let prefix = &data[..prefix_len];
+            for n in 0..=suffixes.len() {
+                let mut got = Vec::new();
+                let fits = one_block_states(prefix, &suffixes[..n], |s| got.push(state_bytes(s)));
+                assert_eq!(
+                    fits,
+                    prefix_len + 32 <= ONE_BLOCK_MAX,
+                    "prefix {prefix_len}"
+                );
+                let want: Vec<Digest> = if fits {
+                    suffixes[..n]
+                        .iter()
+                        .map(|d| sha256_concat(&[prefix, d]))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(got, want, "prefix {prefix_len}, {n} suffixes");
+                if fits {
+                    // The scalar lanes, whatever this CPU picks above.
+                    let mut template = [0u8; 64];
+                    template[..prefix_len].copy_from_slice(prefix);
+                    pad_one_block(&mut template, prefix_len + 32);
+                    let mut scalar = Vec::new();
+                    two_lane_sweep(
+                        &template,
+                        prefix_len,
+                        &suffixes[..n],
+                        |s| scalar.push(state_bytes(s)),
+                        compress2_scalar,
+                    );
+                    assert_eq!(scalar, want, "scalar, prefix {prefix_len}, {n} suffixes");
+                }
+            }
         }
     }
 

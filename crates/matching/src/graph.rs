@@ -1,5 +1,8 @@
 //! Weighted undirected graph representation shared by the matchers.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 /// An undirected weighted edge `(u, v, weight)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
@@ -34,6 +37,9 @@ impl Edge {
 pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
+    /// Position in `edges` of the edge between `(min, max)`, so a
+    /// duplicate is found without scanning the edge list.
+    index: HashMap<(usize, usize), usize>,
 }
 
 impl Graph {
@@ -42,6 +48,7 @@ impl Graph {
         Graph {
             n,
             edges: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
@@ -77,14 +84,15 @@ impl Graph {
             "self-loops are not allowed (token paired with itself)"
         );
         self.n = self.n.max(u + 1).max(v + 1);
-        if let Some(e) = self
-            .edges
-            .iter_mut()
-            .find(|e| (e.u == u && e.v == v) || (e.u == v && e.v == u))
-        {
-            e.weight = e.weight.max(weight);
-        } else {
-            self.edges.push(Edge::new(u, v, weight));
+        match self.index.entry((u.min(v), u.max(v))) {
+            Entry::Occupied(at) => {
+                let e = &mut self.edges[*at.get()];
+                e.weight = e.weight.max(weight);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.edges.len());
+                self.edges.push(Edge::new(u, v, weight));
+            }
         }
     }
 
@@ -130,6 +138,77 @@ mod tests {
         g.add_edge(0, 1, 2);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edges()[0].weight, 9);
+    }
+
+    #[test]
+    fn duplicates_keep_first_insertion_position_and_orientation() {
+        let raw = [
+            (2, 5, 4),
+            (0, 1, 3),
+            (5, 2, 8),
+            (1, 3, 6),
+            (1, 0, 1),
+            (3, 1, 6),
+            (4, 2, 2),
+            (2, 5, 7),
+        ];
+        let mut g = Graph::new(0);
+        for (u, v, w) in raw {
+            g.add_edge(u, v, w);
+        }
+        let want = [
+            Edge::new(2, 5, 8),
+            Edge::new(0, 1, 3),
+            Edge::new(1, 3, 6),
+            Edge::new(4, 2, 2),
+        ];
+        assert_eq!(g.edges(), want);
+        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(Graph::from_edges(raw).edges(), want);
+        // Blossom sees the deduplicated graph: the heavier parallel
+        // weight decides the matching.
+        let mate = crate::blossom::max_weight_matching(&g, false);
+        assert_eq!(mate[2], Some(5));
+        assert_eq!(mate[1], Some(3));
+        assert_eq!(mate[0], None);
+    }
+
+    #[test]
+    fn indexed_dedup_matches_a_scan_on_random_multigraphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9_4a_ed);
+        for _ in 0..50 {
+            let raw: Vec<(usize, usize, i64)> = (0..200)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..12),
+                        rng.gen_range(0..12),
+                        rng.gen_range(1..50),
+                    )
+                })
+                .filter(|(u, v, _)| u != v)
+                .collect();
+            // Reference: the linear scan for an existing (u, v) pair.
+            let mut scan: Vec<Edge> = Vec::new();
+            for &(u, v, w) in &raw {
+                match scan
+                    .iter_mut()
+                    .find(|e| (e.u == u && e.v == v) || (e.u == v && e.v == u))
+                {
+                    Some(e) => e.weight = e.weight.max(w),
+                    None => scan.push(Edge::new(u, v, w)),
+                }
+            }
+            let g = Graph::from_edges(raw);
+            assert_eq!(g.edges(), scan);
+            let mut reference = Graph::new(g.num_vertices());
+            reference.edges = scan;
+            assert_eq!(
+                crate::blossom::max_weight_matching(&g, false),
+                crate::blossom::max_weight_matching(&reference, false)
+            );
+        }
     }
 
     #[test]

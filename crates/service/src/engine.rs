@@ -775,11 +775,11 @@ impl Engine {
         let wb = registry.require_watermark(tenant_b)?;
         let claim_a = Claim {
             histogram: wa.watermarked.to_histogram(),
-            secrets: wa.secrets.clone(),
+            secrets: wa.secrets.to_secret_list(),
         };
         let claim_b = Claim {
             histogram: wb.watermarked.to_histogram(),
-            secrets: wb.secrets.clone(),
+            secrets: wb.secrets.to_secret_list(),
         };
         let tag_a = registry.cache_tag(tenant_a)?;
         let tag_b = registry.cache_tag(tenant_b)?;
@@ -1242,12 +1242,7 @@ fn run_payload(
                 // Tick under the lock so ledger chronology is monotone
                 // in commit order (see Engine::register_tenant).
                 let now = shared.clock.fetch_add(1, Ordering::Relaxed);
-                registry.record_watermark(
-                    &tenant,
-                    out.secrets.clone(),
-                    out.watermarked.clone(),
-                    now,
-                )?
+                registry.record_watermark(&tenant, out.secrets, out.watermarked.clone(), now)?
             };
             Ok(JobOutput::Embed(EmbedOutcome {
                 tenant,
@@ -1266,6 +1261,7 @@ fn run_payload(
                 let wm = registry.require_watermark(&tenant)?;
                 (wm.secrets.clone(), registry.cache_tag(&tenant)?)
             };
+            let secrets = secrets.to_secret_list();
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
             let sweep_started = Instant::now();
@@ -1283,16 +1279,14 @@ fn run_payload(
             // then write back. Maintenance is per-tenant serialised by
             // construction only if callers do not race maintain jobs
             // for the same tenant; concurrent tenants never contend.
-            let (secrets, hist, params) = {
+            let (secrets, hist) = {
                 let registry = shared.registry.read().expect("registry lock poisoned");
                 let wm = registry.require_watermark(&tenant)?;
-                (
-                    wm.secrets.clone(),
-                    wm.watermarked.clone(),
-                    freqywm_core::params::GenerationParams::default().with_z(wm.secrets.z),
-                )
+                (wm.secrets.clone(), wm.watermarked.clone())
             };
-            let mut maintainer = IncrementalWatermarker::new(params, secrets, hist.to_histogram());
+            let params = freqywm_core::params::GenerationParams::default().with_z(secrets.z());
+            let mut maintainer =
+                IncrementalWatermarker::new(params, secrets.to_secret_list(), hist.to_histogram());
             let sweep_started = Instant::now();
             let report = maintainer.apply_updates(&updates, replenish)?;
             sweep_span(&tenant, JobKind::Maintain, sweep_started);

@@ -58,7 +58,9 @@ pub use quota::{
     FilterStorage, HashMapFilterStorage, QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus,
     SlidingWindow, UNLIMITED,
 };
-pub use registry::{KeyRegistry, QuotaRecord, StoredHistogram, StoredWatermark, TenantSnapshot};
+pub use registry::{
+    KeyRegistry, QuotaRecord, StoredHistogram, StoredSecrets, StoredWatermark, TenantSnapshot,
+};
 pub use replica::{spawn_follower, FollowerConfig};
 pub use shard::{sharded_histogram, sharded_histogram_cancellable, Cancellation, Cancelled};
 pub use storage::{

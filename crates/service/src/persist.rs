@@ -23,13 +23,14 @@
 
 use crate::error::{Result, ServiceError};
 use crate::quota::QuotaLimits;
-use crate::registry::{KeyRegistry, QuotaRecord, StoredHistogram, StoredWatermark, TenantSnapshot};
+use crate::registry::{
+    KeyRegistry, QuotaRecord, StoredHistogram, StoredSecrets, StoredWatermark, TenantSnapshot,
+};
 use crate::storage::Storage;
 use freqywm_core::secret::SecretList;
 use freqywm_crypto::hmac::{digest_eq, hmac_sha256, HmacSha256};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
-use freqywm_data::token::Token;
 use freqywm_ledger::codec::{
     decode_entry, encode_entry, frame, put_bytes, put_str, put_u64, scan_frames, CodecError, Reader,
 };
@@ -63,14 +64,14 @@ pub enum RegistryEvent {
     },
     RecordWatermark {
         tenant: String,
-        secrets: SecretList,
-        watermarked: Histogram,
+        secrets: StoredSecrets,
+        watermarked: StoredHistogram,
         now: u64,
     },
     ReplaceWatermark {
         tenant: String,
-        secrets: SecretList,
-        watermarked: Histogram,
+        secrets: StoredSecrets,
+        watermarked: StoredHistogram,
         now: u64,
     },
     RemoveTenant {
@@ -107,26 +108,8 @@ impl RegistryEvent {
     }
 }
 
-pub(crate) fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
-    put_u64(buf, h.len() as u64);
-    for (token, count) in h.entries() {
-        put_bytes(buf, token.as_bytes());
-        put_u64(buf, *count);
-    }
-}
-
-pub(crate) fn read_histogram(r: &mut Reader<'_>) -> std::result::Result<Histogram, CodecError> {
-    let n = r.u64()? as usize;
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let token = Token::new(r.str()?.to_string());
-        counts.push((token, r.u64()?));
-    }
-    Ok(Histogram::from_counts(counts))
-}
-
-fn read_secret_list(r: &mut Reader<'_>) -> std::result::Result<SecretList, CodecError> {
-    SecretList::from_text(r.str()?).map_err(|_| CodecError::Corrupt {
+fn read_secret_list(r: &mut Reader<'_>) -> std::result::Result<StoredSecrets, CodecError> {
+    StoredSecrets::from_text(r.str()?).map_err(|_| CodecError::Corrupt {
         offset: 0,
         reason: "malformed secret list",
     })
@@ -166,7 +149,7 @@ fn encode_event(seq: u64, ev: &RegistryEvent) -> Vec<u8> {
             put_u64(&mut buf, *now);
             put_str(&mut buf, tenant);
             put_bytes(&mut buf, secrets.to_text().as_bytes());
-            put_histogram(&mut buf, watermarked);
+            watermarked.put_log(&mut buf);
         }
         RegistryEvent::RemoveTenant { tenant } => {
             buf.push(EV_REMOVE_TENANT);
@@ -250,7 +233,7 @@ fn decode_event(payload: &[u8]) -> std::result::Result<(u64, RegistryEvent), Cod
         },
         EV_RECORD_WATERMARK | EV_REPLACE_WATERMARK => {
             let secrets = read_secret_list(&mut r)?;
-            let watermarked = read_histogram(&mut r)?;
+            let watermarked = StoredHistogram::read_log(&mut r)?;
             if tag == EV_RECORD_WATERMARK {
                 RegistryEvent::RecordWatermark {
                     tenant,
@@ -336,11 +319,11 @@ fn write_snapshot(
         put_u64(&mut buf, t.watermarks.len() as u64);
         for wm in &t.watermarks {
             put_bytes(&mut buf, wm.secrets.to_text().as_bytes());
-            emit(&buf)?;
-            buf.clear();
-            emit(wm.watermarked.as_bytes())?;
+            wm.watermarked.put_log(&mut buf);
             put_u64(&mut buf, wm.ledger_index);
             put_u64(&mut buf, wm.registered_at);
+            emit(&buf)?;
+            buf.clear();
         }
     }
     let quotas = registry.quota_snapshots();
@@ -406,7 +389,7 @@ fn decode_snapshot(
             let mut watermarks = Vec::with_capacity(n_wm);
             for _ in 0..n_wm {
                 let secrets = read_secret_list(&mut r)?;
-                let watermarked = StoredHistogram::new(&read_histogram(&mut r)?);
+                let watermarked = StoredHistogram::read_log(&mut r)?;
                 watermarks.push(StoredWatermark {
                     secrets,
                     watermarked,
@@ -729,8 +712,8 @@ impl DurableRegistry {
         let index = self.inner.ledger().len() as u64;
         self.commit(RegistryEvent::RecordWatermark {
             tenant: tenant.to_string(),
-            secrets,
-            watermarked,
+            secrets: StoredSecrets::new(&secrets),
+            watermarked: StoredHistogram::new(&watermarked),
             now,
         })?;
         Ok(index)
@@ -750,8 +733,8 @@ impl DurableRegistry {
         let index = self.inner.ledger().len() as u64;
         self.commit(RegistryEvent::ReplaceWatermark {
             tenant: tenant.to_string(),
-            secrets,
-            watermarked,
+            secrets: StoredSecrets::new(&secrets),
+            watermarked: StoredHistogram::new(&watermarked),
             now,
         })?;
         Ok(index)
@@ -1071,6 +1054,7 @@ fn apply(registry: &mut KeyRegistry, ev: RegistryEvent) -> Result<()> {
 mod tests {
     use super::*;
     use crate::storage::InMemoryStorage;
+    use freqywm_data::token::Token;
 
     fn hist() -> Histogram {
         Histogram::from_counts([
@@ -1103,14 +1087,14 @@ mod tests {
             },
             RegistryEvent::RecordWatermark {
                 tenant: "acme".into(),
-                secrets: secrets("w"),
-                watermarked: hist(),
+                secrets: StoredSecrets::new(&secrets("w")),
+                watermarked: StoredHistogram::new(&hist()),
                 now: 8,
             },
             RegistryEvent::ReplaceWatermark {
                 tenant: "acme".into(),
-                secrets: secrets("w2"),
-                watermarked: hist(),
+                secrets: StoredSecrets::new(&secrets("w2")),
+                watermarked: StoredHistogram::new(&hist()),
                 now: 9,
             },
             RegistryEvent::RemoveTenant {

@@ -11,44 +11,135 @@
 //! a tenant leaves no key material in freed memory.
 
 use crate::error::{Result, ServiceError};
-use crate::persist::{put_histogram, read_histogram};
 use crate::quota::QuotaLimits;
-use freqywm_core::secret::SecretList;
+use freqywm_core::secret::{secret_text, SecretList};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
-use freqywm_ledger::codec::Reader;
+use freqywm_data::token::Token;
+use freqywm_ledger::codec::{put_str, put_u64, CodecError, Reader};
 use freqywm_ledger::Ledger;
 use std::collections::HashMap;
 
-/// A watermarked histogram at rest, held as the durable log's own
-/// encoding of it: a few bytes per token, where a [`Histogram`] also
-/// keeps a token index with a second copy of every token. Maintenance
-/// and disputes decode it with [`StoredHistogram::to_histogram`].
+/// Appends `v` as LEB128: seven bits per byte, low bits first, the
+/// top bit set on every byte but the last.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Appends a token as its LEB128 length and its bytes.
+fn put_token(buf: &mut Vec<u8>, token: &str) {
+    put_varint(buf, token.len() as u64);
+    buf.extend_from_slice(token.as_bytes());
+}
+
+/// Reads back what [`put_varint`] and [`put_token`] wrote. The bytes
+/// never come from outside this module, so a malformed read is a bug
+/// here and panics.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for (k, &b) in self.bytes.iter().enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * k);
+            if b < 0x80 {
+                self.bytes = &self.bytes[k + 1..];
+                return v;
+            }
+        }
+        panic!("truncated varint in a stored watermark")
+    }
+
+    fn token(&mut self) -> &'a str {
+        let len = usize::try_from(self.varint()).expect("stored token length fits usize");
+        let (token, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        std::str::from_utf8(token).expect("stored tokens are UTF-8")
+    }
+}
+
+/// A watermarked histogram at rest, in a compact varint form: per
+/// entry, in rank order, the token's LEB128 length, its bytes, then
+/// its LEB128 count — about 12 bytes for a 9-byte token, where the
+/// log's fixed-width form takes 25 and a [`Histogram`] also keeps a
+/// token index with a second copy of every token. Maintenance and
+/// disputes decode it with [`StoredHistogram::to_histogram`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct StoredHistogram(Box<[u8]>);
 
 impl StoredHistogram {
     /// Encodes `hist` for storage.
     pub fn new(hist: &Histogram) -> Self {
-        let mut buf = Vec::new();
-        put_histogram(&mut buf, hist);
+        let mut buf = Vec::with_capacity(hist.len() * 12);
+        for (token, count) in hist.entries() {
+            put_token(&mut buf, token.as_str());
+            put_varint(&mut buf, *count);
+        }
         StoredHistogram(buf.into_boxed_slice())
+    }
+
+    /// `(token, count)` in rank order.
+    fn entries(&self) -> impl Iterator<Item = (&str, u64)> {
+        let mut cur = Cursor { bytes: &self.0 };
+        std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.varint())))
+    }
+
+    /// Number of distinct tokens.
+    pub fn len(&self) -> usize {
+        self.entries().count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// Decodes the stored histogram.
     pub fn to_histogram(&self) -> Histogram {
-        read_histogram(&mut Reader::new(&self.0)).expect("encoded by StoredHistogram::new")
+        Histogram::from_counts(self.entries().map(|(t, c)| (Token::new(t), c)))
     }
 
-    /// The encoded bytes, as the log and snapshots write them.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+    /// Appends the histogram in the durable log's and snapshots'
+    /// encoding: the token count as a big-endian `u64`, then per entry
+    /// a length-prefixed token and a big-endian `u64` count.
+    pub(crate) fn put_log(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.len() as u64);
+        for (token, count) in self.entries() {
+            put_str(buf, token);
+            put_u64(buf, count);
+        }
+    }
+
+    /// Reads a histogram [`Self::put_log`] wrote, straight into the
+    /// stored form.
+    pub(crate) fn read_log(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let n = r.u64()?;
+        let mut buf = Vec::new();
+        for _ in 0..n {
+            put_token(&mut buf, r.str()?);
+            put_varint(&mut buf, r.u64()?);
+        }
+        Ok(StoredHistogram(buf.into_boxed_slice()))
     }
 }
 
 impl PartialEq<Histogram> for StoredHistogram {
     fn eq(&self, other: &Histogram) -> bool {
-        *self == StoredHistogram::new(other)
+        let mut mine = self.entries();
+        other
+            .entries()
+            .iter()
+            .all(|(t, c)| mine.next() == Some((t.as_str(), *c)))
+            && mine.next().is_none()
     }
 }
 
@@ -58,11 +149,104 @@ impl std::fmt::Debug for StoredHistogram {
     }
 }
 
+/// A secret list `L_sc = {L_wm, R, z}` at rest: `R` and `z` as they
+/// are, and every pair token packed into one buffer (LEB128 length and
+/// bytes, first token then second, pair by pair) — one allocation
+/// where a [`SecretList`] makes two per pair. `R` stays a [`Secret`],
+/// so it is wiped on drop.
+#[derive(Clone, PartialEq, Eq)]
+pub struct StoredSecrets {
+    secret: Secret,
+    z: u64,
+    pairs: Box<[u8]>,
+}
+
+impl StoredSecrets {
+    /// Encodes `list` for storage.
+    pub fn new(list: &SecretList) -> Self {
+        let mut pairs = Vec::new();
+        for (a, b) in &list.pairs {
+            put_token(&mut pairs, a.as_str());
+            put_token(&mut pairs, b.as_str());
+        }
+        StoredSecrets {
+            secret: list.secret.clone(),
+            z: list.z,
+            pairs: pairs.into_boxed_slice(),
+        }
+    }
+
+    /// The watermarked pairs, in generation order.
+    fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        let mut cur = Cursor { bytes: &self.pairs };
+        std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.token())))
+    }
+
+    /// Number of watermarked pairs.
+    pub fn len(&self) -> usize {
+        self.pairs().count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The modulo base `z`.
+    pub fn z(&self) -> u64 {
+        self.z
+    }
+
+    /// Decodes the stored secret list.
+    pub fn to_secret_list(&self) -> SecretList {
+        SecretList::new(
+            self.pairs()
+                .map(|(a, b)| (Token::new(a), Token::new(b)))
+                .collect(),
+            self.secret.clone(),
+            self.z,
+        )
+    }
+
+    /// [`SecretList::to_text`] of the stored list: the ledger
+    /// fingerprint, and the form the log and snapshots write.
+    pub fn to_text(&self) -> String {
+        secret_text(self.pairs(), &self.secret, self.z)
+    }
+
+    /// Parses the text [`Self::to_text`] writes.
+    pub(crate) fn from_text(text: &str) -> freqywm_core::Result<Self> {
+        SecretList::from_text(text).map(|list| StoredSecrets::new(&list))
+    }
+}
+
+impl PartialEq<SecretList> for StoredSecrets {
+    fn eq(&self, other: &SecretList) -> bool {
+        let mut mine = self.pairs();
+        self.secret == other.secret
+            && self.z == other.z
+            && other
+                .pairs
+                .iter()
+                .all(|(a, b)| mine.next() == Some((a.as_str(), b.as_str())))
+            && mine.next().is_none()
+    }
+}
+
+impl std::fmt::Debug for StoredSecrets {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StoredSecrets")
+            .field("secret", &self.secret)
+            .field("z", &self.z)
+            .field("pairs", &self.len())
+            .finish()
+    }
+}
+
 /// One embedded watermark on record for a tenant.
 #[derive(Debug, Clone)]
 pub struct StoredWatermark {
     /// The secret list `L_sc = {L_wm, R, z}` produced by the embed.
-    pub secrets: SecretList,
+    pub secrets: StoredSecrets,
     /// The watermarked histogram (the data version this mark lives in);
     /// kept for maintenance and dispute claims.
     pub watermarked: StoredHistogram,
@@ -293,8 +477,8 @@ impl KeyRegistry {
     pub fn record_watermark(
         &mut self,
         tenant: &str,
-        secrets: SecretList,
-        watermarked: Histogram,
+        secrets: StoredSecrets,
+        watermarked: StoredHistogram,
         now: u64,
     ) -> Result<u64> {
         // Append first so a missing tenant cannot mutate the chain.
@@ -307,7 +491,7 @@ impl KeyRegistry {
         let record = self.tenants.get_mut(tenant).expect("checked above");
         record.watermarks.push(StoredWatermark {
             secrets,
-            watermarked: StoredHistogram::new(&watermarked),
+            watermarked,
             ledger_index,
             registered_at: now,
         });
@@ -319,8 +503,8 @@ impl KeyRegistry {
     pub fn replace_latest_watermark(
         &mut self,
         tenant: &str,
-        secrets: SecretList,
-        watermarked: Histogram,
+        secrets: StoredSecrets,
+        watermarked: StoredHistogram,
         now: u64,
     ) -> Result<u64> {
         if self.latest_watermark(tenant).is_none() {
@@ -336,7 +520,7 @@ impl KeyRegistry {
         let latest = record.watermarks.last_mut().expect("non-empty");
         *latest = StoredWatermark {
             secrets,
-            watermarked: StoredHistogram::new(&watermarked),
+            watermarked,
             ledger_index,
             registered_at: now,
         };
@@ -396,6 +580,116 @@ mod tests {
         )
     }
 
+    fn stored_secrets(label: &str) -> StoredSecrets {
+        StoredSecrets::new(&secrets(label))
+    }
+
+    fn stored_hist() -> StoredHistogram {
+        StoredHistogram::new(&hist())
+    }
+
+    /// The log's histogram encoding, written straight from a
+    /// [`Histogram`]: the reference [`StoredHistogram::put_log`] must
+    /// reproduce byte for byte.
+    fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
+        put_u64(buf, h.len() as u64);
+        for (token, count) in h.entries() {
+            freqywm_ledger::codec::put_bytes(buf, token.as_bytes());
+            put_u64(buf, *count);
+        }
+    }
+
+    /// Histograms at the edges of the varint form: empty, zero and
+    /// ≥ 2^63 counts, the empty token, non-ASCII and composite tokens,
+    /// and 10k entries.
+    fn edge_histograms() -> Vec<Histogram> {
+        let h = |counts: Vec<(Token, u64)>| Histogram::from_counts(counts);
+        vec![
+            h(vec![]),
+            h(vec![(Token::new(""), 0)]),
+            h(vec![
+                (Token::new("a"), 0),
+                (Token::new("b"), 127),
+                (Token::new("c"), 128),
+                (Token::new("d"), 1 << 63),
+                (Token::new("e"), u64::MAX),
+            ]),
+            h(vec![
+                (Token::new("naïve café ✓"), 3),
+                (Token::new("🦀"), 2),
+                (Token::composite(["39", "Gov"]), 1),
+                (Token::new("x".repeat(300)), 200),
+            ]),
+            h((0..10_000u64)
+                .map(|i| (Token::new(format!("tk{i}")), i * 7919))
+                .collect()),
+        ]
+    }
+
+    #[test]
+    fn stored_histogram_round_trips_and_writes_the_log_bytes() {
+        for h in edge_histograms() {
+            let stored = StoredHistogram::new(&h);
+            assert_eq!(stored.to_histogram(), h);
+            assert!(stored == h);
+            assert_eq!(stored.len(), h.len());
+            let mut want = Vec::new();
+            put_histogram(&mut want, &h);
+            let mut log = Vec::new();
+            stored.put_log(&mut log);
+            assert_eq!(log, want, "{} tokens", h.len());
+            let mut r = Reader::new(&log);
+            assert_eq!(StoredHistogram::read_log(&mut r).unwrap(), stored);
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn stored_secrets_round_trip_and_write_the_secret_text() {
+        let token = |s: &str| Token::new(s);
+        let lists = [
+            SecretList::new(Vec::new(), Secret::from_label("empty"), 7),
+            SecretList::new(
+                vec![
+                    (token(""), token("b")),
+                    (token("naïve ✓"), token("🦀")),
+                    (
+                        Token::composite(["39", "Gov"]),
+                        token("x".repeat(200).as_str()),
+                    ),
+                ],
+                Secret::from_label("edges"),
+                u64::MAX,
+            ),
+            SecretList::new(
+                (0..10_000)
+                    .map(|i| (token(&format!("a{i}")), token(&format!("b{i}"))))
+                    .collect(),
+                Secret::from_label("big"),
+                1031,
+            ),
+        ];
+        for list in &lists {
+            let stored = StoredSecrets::new(list);
+            assert_eq!(stored.to_secret_list(), *list);
+            assert!(stored == *list);
+            assert_eq!(stored.len(), list.len());
+            assert_eq!(stored.is_empty(), list.is_empty());
+            assert_eq!(stored.z(), list.z);
+            assert_eq!(stored.to_text(), list.to_text());
+            assert_eq!(StoredSecrets::from_text(&list.to_text()).unwrap(), stored);
+        }
+        let mut other = lists[1].clone();
+        other.pairs.swap(0, 1);
+        assert!(StoredSecrets::new(&lists[1]) != other);
+        other = lists[1].clone();
+        other.secret = Secret::from_label("other");
+        assert!(StoredSecrets::new(&lists[1]) != other);
+        other = lists[1].clone();
+        other.pairs.pop();
+        assert!(StoredSecrets::new(&lists[1]) != other);
+    }
+
     #[test]
     fn register_and_lookup() {
         let mut r = KeyRegistry::new(b"test-ledger");
@@ -434,8 +728,10 @@ mod tests {
             r.require_watermark("a"),
             Err(ServiceError::NoWatermark(_))
         ));
-        r.record_watermark("a", secrets("wa"), hist(), 3).unwrap();
-        r.record_watermark("b", secrets("wb"), hist(), 4).unwrap();
+        r.record_watermark("a", stored_secrets("wa"), stored_hist(), 3)
+            .unwrap();
+        r.record_watermark("b", stored_secrets("wb"), stored_hist(), 4)
+            .unwrap();
         assert_eq!(
             r.earlier_watermark("a", "b").unwrap(),
             std::cmp::Ordering::Less
@@ -453,11 +749,12 @@ mod tests {
         let mut r = KeyRegistry::new(b"k");
         r.register_tenant("a", Secret::from_label("a"), 1).unwrap();
         assert!(r
-            .replace_latest_watermark("a", secrets("w0"), hist(), 2)
+            .replace_latest_watermark("a", stored_secrets("w0"), stored_hist(), 2)
             .is_err());
-        r.record_watermark("a", secrets("w1"), hist(), 3).unwrap();
+        r.record_watermark("a", stored_secrets("w1"), stored_hist(), 3)
+            .unwrap();
         let idx = r
-            .replace_latest_watermark("a", secrets("w2"), hist(), 4)
+            .replace_latest_watermark("a", stored_secrets("w2"), stored_hist(), 4)
             .unwrap();
         assert_eq!(idx, 2);
         let latest = r.latest_watermark("a").unwrap();
