@@ -87,7 +87,7 @@ mod tests {
     fn double_rewatermarking_never_flips_to_the_pirate() {
         // Pirate stacks two of its own watermarks. Each extra round
         // erodes the judge's margin (both cross-rates drift toward each
-        // other — see EXPERIMENTS.md, "Reproduction notes"), so we only
+        // other, as each round turns more pairs free), so we only
         // assert the safety property: the pirate never *wins*.
         let (_, owner, wm) = owner_setup();
         let p1 = rewatermark_attack(&owner.histogram, &wm, Secret::from_label("pirate-1")).unwrap();

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use freqywm_crypto::hmac::hmac_sha256;
-use freqywm_crypto::prf::{inner_digest, outer_moduli, pair_modulus, Secret};
+use freqywm_crypto::prf::{inner_digest, outer_moduli, pair_moduli, pair_modulus, Secret};
 use freqywm_crypto::sha256::sha256;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -62,6 +62,32 @@ fn bench_pair_modulus(c: &mut Criterion) {
         b.iter(|| {
             outer_moduli(black_box(b"e7c0-417"), black_box(&inners), 1031, &mut row);
             black_box(row.len())
+        })
+    });
+    // A served detect's PRF work: 134 stored pairs (the detect_hot pool
+    // mean) through the two-lane batch, against `pair_modulus` per pair.
+    let tokens: Vec<String> = (0..268).map(|k| format!("e7c0-{k}")).collect();
+    let pairs: Vec<(&[u8], &[u8])> = tokens
+        .chunks(2)
+        .map(|p| (p[0].as_bytes(), p[1].as_bytes()))
+        .collect();
+    let mut moduli = Vec::with_capacity(pairs.len());
+    g.throughput(Throughput::Elements(pairs.len() as u64));
+    g.bench_function("detect_batch", |b| {
+        b.iter(|| {
+            pair_moduli(&secret, black_box(&pairs), 1031, &mut moduli);
+            black_box(moduli.len())
+        })
+    });
+    g.bench_function("detect_per_pair", |b| {
+        b.iter(|| {
+            moduli.clear();
+            moduli.extend(
+                black_box(&pairs)
+                    .iter()
+                    .map(|(a, b)| pair_modulus(&secret, a, b, 1031)),
+            );
+            black_box(moduli.len())
         })
     });
     g.finish();

@@ -9,6 +9,7 @@ use freqywm_core::params::{DetectionParams, GenerationParams, Selection};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
+use freqywm_service::{CountRows, StoredSecrets};
 
 fn zipf(tokens: usize, samples: usize, alpha: f64) -> Histogram {
     Histogram::from_counts(power_law_counts(&PowerLawConfig {
@@ -64,5 +65,45 @@ fn bench_eligible(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_generation, bench_detection, bench_eligible);
+/// A served detect after decoding, on a detect_hot-sized tenant (617
+/// tokens): `histogram` is the path that builds a `Histogram` from the
+/// request rows and decodes the stored pairs into a `SecretList`;
+/// `served_rows` streams packed rows against the stored pairs.
+fn bench_served_detect(c: &mut Criterion) {
+    let hist = zipf(617, 617_000, 0.6);
+    let out = Watermarker::new(GenerationParams::default().with_z(131))
+        .generate_histogram(&hist, Secret::from_label("bench"))
+        .expect("eligible pairs exist");
+    let params = DetectionParams::default();
+    let stored = StoredSecrets::new(&out.secrets);
+    let rows: Vec<_> = out.watermarked.entries().to_vec();
+    let mut packed = CountRows::with_capacity(0);
+    for (token, count) in &rows {
+        packed.push(token.as_str(), *count);
+    }
+    let mut group = c.benchmark_group("detect");
+    group.bench_function("histogram", |b| {
+        b.iter(|| {
+            let hist = Histogram::from_counts(black_box(&rows).iter().cloned());
+            detect_histogram(&hist, &stored.to_secret_list(), &params).accepted
+        })
+    });
+    group.bench_function("served_rows", |b| {
+        b.iter(|| {
+            let stored = stored.clone();
+            stored
+                .detect_rows(black_box(&packed).iter(), &params)
+                .accepted
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_generation,
+    bench_detection,
+    bench_served_detect,
+    bench_eligible
+);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over this implementation's deviations from the paper:
 //!
 //! 1. **Matching weights** — the paper's `T − rm` versus the effective
 //!    cost `T − min(rm, s−rm)`: pairs chosen, realised distortion.

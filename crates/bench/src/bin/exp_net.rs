@@ -171,12 +171,11 @@ fn main() {
         .expect("reactor exit");
     let snap = engine.metrics();
     println!(
-        "# served {} conns, {} bytes in, {} bytes out, evicted {}, cache hit rate {:.3}",
+        "# served {} conns, {} bytes in, {} bytes out, evicted {}",
         snap[M::NetAccepted],
         snap[M::NetBytesIn],
         snap[M::NetBytesOut],
         snap[M::NetEvictedSlow],
-        snap.cache().hit_rate(),
     );
     engine.shutdown();
 }

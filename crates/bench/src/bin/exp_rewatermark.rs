@@ -7,8 +7,8 @@
 //! pairs on the re-marked copy at t = 0.
 //!
 //! This runner reproduces the experiment twice: with the paper-faithful
-//! selector, and with free-pair exclusion — the hardening DESIGN.md
-//! motivates (without it the pirate's watermark largely pre-exists in
+//! selector, and with free-pair exclusion — the hardening
+//! `GenerationParams::exclude_free_pairs` adds (without it the pirate's watermark largely pre-exists in
 //! the owner's data and the four-run protocol cannot discriminate).
 //!
 //! ```sh

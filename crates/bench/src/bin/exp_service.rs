@@ -1,11 +1,10 @@
 //! Service throughput — the multi-tenant engine under a detect-heavy
-//! marketplace load, with and without the PRF cache.
+//! marketplace load.
 //!
 //! T tenants each embed a watermark into their own synthetic dataset,
 //! then R rounds of re-detection sweep every tenant (the marketplace
-//! periodically re-verifying circulating copies). Reported: jobs/sec,
-//! mean/p95 job latency and the PRF-cache hit rate, for worker counts
-//! {1, 4} × cache {on, off}.
+//! periodically re-verifying circulating copies). Reported: jobs/sec
+//! and mean/p95 job latency, for worker counts {1, 4}.
 //!
 //! ```sh
 //! cargo run --release -p freqywm-bench --bin exp_service
@@ -18,7 +17,6 @@ use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
-use freqywm_service::prf_cache::PrfCacheConfig;
 
 const TENANTS: usize = 8;
 const ROUNDS: usize = 25;
@@ -31,14 +29,11 @@ struct LoadStats {
     p50_us: u64,
     p95_us: u64,
     p99_us: u64,
-    hit_rate: f64,
-    entries: usize,
 }
 
-fn run_load(workers: usize, cache: PrfCacheConfig) -> LoadStats {
+fn run_load(workers: usize) -> LoadStats {
     let engine = Engine::start(EngineConfig {
         workers,
-        cache,
         queue_capacity: TENANTS * (ROUNDS + 2),
         ..EngineConfig::default()
     });
@@ -94,8 +89,6 @@ fn run_load(workers: usize, cache: PrfCacheConfig) -> LoadStats {
         p50_us: m.latency.quantile_upper_micros(0.50),
         p95_us: m.latency.quantile_upper_micros(0.95),
         p99_us: m.latency.quantile_upper_micros(0.99),
-        hit_rate: m.cache().hit_rate(),
-        entries: m.cache().entries as usize,
     };
     engine.shutdown();
     stats
@@ -106,52 +99,30 @@ fn main() {
         "\nService throughput — {TENANTS} tenants × {ROUNDS} re-detection rounds \
          ({TOKENS} tokens, {SAMPLES} samples each)"
     );
-    let widths = [8usize, 7, 12, 12, 12, 10, 10];
-    print_header(
-        &[
-            "workers", "cache", "jobs/s", "mean µs", "p95 µs", "hit rate", "entries",
-        ],
-        &widths,
-    );
+    let widths = [8usize, 12, 12, 12];
+    print_header(&["workers", "jobs/s", "mean µs", "p95 µs"], &widths);
     let mut rows = Vec::new();
     for workers in [1usize, 4] {
-        for cached in [false, true] {
-            let cache = if cached {
-                PrfCacheConfig::default()
-            } else {
-                PrfCacheConfig::disabled()
-            };
-            let s = run_load(workers, cache);
-            print_row(
-                &[
-                    workers.to_string(),
-                    if cached { "on" } else { "off" }.to_string(),
-                    format!("{:.0}", s.jobs_per_sec),
-                    format!("{:.0}", s.mean_us),
-                    format!("{}", s.p95_us),
-                    format!("{:.3}", s.hit_rate),
-                    s.entries.to_string(),
-                ],
-                &widths,
-            );
-            rows.push(json_obj(&[
-                ("workers", workers.to_string()),
-                ("cache", cached.to_string()),
-                ("jobs_per_sec", format!("{:.1}", s.jobs_per_sec)),
-                ("mean_us", format!("{:.1}", s.mean_us)),
-                ("p50_us", s.p50_us.to_string()),
-                ("p95_us", s.p95_us.to_string()),
-                ("p99_us", s.p99_us.to_string()),
-                ("hit_rate", format!("{:.4}", s.hit_rate)),
-                ("entries", s.entries.to_string()),
-            ]));
-        }
+        let s = run_load(workers);
+        print_row(
+            &[
+                workers.to_string(),
+                format!("{:.0}", s.jobs_per_sec),
+                format!("{:.0}", s.mean_us),
+                format!("{}", s.p95_us),
+            ],
+            &widths,
+        );
+        rows.push(json_obj(&[
+            ("workers", workers.to_string()),
+            ("jobs_per_sec", format!("{:.1}", s.jobs_per_sec)),
+            ("mean_us", format!("{:.1}", s.mean_us)),
+            ("p50_us", s.p50_us.to_string()),
+            ("p95_us", s.p95_us.to_string()),
+            ("p99_us", s.p99_us.to_string()),
+        ]));
     }
     if let Some(path) = json_out_path() {
         write_json_report(&path, "exp_service", &rows);
     }
-    println!(
-        "\n(hit rate counts the measured phase plus embeds' ledger writes; \
-         detect-only traffic over a warm cache approaches 1.0)"
-    );
 }

@@ -29,7 +29,8 @@ struct Row {
 fn main() {
     let ((), secs) = timed(|| {
         let mut rng = StdRng::seed_from_u64(2);
-        // Simulations per DESIGN.md §3; the taxi histogram runs at the
+        // Simulated stand-ins (`freqywm_data::realworld`: the originals
+        // are not redistributable); the taxi histogram runs at the
         // paper's full trip scale (histogram-level, nothing materialised).
         const TAXI_TRIPS: u64 = 12_000_000;
         let taxi_hist = realworld::chicago_taxi_hist(TAXI_TRIPS, 1.5, &mut rng);
@@ -57,7 +58,7 @@ fn main() {
         ];
 
         println!("\nTable II — validation on simulated real-world datasets (z = 131, b = 2, mean of {RUNS} runs)");
-        println!("(* simulated stand-ins at documented scale; see DESIGN.md §3)");
+        println!("(* simulated stand-ins at documented scale; see freqywm_data::realworld)");
         let widths = [13, 8, 9, 9, 8, 8, 8, 8, 10, 11];
         print_header(
             &[

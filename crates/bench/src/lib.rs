@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment runners (`src/bin/exp_*.rs`).
 //!
-//! Every runner regenerates one table or figure of the paper (see
-//! DESIGN.md §4 for the index and EXPERIMENTS.md for paper-vs-measured
-//! results) and prints the same rows/series the paper reports.
+//! Every runner regenerates one table or figure of the paper (its
+//! module doc names which) and prints the same rows/series the paper
+//! reports.
 
 use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};

@@ -137,14 +137,11 @@ pub enum Command {
     Help,
 }
 
-/// Worker-pool/cache flags shared by `serve` and `batch`.
+/// Worker-pool flags shared by `serve` and `batch`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineOpts {
     pub workers: usize,
     pub queue: usize,
-    pub cache_shards: usize,
-    pub cache_capacity: usize,
-    pub no_cache: bool,
     /// Durable registry data-dir; `None` keeps state in memory.
     pub data_dir: Option<String>,
     /// Registry mutations between snapshot/compaction cycles.
@@ -178,9 +175,6 @@ impl Default for EngineOpts {
         EngineOpts {
             workers: 4,
             queue: 1024,
-            cache_shards: 8,
-            cache_capacity: 8_192,
-            no_cache: false,
             data_dir: None,
             snapshot_every: 256,
             ledger_key: None,
@@ -311,8 +305,7 @@ USAGE:
   freqywm serve    [--listen <addr>] [--metrics-listen <addr>]
                    [--max-conns 1024] [--idle-timeout SECS]
                    [--max-frame BYTES] [--auth-token T] [--shard-id i/N]
-                   [--workers 4] [--queue 1024] [--cache-shards 8]
-                   [--cache-capacity 8192] [--no-cache] [--slow-ms MS]
+                   [--workers 4] [--queue 1024] [--slow-ms MS]
                    [--retain-snapshots 240] [--retain-interval-ms 1000]
                    [--data-dir <dir>] [--snapshot-every 256] [--ledger-key K]
                    [--follow <primary-addr>] [--follow-token T]
@@ -332,7 +325,6 @@ USAGE:
   freqywm trace    --connect <addr> [--trace ID] [--tenant T] [--for-op OP]
                    [--min-ms MS] [--limit N] [--auth TOKEN]
   freqywm batch    --input <requests.jsonl> [--workers 4] [--queue 1024]
-                   [--cache-shards 8] [--cache-capacity 8192] [--no-cache]
                    [--data-dir <dir>] [--snapshot-every 256] [--ledger-key K]
   freqywm ledger verify --data-dir <dir> [--ledger-key K]
   freqywm help
@@ -422,10 +414,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {a:?}"))?;
         // Boolean flags take no value.
-        if matches!(
-            key,
-            "exclude-free-pairs" | "no-cache" | "prom" | "check" | "once"
-        ) {
+        if matches!(key, "exclude-free-pairs" | "prom" | "check" | "once") {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
@@ -464,9 +453,6 @@ fn parse_engine_opts(f: &HashMap<String, String>) -> Result<EngineOpts, String> 
     Ok(EngineOpts {
         workers: opt_parse(f, "workers", defaults.workers)?,
         queue: opt_parse(f, "queue", defaults.queue)?,
-        cache_shards: opt_parse(f, "cache-shards", defaults.cache_shards)?,
-        cache_capacity: opt_parse(f, "cache-capacity", defaults.cache_capacity)?,
-        no_cache: f.contains_key("no-cache"),
         data_dir: f.get("data-dir").cloned(),
         snapshot_every: opt_parse(f, "snapshot-every", defaults.snapshot_every)?,
         ledger_key: f.get("ledger-key").cloned(),
@@ -527,10 +513,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "detect" => {
             let f = parse_flags(rest)?;
             let scale = match f.get("scale") {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("bad value for --scale: {v:?}"))?,
-                ),
+                Some(v) => {
+                    let s: f64 = v
+                        .parse()
+                        .map_err(|_| format!("bad value for --scale: {v:?}"))?;
+                    // The protocol refuses the same values; detect
+                    // would assert on them.
+                    if !(s.is_finite() && s > 0.0) {
+                        return Err("scale must be a positive finite number".to_string());
+                    }
+                    Some(s)
+                }
                 None => None,
             };
             Ok(Command::Detect {
@@ -855,6 +848,20 @@ mod tests {
     }
 
     #[test]
+    fn detect_refuses_a_non_positive_or_non_finite_scale() {
+        for bad in ["0", "-1", "NaN", "inf"] {
+            let err = parse_args(&v(&[
+                "detect", "--input", "x", "--secret", "s", "--scale", bad,
+            ]))
+            .unwrap_err();
+            assert_eq!(
+                err, "scale must be a positive finite number",
+                "--scale {bad}"
+            );
+        }
+    }
+
+    #[test]
     fn attack_kinds() {
         for (s, k) in [
             ("sample", AttackKind::Sample),
@@ -916,40 +923,20 @@ mod tests {
                 net: ServeNetOpts::default(),
             }
         );
-        let c = parse_args(&v(&[
-            "serve",
-            "--workers",
-            "8",
-            "--queue",
-            "64",
-            "--no-cache",
-        ]))
-        .unwrap();
+        let c = parse_args(&v(&["serve", "--workers", "8", "--queue", "64"])).unwrap();
         match c {
             Command::Serve { engine, net } => {
                 assert_eq!(engine.workers, 8);
                 assert_eq!(engine.queue, 64);
-                assert!(engine.no_cache);
                 assert_eq!(net.listen, None);
             }
             _ => panic!("wrong command"),
         }
-        let c = parse_args(&v(&[
-            "batch",
-            "--input",
-            "reqs.jsonl",
-            "--cache-shards",
-            "2",
-            "--cache-capacity",
-            "100",
-        ]))
-        .unwrap();
+        let c = parse_args(&v(&["batch", "--input", "reqs.jsonl", "--workers", "2"])).unwrap();
         match c {
             Command::Batch { input, engine } => {
                 assert_eq!(input, "reqs.jsonl");
-                assert_eq!(engine.cache_shards, 2);
-                assert_eq!(engine.cache_capacity, 100);
-                assert!(!engine.no_cache);
+                assert_eq!(engine.workers, 2);
             }
             _ => panic!("wrong command"),
         }

@@ -14,7 +14,6 @@ use freqywm_data::dataset::Dataset;
 use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::persist::DurableRegistry;
-use freqywm_service::prf_cache::PrfCacheConfig;
 use freqywm_service::proto;
 use freqywm_service::storage::DiskLog;
 use rand::rngs::StdRng;
@@ -31,14 +30,6 @@ fn engine_config(opts: &EngineOpts) -> EngineConfig {
     EngineConfig {
         workers: opts.workers.max(1),
         queue_capacity: opts.queue.max(1),
-        cache: if opts.no_cache {
-            PrfCacheConfig::disabled()
-        } else {
-            PrfCacheConfig {
-                shards: opts.cache_shards.max(1),
-                capacity_per_shard: opts.cache_capacity,
-            }
-        },
         snapshot_every: opts.snapshot_every,
         ledger_key: ledger_key_bytes(&opts.ledger_key),
         shard_gate: opts.shard_id.map(|(i, n)| {

@@ -4,7 +4,7 @@
 //! Works against a single `serve --listen` engine (one row) or a
 //! `router` tier (one row per shard, fed by the router's fanned-out
 //! `metrics` shard map and per-shard `history` series). Rates (qps,
-//! cache hit rate, queue-wait share) come from the engines' retained
+//! queue-wait share) come from the engines' retained
 //! snapshot rings — `{"op":"history","last":2}` windows over the two
 //! newest samples, so consecutive frames move with live traffic.
 //!
@@ -91,7 +91,8 @@ fn parse_ok(line: &str, op: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-const ROW_HEADER: &str = " shard  role      health    qps  refus/s    p50_us    p99_us   wait%    hit%    log_seq    lag   addr";
+const ROW_HEADER: &str =
+    " shard  role      health    qps  refus/s    p50_us    p99_us   wait%    log_seq    lag   addr";
 
 #[allow(clippy::too_many_arguments)]
 fn push_row(
@@ -104,13 +105,12 @@ fn push_row(
     p50: Option<u64>,
     p99: Option<u64>,
     wait_share: Option<f64>,
-    hit_rate: Option<f64>,
     log_seq: Option<u64>,
     lag: Option<u64>,
     addr: &str,
 ) {
     text.push_str(&format!(
-        "{:>6}  {:<8}  {:<6}{:>7}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>9}  {:>5}   {}\n",
+        "{:>6}  {:<8}  {:<6}{:>7}  {:>7}  {:>8}  {:>8}  {:>6}  {:>9}  {:>5}   {}\n",
         shard,
         role,
         health,
@@ -119,7 +119,6 @@ fn push_row(
         fmt_u(p50),
         fmt_u(p99),
         fmt_f(wait_share.map(|s| s * 100.0), 1),
-        fmt_f(hit_rate.map(|s| s * 100.0), 1),
         fmt_u(log_seq),
         fmt_u(lag),
         addr,
@@ -225,7 +224,6 @@ fn render_router(text: &mut String, metrics: &Value, history: &Value) {
             lat.and_then(|l| get_u64(l, "p50_us")),
             lat.and_then(|l| get_u64(l, "p99_us")),
             rates.and_then(|r| get_f64(r, "queue_wait_share")),
-            rates.and_then(|r| get_f64(r, "cache_hit_rate")),
             get_u64(s, "log_seq"),
             get_u64(s, "repl_lag"),
             s.get("addr").and_then(Value::as_str).unwrap_or("?"),
@@ -263,7 +261,6 @@ fn render_single(text: &mut String, connect: &str, metrics: &Value, history: &Va
         lat.and_then(|l| get_u64(l, "p50_us")),
         lat.and_then(|l| get_u64(l, "p99_us")),
         rates.and_then(|r| get_f64(r, "queue_wait_share")),
-        rates.and_then(|r| get_f64(r, "cache_hit_rate")),
         get_u64(m, "log_seq"),
         None,
         connect,
@@ -354,7 +351,7 @@ mod tests {
         "{\"shard_index\":0,\"retain\":{\"capacity\":240,\"interval_ms\":1000},",
         "\"count\":2,\"rates\":{\"window_s\":1.0,\"completed_per_s\":6.5,",
         "\"quota_refused_per_s\":1.5,",
-        "\"cache_hit_rate\":0.9,\"queue_wait_share\":0.05}}]}",
+        "\"queue_wait_share\":0.05}}]}",
     );
 
     #[test]
@@ -372,7 +369,7 @@ mod tests {
             .find(|l| l.contains("127.0.0.1:7701"))
             .expect("shard 0 row");
         for needle in [
-            "primary", "ok", "6.5", "1.5", "640", "1700", "5.0", "90.0", "42", "2",
+            "primary", "ok", "6.5", "1.5", "640", "1700", "5.0", "42", "2",
         ] {
             assert!(row0.contains(needle), "{needle:?} missing from {row0:?}");
         }
@@ -404,7 +401,7 @@ mod tests {
         .unwrap();
         let history = json::parse(concat!(
             "{\"ok\":true,\"op\":\"history\",\"count\":2,\"rates\":{",
-            "\"window_s\":1.0,\"completed_per_s\":3.0,\"cache_hit_rate\":1.0,",
+            "\"window_s\":1.0,\"completed_per_s\":3.0,",
             "\"queue_wait_share\":0.0}}",
         ))
         .unwrap();
@@ -416,7 +413,7 @@ mod tests {
             .lines()
             .find(|l| l.contains("127.0.0.1:7700"))
             .expect("engine row");
-        for needle in ["0/2", "primary", "3.0", "500", "1200", "100.0", "9"] {
+        for needle in ["0/2", "primary", "3.0", "500", "1200", "9"] {
             assert!(row.contains(needle), "{needle:?} missing from {row:?}");
         }
         assert!(text.contains("acme"), "{text}");

@@ -184,7 +184,7 @@ fn wait_until_shards_up(c: &mut Client, want: usize) {
 
 /// Splits the `freqywm top` row for `addr` into its whitespace
 /// columns: shard, role, health, qps, refus/s, p50, p99, wait%,
-/// hit%, log_seq, lag, addr.
+/// log_seq, lag, addr.
 fn top_row(frame: &str, addr: SocketAddr) -> Vec<String> {
     frame
         .lines()
@@ -345,10 +345,10 @@ fn scrape_history_and_top_against_a_replicated_tier() {
             row[6]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} p99 not numeric: {row:?}"));
-            row[9]
+            row[8]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} log_seq not numeric: {row:?}"));
-            row[10]
+            row[9]
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("{label} repl lag not numeric: {row:?}"));
         }

@@ -9,7 +9,7 @@
 
 use crate::params::{DetectionParams, DetectionRule};
 use crate::secret::SecretList;
-use freqywm_crypto::prf::{DirectPrf, PrfProvider};
+use freqywm_crypto::prf::{pair_moduli, Secret};
 use freqywm_data::dataset::Dataset;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
@@ -47,11 +47,126 @@ impl DetectionOutcome {
     /// Fraction of stored pairs that verified, in `[0, 1]` — the
     /// "percentage of verified pairs" metric of Figs. 4 and 5.
     pub fn accept_rate(&self) -> f64 {
-        if self.total_pairs == 0 {
-            0.0
-        } else {
-            self.accepted_pairs as f64 / self.total_pairs as f64
-        }
+        accept_rate(self.accepted_pairs, self.total_pairs)
+    }
+}
+
+/// The verdict of `WM_Detect` without per-pair detail: what a served
+/// detect answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DetectTotals {
+    /// The final accept/reject decision (`accepted_pairs ≥ k`).
+    pub accepted: bool,
+    /// Number of pairs that verified.
+    pub accepted_pairs: usize,
+    /// Number of stored pairs whose tokens were both present.
+    pub present_pairs: usize,
+    /// Total stored pairs checked.
+    pub total_pairs: usize,
+}
+
+impl DetectTotals {
+    /// Fraction of stored pairs that verified, in `[0, 1]`.
+    pub fn accept_rate(&self) -> f64 {
+        accept_rate(self.accepted_pairs, self.total_pairs)
+    }
+}
+
+fn accept_rate(accepted: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        accepted as f64 / total as f64
+    }
+}
+
+/// The check of one present pair, as [`verify_pairs`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairCheck {
+    /// The re-derived modulus `s_ij`.
+    pub s: u64,
+    /// The observed remainder `(f_i − f_j) mod s`; `None` when `s < 2`.
+    pub remainder: Option<u64>,
+    /// Did the pair verify under the rule and tolerance?
+    pub accepted: bool,
+}
+
+/// A count scaled as [`Histogram::scaled`] scales it.
+fn scaled(count: u64, scale: Option<f64>) -> u64 {
+    match scale {
+        Some(f) => (count as f64 * f).round() as u64,
+        None => count,
+    }
+}
+
+/// One stored pair as [`verify_pairs`] takes it: its tokens, and their
+/// counts in the suspect data (unscaled) when both occur there.
+pub type PairCounts<'t> = ((&'t [u8], &'t [u8]), Option<(u64, u64)>);
+
+/// Algorithm II over the stored pairs' counts, `pairs` in stored
+/// order. Only the present pairs are hashed, in one [`pair_moduli`]
+/// batch; `on_pair` then sees every stored pair's check in order,
+/// `None` for a pair that is not present.
+///
+/// Panics if `params.scale` is not positive and finite, as
+/// [`Histogram::scaled`] does.
+pub fn verify_pairs<'t>(
+    secret: &Secret,
+    z: u64,
+    pairs: impl IntoIterator<Item = PairCounts<'t>>,
+    params: &DetectionParams,
+    mut on_pair: impl FnMut(Option<PairCheck>),
+) -> DetectTotals {
+    if let Some(f) = params.scale {
+        assert!(f.is_finite() && f > 0.0, "scale factor must be positive");
+    }
+    let mut present = Vec::new();
+    let counts: Vec<Option<(u64, u64)>> = pairs
+        .into_iter()
+        .map(|(tokens, counts)| {
+            if counts.is_some() {
+                present.push(tokens);
+            }
+            counts
+        })
+        .collect();
+    let mut moduli = Vec::new();
+    pair_moduli(secret, &present, z, &mut moduli);
+    let mut moduli = moduli.into_iter();
+    let mut accepted_pairs = 0usize;
+    for pair_counts in &counts {
+        let check = pair_counts.map(|(fa, fb)| {
+            let s = moduli.next().expect("one modulus per present pair");
+            // s < 2 cannot happen for pairs produced by generation;
+            // treat a corrupted secret conservatively as non-verifying.
+            if s < 2 {
+                return PairCheck {
+                    s,
+                    remainder: None,
+                    accepted: false,
+                };
+            }
+            let (fa, fb) = (scaled(fa, params.scale), scaled(fb, params.scale));
+            // Signed difference mod s, reduced to [0, s).
+            let rm = (fa as i128 - fb as i128).rem_euclid(s as i128) as u64;
+            let distance = match params.rule {
+                DetectionRule::Strict => rm,
+                DetectionRule::Symmetric => rm.min(s - rm),
+            };
+            PairCheck {
+                s,
+                remainder: Some(rm),
+                accepted: distance <= params.t,
+            }
+        });
+        accepted_pairs += usize::from(check.is_some_and(|c| c.accepted));
+        on_pair(check);
+    }
+    DetectTotals {
+        accepted: accepted_pairs >= params.k,
+        accepted_pairs,
+        present_pairs: present.len(),
+        total_pairs: counts.len(),
     }
 }
 
@@ -61,84 +176,32 @@ pub fn detect_histogram(
     secrets: &SecretList,
     params: &DetectionParams,
 ) -> DetectionOutcome {
-    detect_histogram_with(hist, secrets, params, &DirectPrf)
-}
-
-/// Runs Algorithm II with an injected [`PrfProvider`].
-///
-/// Batched deployments re-verify the same vocabulary against the same
-/// secret over and over (marketplace re-detections, dispute panels);
-/// passing a memoizing provider skips re-deriving
-/// `H(tk_i ‖ H(R ‖ tk_j))` for pairs already seen. Semantics are
-/// identical to [`detect_histogram`] for any transparent provider.
-pub fn detect_histogram_with<P: PrfProvider>(
-    hist: &Histogram,
-    secrets: &SecretList,
-    params: &DetectionParams,
-    prf: &P,
-) -> DetectionOutcome {
-    let scaled;
-    let hist = match params.scale {
-        Some(f) => {
-            scaled = hist.scaled(f);
-            &scaled
-        }
-        None => hist,
-    };
     let mut verdicts = Vec::with_capacity(secrets.pairs.len());
-    let mut accepted_pairs = 0usize;
-    let mut present_pairs = 0usize;
-    for (a, b) in &secrets.pairs {
-        let (fa, fb) = match (hist.count(a), hist.count(b)) {
-            (Some(fa), Some(fb)) => (fa, fb),
-            _ => {
-                verdicts.push(PairVerdict {
-                    tokens: (a.clone(), b.clone()),
-                    present: false,
-                    s: None,
-                    remainder: None,
-                    accepted: false,
-                });
-                continue;
-            }
-        };
-        present_pairs += 1;
-        let s = prf.pair_modulus(&secrets.secret, a.as_bytes(), b.as_bytes(), secrets.z);
-        if s < 2 {
-            // Cannot happen for pairs produced by generation; treat a
-            // corrupted secret conservatively as non-verifying.
+    let mut tokens = secrets.pairs.iter();
+    let totals = verify_pairs(
+        &secrets.secret,
+        secrets.z,
+        secrets.pairs.iter().map(|(a, b)| {
+            let counts = hist.count(a).zip(hist.count(b));
+            ((a.as_bytes(), b.as_bytes()), counts)
+        }),
+        params,
+        |check| {
+            let (a, b) = tokens.next().expect("one check per stored pair");
             verdicts.push(PairVerdict {
                 tokens: (a.clone(), b.clone()),
-                present: true,
-                s: Some(s),
-                remainder: None,
-                accepted: false,
+                present: check.is_some(),
+                s: check.map(|c| c.s),
+                remainder: check.and_then(|c| c.remainder),
+                accepted: check.is_some_and(|c| c.accepted),
             });
-            continue;
-        }
-        // Signed difference mod s, reduced to [0, s).
-        let rm = (fa as i128 - fb as i128).rem_euclid(s as i128) as u64;
-        let distance = match params.rule {
-            DetectionRule::Strict => rm,
-            DetectionRule::Symmetric => rm.min(s - rm),
-        };
-        let ok = distance <= params.t;
-        if ok {
-            accepted_pairs += 1;
-        }
-        verdicts.push(PairVerdict {
-            tokens: (a.clone(), b.clone()),
-            present: true,
-            s: Some(s),
-            remainder: Some(rm),
-            accepted: ok,
-        });
-    }
+        },
+    );
     DetectionOutcome {
-        accepted: accepted_pairs >= params.k,
-        accepted_pairs,
-        present_pairs,
-        total_pairs: secrets.pairs.len(),
+        accepted: totals.accepted,
+        accepted_pairs: totals.accepted_pairs,
+        present_pairs: totals.present_pairs,
+        total_pairs: totals.total_pairs,
         verdicts,
     }
 }
@@ -359,6 +422,108 @@ mod tests {
         assert!(!d.accepted);
         assert_eq!(d.total_pairs, 0);
         assert_eq!(d.accept_rate(), 0.0);
+    }
+
+    /// The per-pair loop `detect_histogram` ran before it was built on
+    /// [`verify_pairs`]: scale the whole histogram, then look up and
+    /// hash one pair at a time.
+    fn reference_detect(
+        hist: &Histogram,
+        secrets: &SecretList,
+        params: &DetectionParams,
+    ) -> DetectionOutcome {
+        let hist = params
+            .scale
+            .map_or_else(|| hist.clone(), |f| hist.scaled(f));
+        let verdicts: Vec<PairVerdict> = secrets
+            .pairs
+            .iter()
+            .map(|(a, b)| {
+                let (Some(fa), Some(fb)) = (hist.count(a), hist.count(b)) else {
+                    return PairVerdict {
+                        tokens: (a.clone(), b.clone()),
+                        present: false,
+                        s: None,
+                        remainder: None,
+                        accepted: false,
+                    };
+                };
+                let s = pair_modulus(&secrets.secret, a.as_bytes(), b.as_bytes(), secrets.z);
+                let rm = (s >= 2).then(|| (fa as i128 - fb as i128).rem_euclid(s as i128) as u64);
+                let accepted = rm.is_some_and(|rm| {
+                    let distance = match params.rule {
+                        DetectionRule::Strict => rm,
+                        DetectionRule::Symmetric => rm.min(s - rm),
+                    };
+                    distance <= params.t
+                });
+                PairVerdict {
+                    tokens: (a.clone(), b.clone()),
+                    present: true,
+                    s: Some(s),
+                    remainder: rm,
+                    accepted,
+                }
+            })
+            .collect();
+        let accepted_pairs = verdicts.iter().filter(|v| v.accepted).count();
+        DetectionOutcome {
+            accepted: accepted_pairs >= params.k,
+            accepted_pairs,
+            present_pairs: verdicts.iter().filter(|v| v.present).count(),
+            total_pairs: verdicts.len(),
+            verdicts,
+        }
+    }
+
+    #[test]
+    fn detect_matches_the_per_pair_reference() {
+        let (h, out, _) = watermark(0.6, 131);
+        // Long tokens take the fallback hash; z = 2 makes s < 2 pairs.
+        let long = |t: &Token| Token::new(format!("{}-{}", t.as_str(), "x".repeat(30)));
+        let mut mixed = out.secrets.clone();
+        for pair in mixed.pairs.iter_mut().step_by(3) {
+            pair.1 = long(&pair.1);
+        }
+        let renamed = Histogram::from_counts(out.watermarked.entries().iter().map(|(t, c)| {
+            let renamed = mixed.pairs.iter().step_by(3).any(|(_, b)| *b == long(t));
+            (if renamed { long(t) } else { t.clone() }, *c)
+        }));
+        let mut tiny_z = out.secrets.clone();
+        tiny_z.z = 2;
+        let dropped = Histogram::from_counts(
+            out.watermarked
+                .entries()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 4 != 1)
+                .map(|(_, e)| e.clone()),
+        );
+        let cases = [
+            (&out.watermarked, &out.secrets),
+            (&h, &out.secrets),
+            (&dropped, &out.secrets),
+            (&renamed, &mixed),
+            (&out.watermarked, &mixed),
+            (&out.watermarked, &tiny_z),
+        ];
+        for (hist, secrets) in cases {
+            for scale in [None, Some(0.25), Some(0.5), Some(3.7)] {
+                for rule in [DetectionRule::Symmetric, DetectionRule::Strict] {
+                    let params = DetectionParams {
+                        t: 1,
+                        k: secrets.len() / 2,
+                        rule,
+                        scale,
+                    };
+                    assert_eq!(
+                        detect_histogram(hist, secrets, &params),
+                        reference_detect(hist, secrets, &params),
+                        "scale {scale:?}, rule {rule:?}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

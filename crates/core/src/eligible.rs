@@ -62,16 +62,16 @@ pub fn eligible_pairs(hist: &Histogram, secret: &Secret, z: u64) -> Vec<Eligible
 /// [`eligible_pairs`] with an additional modulus floor: pairs with
 /// `s_ij < min_s` are rejected.
 ///
-/// Two deliberate deviations from the paper's rule, both documented in
-/// DESIGN.md:
+/// Two deliberate deviations from the paper's rule:
 ///
 /// * the lower boundary of the **last** token is capped at
 ///   `f_last − 1` instead of `f_last`, so no token can be erased from
 ///   the dataset entirely (a vanished token makes its pair
 ///   undetectable in a materialised dataset);
 /// * `min_s > 2` lets the owner skip tiny moduli, whose pairs verify
-///   trivially once the detection tolerance `t` reaches `s/2` (see the
-///   false-positive discussion in EXPERIMENTS.md).
+///   trivially once the detection tolerance `t` reaches `s/2` and so
+///   raise the false-positive rate on unmarked data (`exp_ablation`
+///   measures the trade-off).
 pub fn eligible_pairs_with_min(
     hist: &Histogram,
     secret: &Secret,

@@ -8,10 +8,9 @@
 //! pirate's watermark was inserted after `D_w` existed and therefore
 //! cannot be present in it.
 
-use crate::detect::{detect_histogram_with, DetectionOutcome};
+use crate::detect::{detect_histogram, DetectionOutcome};
 use crate::params::DetectionParams;
 use crate::secret::SecretList;
-use freqywm_crypto::prf::{DirectPrf, PrfProvider};
 use freqywm_data::histogram::Histogram;
 
 /// One party's ownership claim: the dataset version it holds plus the
@@ -48,23 +47,10 @@ pub struct Ruling {
 
 /// Arbitrates an ownership dispute between two claims.
 pub fn judge_dispute(a: &Claim, b: &Claim, params: &DetectionParams) -> Ruling {
-    judge_dispute_with(a, b, params, &DirectPrf, &DirectPrf)
-}
-
-/// Dispute arbitration with injected [`PrfProvider`]s, one per claimant
-/// (each claim has its own secret, so a memoizing deployment keys the
-/// two providers differently). Semantics match [`judge_dispute`].
-pub fn judge_dispute_with<PA: PrfProvider, PB: PrfProvider>(
-    a: &Claim,
-    b: &Claim,
-    params: &DetectionParams,
-    prf_a: &PA,
-    prf_b: &PB,
-) -> Ruling {
-    let a_on_a = detect_histogram_with(&a.histogram, &a.secrets, params, prf_a);
-    let a_on_b = detect_histogram_with(&b.histogram, &a.secrets, params, prf_a);
-    let b_on_b = detect_histogram_with(&b.histogram, &b.secrets, params, prf_b);
-    let b_on_a = detect_histogram_with(&a.histogram, &b.secrets, params, prf_b);
+    let a_on_a = detect_histogram(&a.histogram, &a.secrets, params);
+    let a_on_b = detect_histogram(&b.histogram, &a.secrets, params);
+    let b_on_b = detect_histogram(&b.histogram, &b.secrets, params);
+    let b_on_a = detect_histogram(&a.histogram, &b.secrets, params);
     let a_wins = a_on_a.accepted && a_on_b.accepted;
     let b_wins = b_on_b.accepted && b_on_a.accepted;
     let verdict = match (a_wins, b_wins) {
@@ -101,7 +87,7 @@ mod tests {
     /// pirate re-watermarks the owner's output. Both run with
     /// free-pair exclusion — without it the pirate's watermark largely
     /// pre-exists in the owner's data and the four-run protocol cannot
-    /// discriminate (see EXPERIMENTS.md, "Reproduction notes").
+    /// discriminate (`exp_rewatermark` measures both settings).
     fn dispute() -> (Claim, Claim) {
         let wm = Watermarker::new(
             GenerationParams::default()

@@ -39,11 +39,12 @@ pub mod secret;
 pub mod select;
 
 pub use detect::{
-    detect_dataset, detect_histogram, detect_histogram_with, DetectionOutcome, PairVerdict,
+    detect_dataset, detect_histogram, verify_pairs, DetectTotals, DetectionOutcome, PairCheck,
+    PairCounts, PairVerdict,
 };
 pub use error::{Error, Result};
 pub use generate::{GenerationOutput, GenerationReport, Watermarker};
 pub use incremental::{IncrementalWatermarker, MaintenanceReport};
-pub use judge::{judge_dispute, judge_dispute_with, Claim, Verdict};
+pub use judge::{judge_dispute, Claim, Verdict};
 pub use params::{DetectionParams, DetectionRule, GenerationParams, Selection, WeightScheme};
 pub use secret::SecretList;

@@ -21,8 +21,8 @@ pub mod sha256;
 
 pub use hmac::hmac_sha256;
 pub use prf::{
-    inner_digest, outer_moduli, outer_modulus, pair_modulus, DirectPrf, KeyStream, PrfProvider,
-    Secret,
+    inner_digest, outer_moduli, outer_modulus, pair_moduli, pair_modulus, DirectPrf, KeyStream,
+    PrfProvider, Secret,
 };
 pub use sha256::{sha256, Sha256};
 

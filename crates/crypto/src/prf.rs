@@ -13,7 +13,9 @@
 //! the 256-bit digest modulo `z` in big-endian order. It is the
 //! composition of [`inner_digest`] (`H(R || tk_j)`, per token) and
 //! [`outer_modulus`] (per pair), which sweeps over many pairs call
-//! separately.
+//! separately. Two batched forms run two hashes at a time:
+//! [`outer_moduli`] for one sweep row, and [`pair_moduli`] for a list
+//! of pairs (detect's stored pairs).
 //!
 //! [`KeyStream`] turns the same secret into a deterministic random
 //! stream (HMAC-SHA-256 in counter mode). The generation algorithm uses
@@ -22,8 +24,8 @@
 //! new instances would leak the watermarked pairs.
 
 use crate::hmac::hmac_sha256;
-use crate::sha256::{one_block_states, sha256_concat, Sha256};
-use crate::Digest;
+use crate::sha256::{one_block_states, sha256_concat, state_bytes, Sha256, ONE_BLOCK_MAX};
+use crate::{Digest, DIGEST_LEN};
 use rand::{CryptoRng, RngCore, SeedableRng};
 
 /// Security parameter λ in bytes (256 bits, matching SHA-256 output).
@@ -157,18 +159,66 @@ pub fn outer_modulus(tk_i: &[u8], inner: &Digest, z: u64) -> u64 {
     digest_mod(&sha256_concat(&[tk_i, inner]), z)
 }
 
+/// Longest token whose PRF messages fit one SHA-256 block: the inner
+/// `R ‖ tk_j` and the outer `tk_i ‖ H(R ‖ tk_j)` are each 32 bytes
+/// plus a token.
+const ONE_BLOCK_TOKEN: usize = ONE_BLOCK_MAX - DIGEST_LEN;
+
 /// One row of the pair sweep: replaces the contents of `out` with
 /// [`outer_modulus`]`(tk_i, &inners[k], z)` for every `k`, in order.
 ///
 /// When `tk_i ‖ inner` fits one SHA-256 block (`tk_i` of at most 23
-/// bytes) the row pads that block once and rewrites only the inner
-/// digest per pair, two compressions at a time; longer tokens fall back
-/// to [`outer_modulus`] per pair.
+/// bytes) the row runs two compressions at a time; longer tokens fall
+/// back to [`outer_modulus`] per pair.
 pub fn outer_moduli(tk_i: &[u8], inners: &[Digest], z: u64, out: &mut Vec<u64>) {
     out.clear();
     out.reserve(inners.len());
-    if !one_block_states(tk_i, inners, |state| out.push(state_mod(state, z))) {
+    if tk_i.len() <= ONE_BLOCK_TOKEN {
+        one_block_states(inners.iter().map(|inner| (tk_i, inner)), |state| {
+            out.push(state_mod(state, z))
+        });
+    } else {
         out.extend(inners.iter().map(|inner| outer_modulus(tk_i, inner, z)));
+    }
+}
+
+/// Replaces the contents of `out` with [`pair_modulus`]`(secret, tk_i,
+/// tk_j, z)` for every `(tk_i, tk_j)` in `pairs`, in order.
+///
+/// Pairs whose tokens are both at most 23 bytes run their inner and
+/// then their outer hashes two compressions at a time; any other pair
+/// falls back to [`pair_modulus`].
+pub fn pair_moduli(secret: &Secret, pairs: &[(&[u8], &[u8])], z: u64, out: &mut Vec<u64>) {
+    let fits = |(tk_i, tk_j): &(&[u8], &[u8])| {
+        tk_i.len() <= ONE_BLOCK_TOKEN && tk_j.len() <= ONE_BLOCK_TOKEN
+    };
+    let short = || pairs.iter().filter(|p| fits(p));
+    let mut inners = Vec::with_capacity(pairs.len());
+    one_block_states(
+        short().map(|(_, tk_j)| (&secret.as_bytes()[..], tk_j)),
+        |state| inners.push(state_bytes(state)),
+    );
+    out.clear();
+    out.reserve(pairs.len());
+    one_block_states(
+        short()
+            .zip(&inners)
+            .map(|((tk_i, _), inner)| (*tk_i, inner)),
+        |state| out.push(state_mod(state, z)),
+    );
+    if out.len() < pairs.len() {
+        // Move the short pairs' moduli to their places, back to front,
+        // and compute the long pairs' in between.
+        let mut done = out.len();
+        out.resize(pairs.len(), 0);
+        for (k, pair) in pairs.iter().enumerate().rev() {
+            out[k] = if fits(pair) {
+                done -= 1;
+                out[done]
+            } else {
+                pair_modulus(secret, pair.0, pair.1, z)
+            };
+        }
     }
 }
 
@@ -395,6 +445,58 @@ mod tests {
                         .collect();
                     assert_eq!(row, want, "tk_i of {len} bytes, {n} pairs, z={z}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_moduli_match_pair_modulus_across_the_one_block_boundary() {
+        let s = secret(8);
+        let text: Vec<u8> = (0..64u8).map(|i| b'a' + i % 26).collect();
+        let token = |len: usize, tag: u8| {
+            let mut t = text[..len].to_vec();
+            if let Some(last) = t.last_mut() {
+                *last = tag;
+            }
+            t
+        };
+        let zs = [1u64, 2, 131, 1031, (1 << 32) + 15, u64::MAX];
+        let check = |pairs: &[(&[u8], &[u8])], out: &mut Vec<u64>| {
+            for z in zs {
+                pair_moduli(&s, pairs, z, out);
+                let want: Vec<u64> = pairs
+                    .iter()
+                    .map(|(a, b)| pair_modulus(&s, a, b, z))
+                    .collect();
+                let lens: Vec<(usize, usize)> =
+                    pairs.iter().map(|(a, b)| (a.len(), b.len())).collect();
+                assert_eq!(*out, want, "pairs of lengths {lens:?}, z={z}");
+            }
+        };
+        let mut out = vec![7u64; 3];
+        // Every tk_i and tk_j length from 0 to 64, one pair at a time.
+        for len_i in 0..=64 {
+            for len_j in 0..=64 {
+                let (a, b) = (token(len_i, b'I'), token(len_j, b'J'));
+                check(&[(&a, &b)], &mut out);
+            }
+        }
+        // Batches of 0-5 pairs mixing short and long tokens on both
+        // sides, so odd lane remainders and in-place spreading both run.
+        let lens = [0usize, 5, 22, 23, 24, 40, 64];
+        let tokens: Vec<Vec<u8>> = (0..lens.len() * 2)
+            .map(|k| token(lens[k % lens.len()], b'0' + k as u8))
+            .collect();
+        for n in 0..=5 {
+            for start in 0..tokens.len() {
+                let pairs: Vec<(&[u8], &[u8])> = (0..n)
+                    .map(|p| {
+                        let i = (start + 3 * p) % tokens.len();
+                        let j = (start + 5 * p + 1) % tokens.len();
+                        (&tokens[i][..], &tokens[j][..])
+                    })
+                    .collect();
+                check(&pairs, &mut out);
             }
         }
     }

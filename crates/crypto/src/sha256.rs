@@ -11,9 +11,9 @@
 //! Messages of at most [`ONE_BLOCK_MAX`] bytes — every pair-PRF message
 //! whose token is 23 bytes or shorter — fit one padded block and take
 //! [`sha256_one_block`], which skips the streaming buffer entirely. A
-//! row of such messages sharing a prefix ([`one_block_states`], the
-//! pair-PRF sweep) pads the block once, checks CPU features once, and
-//! runs two compressions interleaved.
+//! batch of such messages ([`one_block_states`]: a pair-PRF sweep row,
+//! or the inner and outer hashes of detect's stored pairs) checks CPU
+//! features once and runs two compressions interleaved.
 
 use crate::Digest;
 
@@ -116,7 +116,7 @@ impl Sha256 {
 }
 
 /// Big-endian serialisation of a finished state.
-fn state_bytes(state: &[u32; 8]) -> Digest {
+pub(crate) fn state_bytes(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; 32];
     for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
         chunk.copy_from_slice(&w.to_be_bytes());
@@ -208,7 +208,7 @@ fn compress2_scalar(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
 
 #[cfg(target_arch = "x86_64")]
 mod sha_ni {
-    use super::{Digest, K};
+    use super::K;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -370,15 +370,13 @@ mod sha_ni {
     ///
     /// # Safety
     ///
-    /// As for [`compress`]; `at + 32 <= 64`.
+    /// As for [`compress`].
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) unsafe fn one_block_states(
-        template: &[u8; 64],
-        at: usize,
-        suffixes: &[Digest],
+    pub(super) unsafe fn one_block_states<'m, T: AsRef<[u8]> + 'm>(
+        messages: impl IntoIterator<Item = (&'m [u8], T)>,
         emit: impl FnMut(&[u32; 8]),
     ) {
-        super::two_lane_sweep(template, at, suffixes, emit, |states, blocks| {
+        super::two_lane_sweep(messages, emit, |states, blocks| {
             // SAFETY: the caller of this function guarantees the CPU
             // features `compress2` needs.
             unsafe { compress2(states, blocks) }
@@ -415,57 +413,92 @@ pub fn sha256_one_block(parts: &[&[u8]]) -> Option<Digest> {
     Some(state_bytes(&state))
 }
 
-/// The finished SHA-256 state of `prefix ‖ suffix` for every `suffix`
-/// in `suffixes`, passed to `emit` in order — the big-endian bytes of
-/// a state are the digest. Returns `false`, emitting nothing, when
-/// `prefix ‖ suffix` exceeds [`ONE_BLOCK_MAX`] bytes.
+/// The finished SHA-256 state of every two-part message `head ‖ tail`
+/// in `messages`, passed to `emit` in order — the big-endian bytes of
+/// a state are the digest. Every message must fit one block (`head`
+/// and `tail` together at most [`ONE_BLOCK_MAX`] bytes); a longer one
+/// panics.
 ///
-/// The padded block is built once and only the suffix is rewritten per
-/// message; the CPU is asked for SHA-NI once per call, and on SHA-NI
-/// two messages are compressed at a time, interleaved.
-pub(crate) fn one_block_states(
-    prefix: &[u8],
-    suffixes: &[Digest],
+/// The CPU is asked for SHA-NI once per call, and on SHA-NI two
+/// messages are compressed at a time, interleaved.
+pub(crate) fn one_block_states<'m, T: AsRef<[u8]> + 'm>(
+    messages: impl IntoIterator<Item = (&'m [u8], T)>,
     emit: impl FnMut(&[u32; 8]),
-) -> bool {
-    let at = prefix.len();
-    let len = at + crate::DIGEST_LEN;
-    if len > ONE_BLOCK_MAX {
-        return false;
-    }
-    let mut template = [0u8; 64];
-    template[..at].copy_from_slice(prefix);
-    pad_one_block(&mut template, len);
+) {
     #[cfg(target_arch = "x86_64")]
     if sha_ni::available() {
-        // SAFETY: `available()` just confirmed the CPU features, and
-        // `at + 32 = len <= ONE_BLOCK_MAX < 64`.
-        unsafe { sha_ni::one_block_states(&template, at, suffixes, emit) };
-        return true;
+        // SAFETY: `available()` just confirmed the CPU features.
+        unsafe { sha_ni::one_block_states(messages, emit) };
+        return;
     }
-    two_lane_sweep(&template, at, suffixes, emit, compress2_scalar);
-    true
+    two_lane_sweep(messages, emit, compress2_scalar);
 }
 
-/// Compresses `template` with each suffix written at `template[at..at +
-/// 32]`, from the initial state, two messages per `compress2` call, and
-/// passes each finished state to `emit` in order. An odd last message
-/// runs in both lanes.
+/// One lane's padded block, the head slice it was last written from
+/// and the length of the message it holds.
+#[derive(Clone, Copy)]
+struct Lane {
+    block: [u8; 64],
+    head: (*const u8, usize),
+    len: usize,
+}
+
+impl Lane {
+    const EMPTY: Lane = Lane {
+        block: [0; 64],
+        head: (std::ptr::null(), usize::MAX),
+        len: usize::MAX,
+    };
+
+    /// Writes the one-block message `head ‖ tail` over the previous
+    /// one, copying `head` only when it is a different slice (a sweep
+    /// row repeats one) and re-padding only when the length changed.
+    ///
+    /// Every head of one sweep is borrowed for the whole sweep, so a
+    /// slice at the same address and length holds the same bytes.
+    #[inline(always)]
+    fn write(&mut self, head: &[u8], tail: &[u8]) {
+        let len = head.len() + tail.len();
+        assert!(len <= ONE_BLOCK_MAX, "{len}-byte message exceeds one block");
+        if (head.as_ptr(), head.len()) != self.head {
+            self.block[..head.len()].copy_from_slice(head);
+            self.head = (head.as_ptr(), head.len());
+        }
+        self.block[head.len()..len].copy_from_slice(tail);
+        if len != self.len {
+            self.block[len..56].fill(0);
+            pad_one_block(&mut self.block, len);
+            self.len = len;
+        }
+    }
+}
+
+/// Compresses each message from the initial state, two per
+/// `compress2` call, and passes each finished state to `emit` in
+/// order. An odd last message runs in both lanes.
 #[inline(always)]
-fn two_lane_sweep(
-    template: &[u8; 64],
-    at: usize,
-    suffixes: &[Digest],
+fn two_lane_sweep<'m, T: AsRef<[u8]> + 'm>(
+    messages: impl IntoIterator<Item = (&'m [u8], T)>,
     mut emit: impl FnMut(&[u32; 8]),
     compress2: impl Fn(&mut [[u32; 8]; 2], [&[u8; 64]; 2]),
 ) {
-    let mut blocks = [*template; 2];
-    for pair in suffixes.chunks(2) {
-        blocks[0][at..at + 32].copy_from_slice(&pair[0]);
-        blocks[1][at..at + 32].copy_from_slice(pair.last().expect("chunks are non-empty"));
+    let mut lanes = [Lane::EMPTY; 2];
+    let mut messages = messages.into_iter();
+    while let Some((head, tail)) = messages.next() {
+        lanes[0].write(head, tail.as_ref());
+        let n = match messages.next() {
+            Some((head, tail)) => {
+                lanes[1].write(head, tail.as_ref());
+                2
+            }
+            None => {
+                lanes[1] = lanes[0];
+                1
+            }
+        };
         let mut states = [H0; 2];
-        compress2(&mut states, [&blocks[0], &blocks[1]]);
-        states[..pair.len()].iter().for_each(&mut emit);
+        compress2(&mut states, [&lanes[0].block, &lanes[1].block]);
+        states[..n].iter().for_each(&mut emit);
     }
 }
 
@@ -657,42 +690,59 @@ mod tests {
     fn one_block_states_match_one_block_hashes() {
         let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(53)).collect();
         let suffixes: Vec<Digest> = (0..5u32).map(|i| sha256(&i.to_be_bytes())).collect();
-        for prefix_len in 0..=64 {
+        for prefix_len in 0..=ONE_BLOCK_MAX - 32 {
             let prefix = &data[..prefix_len];
             for n in 0..=suffixes.len() {
+                let messages = || suffixes[..n].iter().map(|d| (prefix, d));
+                let want: Vec<Digest> = messages().map(|(p, d)| sha256_concat(&[p, d])).collect();
                 let mut got = Vec::new();
-                let fits = one_block_states(prefix, &suffixes[..n], |s| got.push(state_bytes(s)));
-                assert_eq!(
-                    fits,
-                    prefix_len + 32 <= ONE_BLOCK_MAX,
-                    "prefix {prefix_len}"
-                );
-                let want: Vec<Digest> = if fits {
-                    suffixes[..n]
-                        .iter()
-                        .map(|d| sha256_concat(&[prefix, d]))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                one_block_states(messages(), |s| got.push(state_bytes(s)));
                 assert_eq!(got, want, "prefix {prefix_len}, {n} suffixes");
-                if fits {
-                    // The scalar lanes, whatever this CPU picks above.
-                    let mut template = [0u8; 64];
-                    template[..prefix_len].copy_from_slice(prefix);
-                    pad_one_block(&mut template, prefix_len + 32);
-                    let mut scalar = Vec::new();
-                    two_lane_sweep(
-                        &template,
-                        prefix_len,
-                        &suffixes[..n],
-                        |s| scalar.push(state_bytes(s)),
-                        compress2_scalar,
-                    );
-                    assert_eq!(scalar, want, "scalar, prefix {prefix_len}, {n} suffixes");
-                }
+                // The scalar lanes, whatever this CPU picks above.
+                let mut scalar = Vec::new();
+                two_lane_sweep(
+                    messages(),
+                    |s| scalar.push(state_bytes(s)),
+                    compress2_scalar,
+                );
+                assert_eq!(scalar, want, "scalar, prefix {prefix_len}, {n} suffixes");
             }
         }
+    }
+
+    #[test]
+    fn one_block_states_repad_lanes_as_message_lengths_change() {
+        let data: Vec<u8> = (0..ONE_BLOCK_MAX as u8)
+            .map(|i| i.wrapping_mul(29))
+            .collect();
+        // Heads and tails of every length, in an order that grows and
+        // shrinks each lane's message.
+        let messages: Vec<(&[u8], &[u8])> = (0..=ONE_BLOCK_MAX)
+            .flat_map(|len| [len, ONE_BLOCK_MAX - len])
+            .map(|len| data[..len].split_at(len / 3))
+            .collect();
+        let want: Vec<Digest> = messages
+            .iter()
+            .map(|(h, t)| sha256_concat(&[h, t]))
+            .collect();
+        for n in 0..=messages.len() {
+            let mut got = Vec::new();
+            one_block_states(messages[..n].iter().copied(), |s| got.push(state_bytes(s)));
+            assert_eq!(got, want[..n], "{n} messages");
+            let mut scalar = Vec::new();
+            two_lane_sweep(
+                messages[..n].iter().copied(),
+                |s| scalar.push(state_bytes(s)),
+                compress2_scalar,
+            );
+            assert_eq!(scalar, want[..n], "scalar, {n} messages");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds one block")]
+    fn one_block_states_refuse_a_message_over_one_block() {
+        one_block_states([(&[0u8; 24][..], [0u8; 32])], |_| {});
     }
 
     #[test]

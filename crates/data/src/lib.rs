@@ -13,7 +13,7 @@
 //! * [`synthetic`] — the power-law generator behind the Sec. IV-A
 //!   experiments (1M samples over 1K tokens, skew α);
 //! * [`realworld`] — simulated stand-ins for Chicago Taxi, eyeWnder
-//!   and Adult (see DESIGN.md §3 for the substitution rationale);
+//!   and Adult, whose originals are not redistributable;
 //! * [`csv`] — a small CSV reader/writer for the CLI and examples;
 //! * [`bucketize`] — bucketing of wide-range numeric data (Sec. VI,
 //!   "challenging datasets");

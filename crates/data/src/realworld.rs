@@ -4,7 +4,7 @@
 //! Adult) are not redistributable here, so each generator reproduces
 //! the *properties FreqyWM actually consumes* — the distinct-token
 //! count and the shape of the frequency histogram — at a documented
-//! scale (see DESIGN.md §3):
+//! scale (the `*_DEFAULT_*` constants below):
 //!
 //! * **Chicago Taxi** — 6 573 distinct taxi ids, heavy-tailed trip
 //!   counts with large frequency gaps ⇒ tens of thousands of eligible

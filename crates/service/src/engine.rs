@@ -1,5 +1,5 @@
 //! The multi-tenant watermarking engine: bounded job queue + worker
-//! pool over the registry, PRF cache and metrics.
+//! pool over the registry and metrics.
 //!
 //! ```
 //! use freqywm_service::engine::{Engine, EngineConfig};
@@ -37,14 +37,12 @@ use crate::job::{
 };
 use crate::metrics::{HistorySample, Metrics, MetricsSnapshot, M};
 use crate::persist::DurableRegistry;
-use crate::prf_cache::{PrfCache, PrfCacheConfig};
 use crate::quota::{QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus};
 use crate::shard::{sharded_histogram_cancellable, Cancellation};
 use crate::storage::{NullStorage, Storage};
-use freqywm_core::detect::detect_histogram_with;
 use freqywm_core::generate::Watermarker;
 use freqywm_core::incremental::IncrementalWatermarker;
-use freqywm_core::judge::{judge_dispute_with, Claim, Ruling, Verdict};
+use freqywm_core::judge::{judge_dispute, Claim, Ruling, Verdict};
 use freqywm_core::params::DetectionParams;
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
@@ -107,8 +105,6 @@ pub struct EngineConfig {
     /// deadline error — reaped from the queue, or cancelled at the
     /// next cooperative checkpoint if already running.
     pub default_timeout: Duration,
-    /// PRF cache geometry (use [`PrfCacheConfig::disabled`] to bypass).
-    pub cache: PrfCacheConfig,
     /// Threads for sharded histogram construction inside one job.
     pub shard_threads: usize,
     /// HMAC key for the registration ledger.
@@ -156,7 +152,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: 1024,
             default_timeout: Duration::from_secs(30),
-            cache: PrfCacheConfig::default(),
             shard_threads: 4,
             ledger_key: b"freqywm-service-ledger".to_vec(),
             snapshot_every: crate::persist::DEFAULT_SNAPSHOT_EVERY,
@@ -198,7 +193,6 @@ struct Shared {
     jobs: Mutex<HashMap<JobId, JobState>>,
     jobs_cv: Condvar,
     registry: RwLock<DurableRegistry>,
-    cache: PrfCache,
     metrics: Metrics,
     /// Logical clock for registration ordering (strictly monotonic, so
     /// ledger chronology is deterministic under test).
@@ -326,7 +320,6 @@ impl Engine {
         let clock_start = registry.clock_floor() + 1;
         let follower = config.follow.is_some();
         let shared = Arc::new(Shared {
-            cache: PrfCache::new(config.cache),
             registry: RwLock::new(registry),
             obs: Arc::new(SpanRing::new(config.trace_ring)),
             follower: AtomicBool::new(follower),
@@ -759,8 +752,8 @@ impl Engine {
     }
 
     /// Arbitrates ownership of between two tenants' latest watermarks:
-    /// the four-run protocol through the PRF cache, with the
-    /// registration ledger as chronological tiebreak.
+    /// the four-run protocol, with the registration ledger as
+    /// chronological tiebreak.
     pub fn dispute(
         &self,
         tenant_a: &str,
@@ -781,17 +774,9 @@ impl Engine {
             histogram: wb.watermarked.to_histogram(),
             secrets: wb.secrets.to_secret_list(),
         };
-        let tag_a = registry.cache_tag(tenant_a)?;
-        let tag_b = registry.cache_tag(tenant_b)?;
         let ledger_order = registry.earlier_watermark(tenant_a, tenant_b)?;
         drop(registry);
-        let ruling = judge_dispute_with(
-            &claim_a,
-            &claim_b,
-            params,
-            &self.shared.cache.for_tag(tag_a),
-            &self.shared.cache.for_tag(tag_b),
-        );
+        let ruling = judge_dispute(&claim_a, &claim_b, params);
         let (winner, decisive) = match ruling.verdict {
             Verdict::FirstParty => (tenant_a.to_string(), true),
             Verdict::SecondParty => (tenant_b.to_string(), true),
@@ -820,8 +805,8 @@ impl Engine {
         self.shared.config.shard_gate.as_ref().map(ShardGate::label)
     }
 
-    /// Every metric family: counters, latency histograms, queue, cache
-    /// and registry gauges, shard label and replication role.
+    /// Every metric family: counters, latency histograms, queue and
+    /// registry gauges, shard label and replication role.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot(&gauges(&self.shared));
         snapshot.shard = self.shard_label().map(str::to_string);
@@ -945,21 +930,17 @@ fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
 }
 
 /// The gauges the engine reads from its own state rather than counting:
-/// queue depth, registry size and log position, PRF-cache counters.
-fn gauges(shared: &Shared) -> [(M, u64); 6] {
+/// queue depth, registry size and log position.
+fn gauges(shared: &Shared) -> [(M, u64); 3] {
     let queue_depth = shared.queue.lock().expect("queue lock poisoned").len() as u64;
     let (tenants, log_seq) = {
         let registry = shared.registry.read().expect("registry lock poisoned");
         (registry.len() as u64, registry.next_seq())
     };
-    let cache = shared.cache.stats();
     [
         (M::QueueDepth, queue_depth),
         (M::Tenants, tenants),
         (M::LogSeq, log_seq),
-        (M::CacheHits, cache.hits),
-        (M::CacheMisses, cache.misses),
-        (M::CacheEntries, cache.entries),
     ]
 }
 
@@ -1187,6 +1168,7 @@ fn check_deadline(cancel: &Cancellation) -> Result<()> {
 fn materialize(shared: &Shared, data: JobData, cancel: &Cancellation) -> Result<Histogram> {
     match data {
         JobData::Histogram(h) => Ok(h),
+        JobData::Rows(rows) => Ok(rows.to_histogram()),
         JobData::Tokens(tokens) => {
             sharded_histogram_cancellable(&tokens, shared.config.shard_threads, cancel)
                 .map_err(|_| ServiceError::DeadlineExceeded)
@@ -1228,9 +1210,6 @@ fn run_payload(
                 .clone();
             let hist = materialize(shared, data, &cancel)?;
             check_deadline(&cancel)?;
-            // Embed sweeps the PRF directly, never through the cache: a
-            // cold sweep draws more moduli than the cache holds, and
-            // sending them through it would only evict detect entries.
             let sweep_started = Instant::now();
             let out = Watermarker::new(params).generate_histogram(&hist, secret)?;
             sweep_span(&tenant, JobKind::Embed, sweep_started);
@@ -1256,17 +1235,30 @@ fn run_payload(
             data,
             params,
         } => {
-            let (secrets, tag) = {
-                let registry = shared.registry.read().expect("registry lock poisoned");
-                let wm = registry.require_watermark(&tenant)?;
-                (wm.secrets.clone(), registry.cache_tag(&tenant)?)
+            let secrets = shared
+                .registry
+                .read()
+                .expect("registry lock poisoned")
+                .require_watermark(&tenant)?
+                .secrets
+                .clone();
+            // Request rows stream against the stored pairs; a histogram
+            // (or counted tokens) streams its entries the same way.
+            let sweep_started;
+            let outcome = match data {
+                JobData::Rows(rows) => {
+                    check_deadline(&cancel)?;
+                    sweep_started = Instant::now();
+                    secrets.detect_rows(rows.iter(), &params)
+                }
+                data => {
+                    let hist = materialize(shared, data, &cancel)?;
+                    check_deadline(&cancel)?;
+                    sweep_started = Instant::now();
+                    let rows = hist.entries().iter().map(|(t, c)| (t.as_str(), *c));
+                    secrets.detect_rows(rows, &params)
+                }
             };
-            let secrets = secrets.to_secret_list();
-            let hist = materialize(shared, data, &cancel)?;
-            check_deadline(&cancel)?;
-            let sweep_started = Instant::now();
-            let outcome =
-                detect_histogram_with(&hist, &secrets, &params, &shared.cache.for_tag(tag));
             sweep_span(&tenant, JobKind::Detect, sweep_started);
             Ok(JobOutput::Detect(DetectOutcome { tenant, outcome }))
         }

@@ -1,7 +1,8 @@
 //! Job model: what the engine accepts and what it hands back.
 
 use crate::error::ServiceError;
-use freqywm_core::detect::DetectionOutcome;
+use crate::registry::CountRows;
+use freqywm_core::detect::DetectTotals;
 use freqywm_core::generate::GenerationReport;
 use freqywm_core::incremental::MaintenanceReport;
 use freqywm_core::params::{DetectionParams, GenerationParams};
@@ -12,11 +13,14 @@ use std::time::Duration;
 /// Engine-assigned job identifier.
 pub type JobId = u64;
 
-/// Input data for embed/detect jobs: a pre-counted histogram or a raw
-/// token stream (counted by the engine's sharded builder).
+/// Input data for embed/detect jobs: a pre-counted histogram, packed
+/// count rows (a detect request's `counts`, streamed by the worker
+/// without building a histogram), or a raw token stream (counted by
+/// the engine's sharded builder).
 #[derive(Debug, Clone)]
 pub enum JobData {
     Histogram(Histogram),
+    Rows(CountRows),
     Tokens(Vec<Token>),
 }
 
@@ -24,6 +28,7 @@ impl JobData {
     pub fn len_hint(&self) -> usize {
         match self {
             JobData::Histogram(h) => h.len(),
+            JobData::Rows(r) => r.len(),
             JobData::Tokens(t) => t.len(),
         }
     }
@@ -40,7 +45,7 @@ pub enum JobPayload {
         params: GenerationParams,
     },
     /// Run `WM_Detect` against the tenant's latest registered
-    /// watermark, through the PRF cache.
+    /// watermark.
     Detect {
         tenant: String,
         data: JobData,
@@ -138,7 +143,9 @@ pub struct EmbedOutcome {
 #[derive(Debug, Clone)]
 pub struct DetectOutcome {
     pub tenant: String,
-    pub outcome: DetectionOutcome,
+    /// The verdict totals; the per-pair detail stays in the library's
+    /// [`freqywm_core::detect::detect_histogram`].
+    pub outcome: DetectTotals,
 }
 
 #[derive(Debug, Clone)]

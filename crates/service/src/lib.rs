@@ -14,11 +14,12 @@
 //!   embed / detect / maintain jobs concurrently with per-job queue
 //!   deadlines, plus ledger-tiebroken dispute arbitration;
 //! * [`prf_cache`] — a sharded LRU memoizing the pair PRF
-//!   `H(tk_i ‖ H(R ‖ tk_j)) mod z` across repeat detections, with
-//!   hit/miss counters;
+//!   `H(tk_i ‖ H(R ‖ tk_j)) mod z`, with hit/miss counters. The engine
+//!   no longer uses it (a warm hit costs more than the two-lane PRF);
+//!   it stays for the benchmark's per-layer probes;
 //! * [`shard`] — parallel histogram construction for large token
 //!   streams;
-//! * [`metrics`] — job/latency/cache counters and JSON snapshots;
+//! * [`metrics`] — job/latency counters and JSON snapshots;
 //! * [`proto`] — the JSON-lines request/response protocol behind
 //!   `freqywm serve` and `freqywm batch`;
 //! * [`storage`] + [`persist`] — the durability layer: a pluggable
@@ -59,7 +60,8 @@ pub use quota::{
     SlidingWindow, UNLIMITED,
 };
 pub use registry::{
-    KeyRegistry, QuotaRecord, StoredHistogram, StoredSecrets, StoredWatermark, TenantSnapshot,
+    CountRows, KeyRegistry, QuotaRecord, StoredHistogram, StoredSecrets, StoredWatermark,
+    TenantSnapshot,
 };
 pub use replica::{spawn_follower, FollowerConfig};
 pub use shard::{sharded_histogram, sharded_histogram_cancellable, Cancellation, Cancelled};

@@ -4,7 +4,6 @@
 //! sample and the router's totals are all rendered by walking the table.
 
 use crate::job::JobKind;
-use crate::prf_cache::CacheStats;
 use crate::proto::json;
 use freqywm_obs::family::{counter, gauge, histogram, info, write_prom, JsonObject, Kind, Val};
 pub use freqywm_obs::family::{LatencyHistogram, LatencySnapshot};
@@ -69,12 +68,6 @@ freqywm_obs::families! {
             "Job run time (dequeue to completion).").in_history("latency"),
         QueueWait => histogram("queue_wait", "freqywm_queue_wait_seconds",
             "Time jobs spent queued before a worker picked them up.").in_history("queue_wait"),
-        CacheHits => counter("prf_cache.hits", "freqywm_prf_cache_hits_total",
-            "PRF cache hits.").in_history("cache_hits"),
-        CacheMisses => counter("prf_cache.misses", "freqywm_prf_cache_misses_total",
-            "PRF cache misses.").in_history("cache_misses"),
-        CacheEntries => gauge("prf_cache.entries", "freqywm_prf_cache_entries",
-            "PRF cache resident entries."),
         NetAccepted => counter("net.accepted", "freqywm_net_accepted_total",
             "Connections accepted.").in_totals(),
         NetActive => gauge("net.active", "freqywm_net_active_connections",
@@ -302,15 +295,6 @@ impl Index<M> for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The PRF-cache families as one value.
-    pub fn cache(&self) -> CacheStats {
-        CacheStats {
-            hits: self[M::CacheHits],
-            misses: self[M::CacheMisses],
-            entries: self[M::CacheEntries],
-        }
-    }
-
     /// Family `i`'s value, in tenant row `row` when given.
     fn val(&self, i: usize, row: Option<usize>) -> Val<'_> {
         if let Some(r) = row {
@@ -336,10 +320,6 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut doc = JsonObject::default();
         doc.families(ENGINE, false, |i| self.val(i, None));
-        doc.insert(
-            "prf_cache.hit_rate",
-            format!("{:.4}", self.cache().hit_rate()),
-        );
         let mut tenants = JsonObject::default();
         for (r, row) in self.per_tenant.iter().enumerate() {
             let mut obj = JsonObject::default();
@@ -479,8 +459,6 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
     let delta = |m, part| counter_delta(a.slot(m, part), b.slot(m, part));
     let rate = |m| rate_per_sec((t0, a.slot(m, Part::Value)), (t1, b.slot(m, Part::Value)));
     let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-    let hits = delta(M::CacheHits, Part::Value);
-    let lookups = hits + delta(M::CacheMisses, Part::Value);
     let run = delta(M::Latency, Part::Sum);
     let wait = delta(M::QueueWait, Part::Sum);
     format!(
@@ -489,7 +467,7 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
             "\"completed_per_s\":{:.3},\"failed_per_s\":{:.3},",
             "\"rejected_per_s\":{:.3},\"quota_refused_per_s\":{:.3},",
             "\"bytes_in_per_s\":{:.1},",
-            "\"bytes_out_per_s\":{:.1},\"cache_hit_rate\":{:.4},",
+            "\"bytes_out_per_s\":{:.1},",
             "\"mean_latency_us\":{:.1},\"queue_wait_share\":{:.4}}}"
         ),
         t1.saturating_sub(t0) as f64 / 1000.0,
@@ -500,7 +478,6 @@ pub fn history_rates_json(older: (u64, &HistorySample), newer: (u64, &HistorySam
         rate(M::QuotaRefused),
         rate(M::NetBytesIn),
         rate(M::NetBytesOut),
-        ratio(hits, lookups),
         ratio(run, delta(M::Latency, Part::Count)),
         ratio(wait, run + wait),
     )
@@ -544,13 +521,7 @@ mod tests {
         m.bump(M::Submitted);
         m.job_completed("acme", JobKind::Detect, Duration::from_micros(50));
         m.bump(M::Failed);
-        let snap = m.snapshot(&[
-            (M::CacheHits, 3),
-            (M::CacheMisses, 1),
-            (M::CacheEntries, 4),
-            (M::QueueDepth, 7),
-            (M::Tenants, 2),
-        ]);
+        let snap = m.snapshot(&[(M::QueueDepth, 7), (M::Tenants, 2)]);
         assert_eq!(snap[M::Submitted], 2);
         assert_eq!(snap[M::Completed], 1);
         assert_eq!(snap[M::DetectJobs], 1);
@@ -558,7 +529,7 @@ mod tests {
         assert_eq!(snap[M::QueueDepth], 7);
         let json = snap.to_json();
         assert!(json.contains("\"submitted\":2"));
-        assert!(json.contains("\"hit_rate\":0.7500"));
+        assert!(json.contains("\"queue_depth\":7"));
         assert!(json.contains("\"tenants\":2"));
         crate::proto::json::parse(&json).expect("one well-formed object");
     }
@@ -718,14 +689,7 @@ mod tests {
         m.add(M::NetBytesIn, 1234);
         m.job_completed("zeta\"esc", JobKind::Embed, Duration::from_micros(50));
         m.add(M::SlowLogSuppressed, 7);
-        let mut snap = m.snapshot(&[
-            (M::CacheHits, 9),
-            (M::CacheMisses, 3),
-            (M::CacheEntries, 12),
-            (M::QueueDepth, 2),
-            (M::Tenants, 2),
-            (M::LogSeq, 17),
-        ]);
+        let mut snap = m.snapshot(&[(M::QueueDepth, 2), (M::Tenants, 2), (M::LogSeq, 17)]);
         snap.shard = Some("1/2".into());
         snap.role = Some("primary".into());
         let text = snap.to_prom();
@@ -777,19 +741,19 @@ mod tests {
             m.queue_wait.record(Duration::from_micros(100));
         }
         m.add(M::NetBytesIn, 5000);
-        let newer = m.history_sample(&[(M::CacheHits, 8), (M::CacheMisses, 2)]);
+        let newer = m.history_sample(&[(M::QueueDepth, 3)]);
         let sample_json = newer.to_json(12_345);
         let v = crate::proto::json::parse(&sample_json).expect("well-formed");
         assert_eq!(v.get("t_ms").unwrap().as_u64(), Some(12_345));
         assert_eq!(v.get("completed").unwrap().as_u64(), Some(11));
         assert_eq!(v.get("bytes_in").unwrap().as_u64(), Some(5000));
+        assert_eq!(v.get("queue_depth").unwrap().as_u64(), Some(3));
 
         let rates = history_rates_json((1_000, &older), (3_000, &newer));
         let r = crate::proto::json::parse(&rates).expect("well-formed");
         assert_eq!(r.get("window_s").unwrap().as_f64(), Some(2.0));
         // 10 completions over 2 s.
         assert_eq!(r.get("completed_per_s").unwrap().as_f64(), Some(5.0));
-        assert_eq!(r.get("cache_hit_rate").unwrap().as_f64(), Some(0.8));
         // 10 × 300 µs run + 10 × 100 µs wait → wait share 0.25.
         assert_eq!(r.get("queue_wait_share").unwrap().as_f64(), Some(0.25));
         assert_eq!(r.get("mean_latency_us").unwrap().as_f64(), Some(300.0));

@@ -38,12 +38,13 @@ use crate::engine::Engine;
 use crate::error::ServiceError;
 use crate::job::{JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState};
 use crate::metrics::M;
+use crate::registry::CountRows;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
@@ -610,24 +611,25 @@ fn bulk_array<'a>(raw: &'a str, field: &str) -> Result<json::Parser<'a>, String>
     Ok(p)
 }
 
-/// Decodes a checked `counts` slice into histogram rows.
-fn decode_counts(raw: &str) -> Result<Vec<(Token, u64)>, String> {
+/// Decodes a checked `counts` slice into packed rows, for embed and
+/// detect alike.
+fn decode_counts(raw: &str) -> Result<CountRows, String> {
     let mut p = bulk_array(raw, "counts")?;
-    let mut rows = Vec::new();
+    let mut rows = CountRows::with_capacity(raw.len());
     let decoded = p.array(|p| {
-        let (token, n) = token_row(p, "counts entries must be [token, count]")?;
-        let c = n
+        let (token, count) = token_row(p, "counts entries must be [token, count]")?;
+        let c = count
             .and_then(count_of)
             .ok_or("count must be a non-negative integer")?;
-        rows.push((Token::new(token), c));
+        rows.push(&token, c);
         Ok(())
     });
     // A duplicate token would put two rows into the histogram and
     // corrupt its rank invariants. Rows decode in order up to the first
     // malformed one, so whichever fault comes first in the array wins.
-    let mut seen = std::collections::HashSet::with_capacity(rows.len());
-    if let Some((token, _)) = rows.iter().find(|(t, _)| !seen.insert(t)) {
-        return Err(format!("duplicate token {:?} in counts", token.as_str()));
+    let mut seen = HashSet::with_capacity(rows.len());
+    if let Some((token, _)) = rows.iter().find(|(t, _)| !seen.insert(*t)) {
+        return Err(format!("duplicate token {token:?} in counts"));
     }
     decoded.map(|()| rows)
 }
@@ -661,9 +663,7 @@ fn decode_tokens(raw: &str) -> Result<Vec<Token>, String> {
 
 fn parse_data(env: &Envelope<'_>) -> Result<JobData, String> {
     if let Some(raw) = env.counts {
-        return Ok(JobData::Histogram(
-            freqywm_data::histogram::Histogram::from_counts(decode_counts(raw)?),
-        ));
+        return Ok(JobData::Rows(decode_counts(raw)?));
     }
     if let Some(raw) = env.tokens {
         return Ok(JobData::Tokens(decode_tokens(raw)?));
@@ -877,7 +877,12 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
     match op {
         "embed" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(env)?;
+            // Embed sweeps a full histogram: build it at plan time, so
+            // the worker runs only `WM_Generate`.
+            let data = match parse_data(env)? {
+                JobData::Rows(rows) => JobData::Histogram(rows.to_histogram()),
+                data => data,
+            };
             let mut params = GenerationParams::default();
             if let Some(b) = req.get("budget").and_then(Value::as_f64) {
                 params = params.with_budget(b);

@@ -12,6 +12,8 @@
 
 use crate::error::{Result, ServiceError};
 use crate::quota::QuotaLimits;
+use freqywm_core::detect::{verify_pairs, DetectTotals};
+use freqywm_core::params::DetectionParams;
 use freqywm_core::secret::{secret_text, SecretList};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
@@ -68,6 +70,67 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The `(token, count)` rows [`put_token`] and [`put_varint`] wrote
+/// into `bytes`, in order.
+fn rows(bytes: &[u8]) -> impl Iterator<Item = (&str, u64)> {
+    let mut cur = Cursor { bytes };
+    std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.varint())))
+}
+
+/// `(token, count)` rows packed into one buffer in the order they were
+/// pushed, in [`StoredHistogram`]'s encoding. A request's `counts`
+/// decode into this: one allocation, where a [`Histogram`] makes one
+/// per token, keeps a second copy of each in its index and sorts.
+#[derive(Clone)]
+pub struct CountRows {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl CountRows {
+    /// Empty rows with room for `bytes` bytes of encoding.
+    pub fn with_capacity(bytes: usize) -> Self {
+        CountRows {
+            bytes: Vec::with_capacity(bytes),
+            len: 0,
+        }
+    }
+
+    /// Appends one row.
+    pub fn push(&mut self, token: &str, count: u64) {
+        put_token(&mut self.bytes, token);
+        put_varint(&mut self.bytes, count);
+        self.len += 1;
+    }
+
+    /// The rows, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        rows(&self.bytes)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows as a histogram (a repeated token makes two entries).
+    pub fn to_histogram(&self) -> Histogram {
+        let mut rows = Vec::with_capacity(self.len);
+        rows.extend(self.iter().map(|(t, c)| (Token::new(t), c)));
+        Histogram::from_counts(rows)
+    }
+}
+
+impl std::fmt::Debug for CountRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A watermarked histogram at rest, in a compact varint form: per
 /// entry, in rank order, the token's LEB128 length, its bytes, then
 /// its LEB128 count — about 12 bytes for a 9-byte token, where the
@@ -90,8 +153,7 @@ impl StoredHistogram {
 
     /// `(token, count)` in rank order.
     fn entries(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut cur = Cursor { bytes: &self.0 };
-        std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.varint())))
+        rows(&self.0)
     }
 
     /// Number of distinct tokens.
@@ -207,6 +269,38 @@ impl StoredSecrets {
         )
     }
 
+    /// `WM_Detect` verdict totals over suspect rows, streamed once: a
+    /// map from each stored token, borrowed from the packed buffer, to
+    /// a slot keeps the count of every row that names one, and only
+    /// the pairs with both counts are hashed. A repeated token keeps
+    /// its last row's count.
+    pub fn detect_rows<'r>(
+        &self,
+        rows: impl IntoIterator<Item = (&'r str, u64)>,
+        params: &DetectionParams,
+    ) -> DetectTotals {
+        let n = self.len();
+        let mut slots: HashMap<&str, usize> = HashMap::with_capacity(2 * n);
+        let mut pairs = Vec::with_capacity(n);
+        for (a, b) in self.pairs() {
+            let mut slot = |t| {
+                let next = slots.len();
+                *slots.entry(t).or_insert(next)
+            };
+            pairs.push(((a.as_bytes(), b.as_bytes()), (slot(a), slot(b))));
+        }
+        let mut counts = vec![None; slots.len()];
+        for (token, count) in rows {
+            if let Some(&slot) = slots.get(token) {
+                counts[slot] = Some(count);
+            }
+        }
+        let pairs = pairs
+            .into_iter()
+            .map(|(pair, (a, b))| (pair, counts[a].zip(counts[b])));
+        verify_pairs(&self.secret, self.z, pairs, params, |_| {})
+    }
+
     /// [`SecretList::to_text`] of the stored list: the ledger
     /// fingerprint, and the form the log and snapshots write.
     pub fn to_text(&self) -> String {
@@ -271,9 +365,6 @@ pub struct TenantSnapshot {
 #[derive(Debug)]
 pub(crate) struct TenantRecord {
     pub(crate) secret: Secret,
-    /// Precomputed [`Secret::cache_tag`] so per-job cache keying does
-    /// not re-hash the secret.
-    cache_tag: u64,
     pub(crate) ledger_index: u64,
     pub(crate) registered_at: u64,
     pub(crate) watermarks: Vec<StoredWatermark>,
@@ -335,12 +426,10 @@ impl KeyRegistry {
         }
         let material = tenant_material(tenant, &secret);
         let ledger_index = self.ledger.register(now, tenant, &material);
-        let cache_tag = secret.cache_tag();
         self.tenants.insert(
             tenant.to_string(),
             TenantRecord {
                 secret,
-                cache_tag,
                 ledger_index,
                 registered_at: now,
                 watermarks: Vec::new(),
@@ -350,20 +439,15 @@ impl KeyRegistry {
     }
 
     /// Rebuilds a registry from a verified ledger and tenant snapshots
-    /// (the recovery path). Cache tags are recomputed — they are
-    /// derived from the secret, so they come back identical across a
-    /// restart and recovered tenants keep hitting their old PRF-cache
-    /// entries only where the secret genuinely matches.
+    /// (the recovery path).
     pub fn restore(ledger: Ledger, tenants: Vec<TenantSnapshot>) -> Self {
         let tenants = tenants
             .into_iter()
             .map(|t| {
-                let cache_tag = t.secret.cache_tag();
                 (
                     t.tenant,
                     TenantRecord {
                         secret: t.secret,
-                        cache_tag,
                         ledger_index: t.ledger_index,
                         registered_at: t.registered_at,
                         watermarks: t.watermarks,
@@ -451,14 +535,6 @@ impl KeyRegistry {
         self.tenants
             .get(tenant)
             .map(|r| &r.secret)
-            .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
-    }
-
-    /// The tenant's precomputed PRF-cache tag.
-    pub fn cache_tag(&self, tenant: &str) -> Result<u64> {
-        self.tenants
-            .get(tenant)
-            .map(|r| r.cache_tag)
             .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
     }
 
@@ -691,6 +767,67 @@ mod tests {
     }
 
     #[test]
+    fn detect_rows_match_the_library() {
+        use freqywm_core::detect::detect_histogram;
+        // "b" sits in two pairs; "e" and "z" are absent from the rows.
+        let list = SecretList::new(
+            [("a", "b"), ("b", "c"), ("d", "e"), ("f", "z")]
+                .iter()
+                .map(|(a, b)| (Token::new(*a), Token::new(*b)))
+                .collect(),
+            Secret::from_label("rows"),
+            1031,
+        );
+        let stored = StoredSecrets::new(&list);
+        let rows = [
+            ("c", 40),
+            ("x", 7),
+            ("b", 911),
+            ("a", 3),
+            ("d", 0),
+            ("f", 12),
+        ];
+        let mut packed = CountRows::with_capacity(0);
+        rows.iter().for_each(|(t, c)| packed.push(t, *c));
+        assert_eq!(packed.len(), rows.len());
+        let hist = packed.to_histogram();
+        for scale in [None, Some(0.5), Some(3.7)] {
+            for t in [0, 10, 500] {
+                let params = DetectionParams {
+                    t,
+                    k: 2,
+                    scale,
+                    ..DetectionParams::default()
+                };
+                let want = detect_histogram(&hist, &list, &params);
+                let want = (
+                    want.accepted,
+                    want.accepted_pairs,
+                    want.present_pairs,
+                    want.total_pairs,
+                );
+                let entries = hist.entries().iter().map(|(t, c)| (t.as_str(), *c));
+                for got in [
+                    stored.detect_rows(packed.iter(), &params),
+                    stored.detect_rows(entries, &params),
+                ] {
+                    assert_eq!(
+                        (
+                            got.accepted,
+                            got.accepted_pairs,
+                            got.present_pairs,
+                            got.total_pairs
+                        ),
+                        want,
+                        "t={t}, scale {scale:?}"
+                    );
+                }
+                assert_eq!(want.2, 2);
+            }
+        }
+    }
+
+    #[test]
     fn register_and_lookup() {
         let mut r = KeyRegistry::new(b"test-ledger");
         let idx = r
@@ -699,10 +836,6 @@ mod tests {
         assert_eq!(idx, 0);
         assert!(r.contains("acme"));
         assert_eq!(r.secret("acme").unwrap(), &Secret::from_label("acme"));
-        assert_eq!(
-            r.cache_tag("acme").unwrap(),
-            Secret::from_label("acme").cache_tag()
-        );
         assert!(matches!(
             r.secret("ghost"),
             Err(ServiceError::UnknownTenant(_))

@@ -40,6 +40,7 @@ fn new_path(line: &str) -> Outcome {
         Planned::Job(spec) => match spec.payload {
             JobPayload::Embed { data, .. } | JobPayload::Detect { data, .. } => match data {
                 JobData::Histogram(h) => Decoded::Counts(h),
+                JobData::Rows(rows) => Decoded::Counts(rows.to_histogram()),
                 JobData::Tokens(t) => Decoded::Tokens(t),
             },
             JobPayload::Maintain { updates, .. } => Decoded::Updates(updates),

@@ -1,7 +1,7 @@
 //! Engine integration tests: the full marketplace lifecycle
 //! (register → embed → detect → dispute) through the service API, the
-//! acceptance criteria for concurrent multi-tenant detection and PRF
-//! cache effectiveness, and a thread-storm smoke test.
+//! acceptance criteria for concurrent multi-tenant detection, and a
+//! thread-storm smoke test.
 
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
@@ -10,7 +10,6 @@ use freqywm_data::synthetic::{power_law_counts, power_law_dataset_seeded, PowerL
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_service::metrics::M;
-use freqywm_service::prf_cache::{CacheStats, PrfCacheConfig};
 use freqywm_service::ServiceError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,7 +39,7 @@ fn detect(
     tenant: &str,
     hist: &Histogram,
     params: DetectionParams,
-) -> freqywm_core::detect::DetectionOutcome {
+) -> freqywm_core::detect::DetectTotals {
     let state = engine.run(JobSpec::new(JobPayload::Detect {
         tenant: tenant.to_string(),
         data: JobData::Histogram(hist.clone()),
@@ -205,133 +204,6 @@ fn concurrent_detects_over_distinct_tenants() {
             d.tenant
         );
     }
-    engine.shutdown();
-}
-
-/// Acceptance criterion: a batched re-detection run shows a non-zero
-/// PRF cache hit rate in the exposed metrics.
-#[test]
-fn batched_redetection_has_nonzero_cache_hit_rate() {
-    let engine = Engine::start(EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
-    engine
-        .register_tenant("acme", Secret::from_label("cache-e2e"))
-        .unwrap();
-    let wm = embed(
-        &engine,
-        "acme",
-        zipf_hist(0.6, 250, 250_000),
-        GenerationParams::default().with_z(101),
-    );
-    // Embed sweeps the PRF directly and leaves the cache empty, so the
-    // first detect misses once per present pair and the rest only hit.
-    assert_eq!(engine.metrics().cache(), CacheStats::default());
-    let params = DetectionParams::default().with_t(0).with_k(1);
-    let first = detect(&engine, "acme", &wm, params);
-    assert!(first.accepted);
-    let present = first.present_pairs as u64;
-    assert_eq!(
-        engine.metrics().cache().misses,
-        present,
-        "the first detect misses once per present pair"
-    );
-    for _ in 0..4 {
-        assert!(detect(&engine, "acme", &wm, params).accepted);
-    }
-    let m = engine.metrics();
-    assert_eq!(
-        (m.cache().hits, m.cache().misses),
-        (4 * present, present),
-        "re-detections must only hit the PRF cache: {m:?}"
-    );
-    assert_eq!(m[M::DetectJobs], 5);
-    assert!(m.to_json().contains("\"hit_rate\""));
-    engine.shutdown();
-}
-
-/// Embed never touches the PRF cache: a cold sweep draws more moduli
-/// than the cache holds, so only detect fills it — once per present
-/// pair — and repeat detects add only hits, even across a re-embed.
-#[test]
-fn embed_bypasses_the_prf_cache_and_detect_fills_it() {
-    let engine = Engine::start(EngineConfig {
-        workers: 2,
-        cache: PrfCacheConfig {
-            shards: 8,
-            capacity_per_shard: 65_536,
-        },
-        ..EngineConfig::default()
-    });
-    engine
-        .register_tenant("warm", Secret::from_label("cache-aware-embed"))
-        .unwrap();
-    let gen_params = GenerationParams::default().with_z(101);
-    let detect_params = DetectionParams::default().with_t(0).with_k(1);
-    let wm1 = embed(&engine, "warm", zipf_hist(0.6, 150, 200_000), gen_params);
-    assert_eq!(
-        engine.metrics().cache(),
-        CacheStats::default(),
-        "embed must leave the cache untouched"
-    );
-
-    let outcome = detect(&engine, "warm", &wm1, detect_params);
-    assert!(outcome.accepted);
-    let present = outcome.present_pairs as u64;
-    let after_detect = engine.metrics().cache();
-    assert_eq!(
-        after_detect,
-        CacheStats {
-            hits: 0,
-            misses: present,
-            entries: present,
-        },
-        "the first detect misses exactly once per present pair"
-    );
-
-    for _ in 0..3 {
-        assert!(detect(&engine, "warm", &wm1, detect_params).accepted);
-    }
-    let after_repeats = engine.metrics().cache();
-    assert_eq!(
-        after_repeats,
-        CacheStats {
-            hits: 3 * present,
-            ..after_detect
-        },
-        "repeat detects add only hits"
-    );
-
-    // A re-embed over the warmed vocabulary still bypasses the cache.
-    embed(&engine, "warm", wm1, gen_params);
-    assert_eq!(engine.metrics().cache(), after_repeats);
-    engine.shutdown();
-}
-
-#[test]
-fn disabled_cache_reports_zero_hits() {
-    let engine = Engine::start(EngineConfig {
-        workers: 2,
-        cache: PrfCacheConfig::disabled(),
-        ..EngineConfig::default()
-    });
-    engine
-        .register_tenant("acme", Secret::from_label("nocache-e2e"))
-        .unwrap();
-    let wm = embed(
-        &engine,
-        "acme",
-        zipf_hist(0.6, 150, 150_000),
-        GenerationParams::default().with_z(101),
-    );
-    let params = DetectionParams::default().with_t(0).with_k(1);
-    for _ in 0..3 {
-        assert!(detect(&engine, "acme", &wm, params).accepted);
-    }
-    let m = engine.metrics();
-    assert_eq!(m.cache().hits, 0);
-    assert!(m.cache().misses > 0);
     engine.shutdown();
 }
 

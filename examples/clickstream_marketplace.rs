@@ -30,7 +30,7 @@ fn main() {
     // paper's real-data validation), with two hardening knobs beyond
     // the paper: free-pair exclusion (pairs that hold by chance carry
     // no evidence) and a modulus floor (pairs with tiny s_ij verify on
-    // anything once t reaches s/2 — see EXPERIMENTS.md).
+    // anything once t reaches s/2, so they are false-positive noise).
     let params = GenerationParams::default()
         .with_z(131)
         .with_budget(2.0)

@@ -1,5 +1,6 @@
 //! Executable versions of the paper's headline claims, at CI-friendly
-//! scale. EXPERIMENTS.md holds the full-scale numbers; these tests pin
+//! scale. The `exp_*` runners in `crates/bench` print the full-scale
+//! numbers; these tests pin
 //! the *shapes* so a regression that breaks a reproduced result fails
 //! the suite, not just the benchmark report.
 
