@@ -65,7 +65,7 @@ fn bench_pair_modulus(c: &mut Criterion) {
         })
     });
     // A served detect's PRF work: 134 stored pairs (the detect_hot pool
-    // mean) through the two-lane batch, against `pair_modulus` per pair.
+    // mean) through the batched kernel, against `pair_modulus` per pair.
     let tokens: Vec<String> = (0..268).map(|k| format!("e7c0-{k}")).collect();
     let pairs: Vec<(&[u8], &[u8])> = tokens
         .chunks(2)

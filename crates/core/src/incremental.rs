@@ -30,7 +30,7 @@ use crate::error::{Error, Result};
 use crate::modify::pair_deltas;
 use crate::params::GenerationParams;
 use crate::secret::SecretList;
-use freqywm_crypto::prf::pair_modulus;
+use freqywm_crypto::prf::pair_moduli;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
 use std::collections::HashSet;
@@ -107,23 +107,33 @@ impl IncrementalWatermarker {
             return Err(Error::EmptyDataset);
         }
 
-        // 2./3. Repair or retire the stored pairs.
+        // 2./3. Repair or retire the stored pairs. `s_ij` depends on
+        //    the tokens only, so every pair's is hashed up front in one
+        //    batch.
+        let moduli = {
+            let pairs: Vec<(&[u8], &[u8])> = self
+                .secrets
+                .pairs
+                .iter()
+                .map(|(a, b)| (a.as_bytes(), b.as_bytes()))
+                .collect();
+            let mut moduli = Vec::with_capacity(pairs.len());
+            pair_moduli(&self.secrets.secret, &pairs, self.secrets.z, &mut moduli);
+            moduli
+        };
         let mut intact = 0usize;
         let mut repaired = 0usize;
         let mut retired = 0usize;
         let mut total_change = 0u64;
         let mut kept: Vec<(Token, Token)> = Vec::with_capacity(self.secrets.pairs.len());
-        for (a, b) in std::mem::take(&mut self.secrets.pairs) {
+        for ((a, b), s) in std::mem::take(&mut self.secrets.pairs)
+            .into_iter()
+            .zip(moduli)
+        {
             let (Some(fa), Some(fb)) = (hist.count(&a), hist.count(&b)) else {
                 retired += 1;
                 continue;
             };
-            let s = pair_modulus(
-                &self.secrets.secret,
-                a.as_bytes(),
-                b.as_bytes(),
-                self.secrets.z,
-            );
             if s < 2 {
                 retired += 1;
                 continue;

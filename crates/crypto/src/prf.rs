@@ -13,9 +13,11 @@
 //! the 256-bit digest modulo `z` in big-endian order. It is the
 //! composition of [`inner_digest`] (`H(R || tk_j)`, per token) and
 //! [`outer_modulus`] (per pair), which sweeps over many pairs call
-//! separately. Two batched forms run two hashes at a time:
-//! [`outer_moduli`] for one sweep row, and [`pair_moduli`] for a list
-//! of pairs (detect's stored pairs).
+//! separately. Two batched forms hash many messages per call, sixteen
+//! at a time on AVX-512 (see [`crate::sha256`]), and reduce each state
+//! with a modulus precomputed for the call: [`outer_moduli`] for one
+//! sweep row, and [`pair_moduli`] for a list of pairs (detect's stored
+//! pairs and maintenance's).
 //!
 //! [`KeyStream`] turns the same secret into a deterministic random
 //! stream (HMAC-SHA-256 in counter mode). The generation algorithm uses
@@ -140,11 +142,67 @@ fn digest_mod(digest: &Digest, z: u64) -> u64 {
     limbs_mod([limb(0), limb(1), limb(2), limb(3)], z)
 }
 
-/// A finished SHA-256 state modulo `z`: the state words are the
-/// digest's big-endian 32-bit words, so no digest bytes are built.
-fn state_mod(state: &[u32; 8], z: u64) -> u64 {
-    let limb = |k: usize| (u64::from(state[2 * k]) << 32) | u64::from(state[2 * k + 1]);
-    limbs_mod([limb(0), limb(1), limb(2), limb(3)], z)
+/// Reduces finished SHA-256 states modulo one fixed `z`, with the
+/// constants precomputed once per sweep row or batch; like
+/// [`limbs_mod`], it panics on a reduction modulo 0. A state's words
+/// are the digest's big-endian 32-bit words, so no digest bytes are
+/// built.
+///
+/// For `2 ≤ z < 2^32` a state `Σ w_k · 2^(32·(7−k))` is congruent to
+/// `s = Σ w_k · c_k` with `c_k = 2^(32·(7−k)) mod z`, and `s < 2^67` is
+/// reduced by two Barrett steps with `m = ⌊2^64 / z⌋`. Other `z` go
+/// through [`limbs_mod`]; both give the same result.
+pub(crate) struct Modulus {
+    z: u64,
+    /// `(c, m)` when `2 ≤ z < 2^32`.
+    fixed: Option<([u64; 8], u64)>,
+}
+
+impl Modulus {
+    pub(crate) fn new(z: u64) -> Self {
+        let fixed = (2..1 << 32).contains(&z).then(|| {
+            // c_7 = 1, then c_k = c_{k+1} · 2^32 mod z: `2^224` itself
+            // does not fit any integer type.
+            let mut c = [1u64; 8];
+            for k in (0..7).rev() {
+                c[k] = (c[k + 1] << 32) % z;
+            }
+            (c, ((1u128 << 64) / u128::from(z)) as u64)
+        });
+        Modulus { z, fixed }
+    }
+
+    /// `a mod z` for any `a`, given `m = ⌊2^64 / z⌋`: the estimate
+    /// `⌊a · m / 2^64⌋` is the quotient or one below it.
+    #[inline(always)]
+    fn barrett(a: u64, z: u64, m: u64) -> u64 {
+        let q = ((u128::from(a) * u128::from(m)) >> 64) as u64;
+        let r = a - q * z;
+        if r >= z {
+            r - z
+        } else {
+            r
+        }
+    }
+
+    /// The state read as a 256-bit big-endian number, modulo `z`.
+    #[inline]
+    pub(crate) fn reduce(&self, state: &[u32; 8]) -> u64 {
+        let Some((c, m)) = &self.fixed else {
+            let limb = |k: usize| (u64::from(state[2 * k]) << 32) | u64::from(state[2 * k + 1]);
+            return limbs_mod([limb(0), limb(1), limb(2), limb(3)], self.z);
+        };
+        // Each product is below 2^32 · z < 2^64, so eight sum below 2^67.
+        let s: u128 = state
+            .iter()
+            .zip(c)
+            .map(|(&w, &c)| u128::from(u64::from(w) * c))
+            .sum();
+        // s = hi · 2^32 + lo: reduce hi (< 2^35), then (hi mod z) · 2^32
+        // + lo, which is below 2^64.
+        let hi = Self::barrett((s >> 32) as u64, self.z, *m);
+        Self::barrett((hi << 32) | (s as u64 & 0xffff_ffff), self.z, *m)
+    }
 }
 
 /// The PRF's inner digest `H(R ‖ tk_j)`. It depends on the second
@@ -168,14 +226,15 @@ const ONE_BLOCK_TOKEN: usize = ONE_BLOCK_MAX - DIGEST_LEN;
 /// [`outer_modulus`]`(tk_i, &inners[k], z)` for every `k`, in order.
 ///
 /// When `tk_i ‖ inner` fits one SHA-256 block (`tk_i` of at most 23
-/// bytes) the row runs two compressions at a time; longer tokens fall
-/// back to [`outer_modulus`] per pair.
+/// bytes) the row runs as one batch of one-block compressions; longer
+/// tokens fall back to [`outer_modulus`] per pair.
 pub fn outer_moduli(tk_i: &[u8], inners: &[Digest], z: u64, out: &mut Vec<u64>) {
     out.clear();
     out.reserve(inners.len());
     if tk_i.len() <= ONE_BLOCK_TOKEN {
+        let modulus = Modulus::new(z);
         one_block_states(inners.iter().map(|inner| (tk_i, inner)), |state| {
-            out.push(state_mod(state, z))
+            out.push(modulus.reduce(state))
         });
     } else {
         out.extend(inners.iter().map(|inner| outer_modulus(tk_i, inner, z)));
@@ -186,8 +245,8 @@ pub fn outer_moduli(tk_i: &[u8], inners: &[Digest], z: u64, out: &mut Vec<u64>) 
 /// tk_j, z)` for every `(tk_i, tk_j)` in `pairs`, in order.
 ///
 /// Pairs whose tokens are both at most 23 bytes run their inner and
-/// then their outer hashes two compressions at a time; any other pair
-/// falls back to [`pair_modulus`].
+/// then their outer hashes as two batches of one-block compressions;
+/// any other pair falls back to [`pair_modulus`].
 pub fn pair_moduli(secret: &Secret, pairs: &[(&[u8], &[u8])], z: u64, out: &mut Vec<u64>) {
     let fits = |(tk_i, tk_j): &(&[u8], &[u8])| {
         tk_i.len() <= ONE_BLOCK_TOKEN && tk_j.len() <= ONE_BLOCK_TOKEN
@@ -200,11 +259,12 @@ pub fn pair_moduli(secret: &Secret, pairs: &[(&[u8], &[u8])], z: u64, out: &mut 
     );
     out.clear();
     out.reserve(pairs.len());
+    let modulus = Modulus::new(z);
     one_block_states(
         short()
             .zip(&inners)
             .map(|((tk_i, _), inner)| (*tk_i, inner)),
-        |state| out.push(state_mod(state, z)),
+        |state| out.push(modulus.reduce(state)),
     );
     if out.len() < pairs.len() {
         // Move the short pairs' moduli to their places, back to front,
@@ -501,16 +561,51 @@ mod tests {
         }
     }
 
+    /// The state whose big-endian bytes are `d`.
+    fn state_of(d: &Digest) -> [u32; 8] {
+        std::array::from_fn(|k| u32::from_be_bytes(d[4 * k..4 * k + 4].try_into().unwrap()))
+    }
+
     #[test]
-    fn state_mod_matches_digest_mod() {
+    fn modulus_matches_limbs_mod() {
+        let zs = [
+            1u64,
+            2,
+            3,
+            131,
+            1031,
+            (1 << 31) - 1,
+            (1 << 31) + 1,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 15,
+            1 << 63,
+            u64::MAX,
+        ];
+        let limbs = |s: &[u32; 8]| {
+            std::array::from_fn(|k| (u64::from(s[2 * k]) << 32) | u64::from(s[2 * k + 1]))
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x40d0105);
+        let mut states = vec![[0u32; 8], [u32::MAX; 8]];
+        states.extend((0..100_000).map(|_| std::array::from_fn(|_| rng.next_u32())));
+        for z in zs {
+            let modulus = Modulus::new(z);
+            for s in &states {
+                assert_eq!(modulus.reduce(s), limbs_mod(limbs(s), z), "z={z}, {s:08x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_matches_digest_mod() {
         for i in 0..64u32 {
             let d = crate::sha256::sha256(&i.to_be_bytes());
-            let mut state = [0u32; 8];
-            for (w, chunk) in state.iter_mut().zip(d.chunks_exact(4)) {
-                *w = u32::from_be_bytes(chunk.try_into().unwrap());
-            }
-            for z in [1u64, 2, 131, (1 << 63) + 1, u64::MAX] {
-                assert_eq!(state_mod(&state, z), digest_mod(&d, z), "z={z}");
+            for z in [1u64, 2, 131, 1031, (1 << 32) - 1, (1 << 63) + 1, u64::MAX] {
+                assert_eq!(
+                    Modulus::new(z).reduce(&state_of(&d)),
+                    digest_mod(&d, z),
+                    "z={z}"
+                );
             }
         }
     }

@@ -13,7 +13,10 @@
 //! [`sha256_one_block`], which skips the streaming buffer entirely. A
 //! batch of such messages ([`one_block_states`]: a pair-PRF sweep row,
 //! or the inner and outer hashes of detect's stored pairs) checks CPU
-//! features once and runs two compressions interleaved.
+//! features once and picks one of three backends: sixteen messages at
+//! a time in the 32-bit lanes of AVX-512 registers (Gueron & Krasnov,
+//! *Simultaneous Hashing of Multiple Messages*, 2012), else two SHA-NI
+//! compressions interleaved, else two scalar ones.
 
 use crate::Digest;
 
@@ -376,10 +379,131 @@ mod sha_ni {
         messages: impl IntoIterator<Item = (&'m [u8], T)>,
         emit: impl FnMut(&[u32; 8]),
     ) {
-        super::two_lane_sweep(messages, emit, |states, blocks| {
+        super::lane_sweep(messages, emit, |lanes: &[super::Lane; 2], states| {
             // SAFETY: the caller of this function guarantees the CPU
             // features `compress2` needs.
-            unsafe { compress2(states, blocks) }
+            unsafe { compress2(states, [&lanes[0].block, &lanes[1].block]) }
+        });
+    }
+}
+
+/// Sixteen one-block compressions at once, one per 32-bit lane of the
+/// AVX-512 registers: the scalar rounds, each operation applied to
+/// sixteen independent messages.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Lane, H0, K};
+    use std::arch::x86_64::*;
+
+    /// Lanes per batch.
+    pub(super) const LANES: usize = 16;
+
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+    }
+
+    /// `rotr(x, a) ^ rotr(x, b) ^ rotr(x, c)` in every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn big_sigma<const A: i32, const B: i32, const C: i32>(x: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi32::<0x96>(
+            _mm512_ror_epi32::<A>(x),
+            _mm512_ror_epi32::<B>(x),
+            _mm512_ror_epi32::<C>(x),
+        )
+    }
+
+    /// `rotr(x, a) ^ rotr(x, b) ^ (x >> c)` in every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn small_sigma<const A: i32, const B: i32, const C: u32>(x: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi32::<0x96>(
+            _mm512_ror_epi32::<A>(x),
+            _mm512_ror_epi32::<B>(x),
+            _mm512_srli_epi32::<C>(x),
+        )
+    }
+
+    /// Compresses each lane's block from [`H0`] and writes the finished
+    /// state of lane `k` to `states[k]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512BW ([`available`]).
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn compress16(lanes: &[Lane; LANES], states: &mut [[u32; 8]; LANES]) {
+        const STRIDE: i32 = std::mem::size_of::<Lane>() as i32;
+        // Byte offsets of the lanes' blocks, and the shuffle that turns
+        // each little-endian load into the block's big-endian word.
+        let lane_offsets = _mm512_mullo_epi32(
+            _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+            _mm512_set1_epi32(STRIDE),
+        );
+        let bswap =
+            _mm512_broadcast_i32x4(_mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203));
+        let base = lanes.as_ptr().cast::<i32>();
+        let mut w = [_mm512_setzero_si512(); 64];
+        for (t, wt) in w[..16].iter_mut().enumerate() {
+            let offsets = _mm512_add_epi32(lane_offsets, _mm512_set1_epi32(4 * t as i32));
+            // SAFETY: `Lane` is `repr(C)` with its 64-byte block first,
+            // so lane `k`'s word `t` is the 4 bytes at `k · STRIDE + 4t`
+            // past `base`, inside `lanes` for every `k < 16`, `t < 16`;
+            // a gather needs no alignment.
+            let words = unsafe { _mm512_i32gather_epi32::<1>(offsets, base) };
+            *wt = _mm512_shuffle_epi8(words, bswap);
+        }
+        for t in 16..64 {
+            w[t] = _mm512_add_epi32(
+                _mm512_add_epi32(small_sigma::<17, 19, 10>(w[t - 2]), w[t - 7]),
+                _mm512_add_epi32(small_sigma::<7, 18, 3>(w[t - 15]), w[t - 16]),
+            );
+        }
+        let init = H0.map(|h| _mm512_set1_epi32(h as i32));
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = init;
+        for (wt, kt) in w.iter().zip(K) {
+            let kw = _mm512_add_epi32(*wt, _mm512_set1_epi32(kt as i32));
+            let ch = _mm512_ternarylogic_epi32::<0xCA>(e, f, g);
+            let t1 = _mm512_add_epi32(
+                _mm512_add_epi32(h, kw),
+                _mm512_add_epi32(big_sigma::<6, 11, 25>(e), ch),
+            );
+            let maj = _mm512_ternarylogic_epi32::<0xE8>(a, b, c);
+            let t2 = _mm512_add_epi32(big_sigma::<2, 13, 22>(a), maj);
+            h = g;
+            g = f;
+            f = e;
+            e = _mm512_add_epi32(d, t1);
+            d = c;
+            c = b;
+            b = a;
+            a = _mm512_add_epi32(t1, t2);
+        }
+        // Transpose the eight state-word vectors into per-lane states.
+        let mut words = [[0u32; LANES]; 8];
+        for ((out, v), v0) in words.iter_mut().zip([a, b, c, d, e, f, g, h]).zip(init) {
+            // SAFETY: `out` is 64 bytes, written as one unaligned vector.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), _mm512_add_epi32(v, v0)) };
+        }
+        for (k, state) in states.iter_mut().enumerate() {
+            *state = std::array::from_fn(|i| words[i][k]);
+        }
+    }
+
+    /// [`super::one_block_states`] on AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress16`].
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn one_block_states<'m, T: AsRef<[u8]> + 'm>(
+        messages: impl IntoIterator<Item = (&'m [u8], T)>,
+        emit: impl FnMut(&[u32; 8]),
+    ) {
+        super::lane_sweep(messages, emit, |lanes, states| {
+            // SAFETY: the caller of this function guarantees the CPU
+            // features `compress16` needs.
+            unsafe { compress16(lanes, states) }
         });
     }
 }
@@ -419,24 +543,44 @@ pub fn sha256_one_block(parts: &[&[u8]]) -> Option<Digest> {
 /// and `tail` together at most [`ONE_BLOCK_MAX`] bytes); a longer one
 /// panics.
 ///
-/// The CPU is asked for SHA-NI once per call, and on SHA-NI two
-/// messages are compressed at a time, interleaved.
+/// The CPU is asked once per call for its fastest backend: sixteen
+/// messages at a time on AVX-512F and AVX-512BW, else two interleaved
+/// SHA-NI compressions, else two scalar ones.
 pub(crate) fn one_block_states<'m, T: AsRef<[u8]> + 'm>(
     messages: impl IntoIterator<Item = (&'m [u8], T)>,
     emit: impl FnMut(&[u32; 8]),
 ) {
     #[cfg(target_arch = "x86_64")]
-    if sha_ni::available() {
-        // SAFETY: `available()` just confirmed the CPU features.
-        unsafe { sha_ni::one_block_states(messages, emit) };
-        return;
+    {
+        if avx512::available() {
+            // SAFETY: `available()` just confirmed the CPU features.
+            unsafe { avx512::one_block_states(messages, emit) };
+            return;
+        }
+        if sha_ni::available() {
+            // SAFETY: `available()` just confirmed the CPU features.
+            unsafe { sha_ni::one_block_states(messages, emit) };
+            return;
+        }
     }
-    two_lane_sweep(messages, emit, compress2_scalar);
+    scalar_one_block_states(messages, emit);
+}
+
+/// [`one_block_states`] on the portable compression, whatever the CPU.
+fn scalar_one_block_states<'m, T: AsRef<[u8]> + 'm>(
+    messages: impl IntoIterator<Item = (&'m [u8], T)>,
+    emit: impl FnMut(&[u32; 8]),
+) {
+    lane_sweep(messages, emit, |lanes: &[Lane; 2], states| {
+        compress2_scalar(states, [&lanes[0].block, &lanes[1].block])
+    });
 }
 
 /// One lane's padded block, the head slice it was last written from
-/// and the length of the message it holds.
+/// and the length of the message it holds. `repr(C)` puts the block
+/// first, so a lane array is blocks at a fixed stride.
 #[derive(Clone, Copy)]
+#[repr(C)]
 struct Lane {
     block: [u8; 64],
     head: (*const u8, usize),
@@ -473,32 +617,36 @@ impl Lane {
     }
 }
 
-/// Compresses each message from the initial state, two per
-/// `compress2` call, and passes each finished state to `emit` in
-/// order. An odd last message runs in both lanes.
+/// Writes up to `N` messages into `N` lanes, has `compress` turn the
+/// lanes into finished states (each lane's block compressed from
+/// [`H0`]), and passes each message's state to `emit` in order. A short
+/// last batch compresses whatever its idle lanes last held and emits
+/// only its real lanes.
 #[inline(always)]
-fn two_lane_sweep<'m, T: AsRef<[u8]> + 'm>(
+fn lane_sweep<'m, T: AsRef<[u8]> + 'm, const N: usize>(
     messages: impl IntoIterator<Item = (&'m [u8], T)>,
     mut emit: impl FnMut(&[u32; 8]),
-    compress2: impl Fn(&mut [[u32; 8]; 2], [&[u8; 64]; 2]),
+    compress: impl Fn(&[Lane; N], &mut [[u32; 8]; N]),
 ) {
-    let mut lanes = [Lane::EMPTY; 2];
+    let mut lanes = [Lane::EMPTY; N];
     let mut messages = messages.into_iter();
-    while let Some((head, tail)) = messages.next() {
-        lanes[0].write(head, tail.as_ref());
-        let n = match messages.next() {
-            Some((head, tail)) => {
-                lanes[1].write(head, tail.as_ref());
-                2
-            }
-            None => {
-                lanes[1] = lanes[0];
-                1
-            }
-        };
-        let mut states = [H0; 2];
-        compress2(&mut states, [&lanes[0].block, &lanes[1].block]);
+    loop {
+        let mut n = 0;
+        // `zip` asks the lanes first, so a full batch leaves the next
+        // message in `messages`.
+        for (lane, (head, tail)) in lanes.iter_mut().zip(messages.by_ref()) {
+            lane.write(head, tail.as_ref());
+            n += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        let mut states = [H0; N];
+        compress(&lanes, &mut states);
         states[..n].iter().for_each(&mut emit);
+        if n < N {
+            return;
+        }
     }
 }
 
@@ -700,11 +848,7 @@ mod tests {
                 assert_eq!(got, want, "prefix {prefix_len}, {n} suffixes");
                 // The scalar lanes, whatever this CPU picks above.
                 let mut scalar = Vec::new();
-                two_lane_sweep(
-                    messages(),
-                    |s| scalar.push(state_bytes(s)),
-                    compress2_scalar,
-                );
+                scalar_one_block_states(messages(), |s| scalar.push(state_bytes(s)));
                 assert_eq!(scalar, want, "scalar, prefix {prefix_len}, {n} suffixes");
             }
         }
@@ -730,12 +874,70 @@ mod tests {
             one_block_states(messages[..n].iter().copied(), |s| got.push(state_bytes(s)));
             assert_eq!(got, want[..n], "{n} messages");
             let mut scalar = Vec::new();
-            two_lane_sweep(
-                messages[..n].iter().copied(),
-                |s| scalar.push(state_bytes(s)),
-                compress2_scalar,
-            );
+            scalar_one_block_states(messages[..n].iter().copied(), |s| {
+                scalar.push(state_bytes(s))
+            });
             assert_eq!(scalar, want[..n], "scalar, {n} messages");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn sixteen_lane_compressions_match_compress_scalar() {
+        if !avx512::available() {
+            eprintln!("CPU lacks AVX-512F/BW; the sixteen-lane kernel is not tested");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x161a7e);
+        let mut lanes = [Lane::EMPTY; avx512::LANES];
+        for _ in 0..500 {
+            lanes.iter_mut().for_each(|l| rng.fill_bytes(&mut l.block));
+            let mut got = [[0u32; 8]; avx512::LANES];
+            // SAFETY: `avx512::available()` confirmed the CPU features.
+            unsafe { avx512::compress16(&lanes, &mut got) };
+            for (lane, state) in lanes.iter().zip(&got) {
+                let mut want = H0;
+                compress_scalar(&mut want, &lane.block);
+                assert_eq!(*state, want, "block {:02x?}", lane.block);
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_backends_agree_on_every_ragged_batch() {
+        let mut rng = StdRng::seed_from_u64(0xba7c4);
+        let mut bytes = |n: usize| {
+            let mut v = vec![0u8; n];
+            rng.fill_bytes(&mut v);
+            v
+        };
+        // Heads of 0–23 bytes, each borrowed for many messages as a
+        // sweep row borrows its token, and tails that make messages of
+        // every length up to one block.
+        let heads: Vec<Vec<u8>> = (0..8).map(|k| bytes(k * 23 / 7)).collect();
+        let tails: Vec<Vec<u8>> = (0..=ONE_BLOCK_MAX).map(&mut bytes).collect();
+        for n in 0..=40 {
+            for round in 0..25 {
+                // A head runs for 1–10 messages, so it changes inside a
+                // sixteen-message batch.
+                let messages: Vec<(&[u8], &[u8])> = (0..n)
+                    .map(|k| {
+                        let head = &heads[(k / (1 + (round + n) % 10) + round) % heads.len()];
+                        let tail_len = (7 * k + 3 * round + n) % (ONE_BLOCK_MAX - head.len() + 1);
+                        (&head[..], &tails[tail_len][..tail_len])
+                    })
+                    .collect();
+                let want: Vec<Digest> = messages
+                    .iter()
+                    .map(|(h, t)| sha256_concat(&[h, t]))
+                    .collect();
+                let mut got = Vec::new();
+                one_block_states(messages.iter().copied(), |s| got.push(state_bytes(s)));
+                assert_eq!(got, want, "{n} messages, round {round}");
+                let mut scalar = Vec::new();
+                scalar_one_block_states(messages.iter().copied(), |s| scalar.push(state_bytes(s)));
+                assert_eq!(scalar, want, "scalar, {n} messages, round {round}");
+            }
         }
     }
 

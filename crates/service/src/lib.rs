@@ -15,7 +15,7 @@
 //!   deadlines, plus ledger-tiebroken dispute arbitration;
 //! * [`prf_cache`] — a sharded LRU memoizing the pair PRF
 //!   `H(tk_i ‖ H(R ‖ tk_j)) mod z`, with hit/miss counters. The engine
-//!   no longer uses it (a warm hit costs more than the two-lane PRF);
+//!   no longer uses it (a warm hit costs more than the batched PRF);
 //!   it stays for the benchmark's per-layer probes;
 //! * [`shard`] — parallel histogram construction for large token
 //!   streams;

@@ -677,6 +677,31 @@ fn req_str<'a>(req: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
+/// An optional request field: `None` when absent, `read`'s value when
+/// it accepts what is there, and otherwise the error `"<key> must be
+/// <must_be>"` — a mistyped or out-of-range field is refused, never
+/// replaced by its default.
+fn opt_field<T>(
+    req: &Value,
+    key: &str,
+    read: impl FnOnce(&Value) -> Option<T>,
+    must_be: &str,
+) -> Result<Option<T>, String> {
+    req.get(key)
+        .map(|v| read(v).ok_or_else(|| format!("{key} must be {must_be}")))
+        .transpose()
+}
+
+/// [`opt_field`] for a non-negative integer.
+fn opt_u64(req: &Value, key: &str) -> Result<Option<u64>, String> {
+    opt_field(req, key, Value::as_u64, "a non-negative integer")
+}
+
+/// [`opt_field`] for `true` or `false`.
+fn opt_bool(req: &Value, key: &str) -> Result<Option<bool>, String> {
+    opt_field(req, key, Value::as_bool, "true or false")
+}
+
 fn job_timeout(req: &Value) -> Option<Duration> {
     req.get("timeout_ms")
         .and_then(Value::as_u64)
@@ -884,13 +909,13 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
                 data => data,
             };
             let mut params = GenerationParams::default();
-            if let Some(b) = req.get("budget").and_then(Value::as_f64) {
+            if let Some(b) = opt_field(req, "budget", Value::as_f64, "a number")? {
                 params = params.with_budget(b);
             }
-            if let Some(z) = req.get("z").and_then(Value::as_u64) {
+            if let Some(z) = opt_u64(req, "z")? {
                 params = params.with_z(z);
             }
-            if let Some(x) = req.get("exclude_free_pairs").and_then(Value::as_bool) {
+            if let Some(x) = opt_bool(req, "exclude_free_pairs")? {
                 params = params.with_exclude_free_pairs(x);
             }
             let mut spec = JobSpec::new(JobPayload::Embed {
@@ -910,17 +935,16 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
             let tenant = req_str(req, "tenant")?.to_string();
             let data = parse_data(env)?;
             let mut params = DetectionParams::default();
-            if let Some(t) = req.get("t").and_then(Value::as_u64) {
+            if let Some(t) = opt_u64(req, "t")? {
                 params = params.with_t(t);
             }
-            if let Some(k) = req.get("k").and_then(Value::as_u64) {
+            if let Some(k) = opt_u64(req, "k")? {
                 params = params.with_k(k as usize);
             }
-            if let Some(s) = req.get("scale").and_then(Value::as_f64) {
-                // Refused here: the worker would assert on it.
-                if !(s.is_finite() && s > 0.0) {
-                    return Err("scale must be a positive finite number".to_string());
-                }
+            // Refused here when not positive and finite: the worker
+            // would assert on it.
+            let scale = |v: &Value| v.as_f64().filter(|s| s.is_finite() && *s > 0.0);
+            if let Some(s) = opt_field(req, "scale", scale, "a positive finite number")? {
                 params = params.with_scale(s);
             }
             let mut spec = JobSpec::new(JobPayload::Detect {
@@ -939,10 +963,7 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
         "maintain" => {
             let tenant = req_str(req, "tenant")?.to_string();
             let updates = decode_updates(env.updates.ok_or("missing \"updates\"")?)?;
-            let replenish = req
-                .get("replenish")
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
+            let replenish = opt_bool(req, "replenish")?.unwrap_or(false);
             let mut spec = JobSpec::new(JobPayload::Maintain {
                 tenant,
                 updates,
@@ -985,10 +1006,12 @@ fn execute_op(engine: &Engine, req: &Value) -> Result<String, String> {
             let a = req_str(req, "a")?;
             let b = req_str(req, "b")?;
             let mut params = DetectionParams::default();
-            if let Some(t) = req.get("t").and_then(Value::as_u64) {
+            if let Some(t) = opt_u64(req, "t")? {
                 params = params.with_t(t);
             }
-            let quorum = req.get("quorum").and_then(Value::as_f64).unwrap_or(0.25);
+            let fraction = |v: &Value| v.as_f64().filter(|q| (0.0..=1.0).contains(q));
+            let quorum =
+                opt_field(req, "quorum", fraction, "a number from 0 to 1")?.unwrap_or(0.25);
             // Quorum: fraction of the smaller claimant's pair count.
             {
                 let registry = engine.registry();
@@ -2213,6 +2236,74 @@ mod tests {
             ),
         );
         assert!(ok.contains("\"op\":\"detect\""), "{ok}");
+        assert_eq!(engine.metrics()[M::Failed], 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn mistyped_optional_fields_are_refused_not_defaulted() {
+        let engine = test_engine();
+        handle_line(
+            &engine,
+            r#"{"op":"register","tenant":"ty","secret_label":"types"}"#,
+        );
+        let counts = counts_json(80);
+        let embed = |extra: &str| {
+            handle_line(
+                &engine,
+                &format!(r#"{{"op":"embed","tenant":"ty","id":1,{extra}"counts":{counts}}}"#),
+            )
+        };
+        let refused = |field: &str, must_be: &str| {
+            format!(r#"{{"ok":false,"id":1,"error":"{field} must be {must_be}"}}"#)
+        };
+        for (extra, field, must_be) in [
+            (r#""z":"1031","#, "z", "a non-negative integer"),
+            (r#""z":1031.5,"#, "z", "a non-negative integer"),
+            (r#""z":-7,"#, "z", "a non-negative integer"),
+            (r#""budget":"5","#, "budget", "a number"),
+            (
+                r#""exclude_free_pairs":"true","#,
+                "exclude_free_pairs",
+                "true or false",
+            ),
+        ] {
+            assert_eq!(embed(extra), refused(field, must_be), "{extra}");
+        }
+        // The same fields, well typed, still embed.
+        let ok = embed(r#""z":101,"budget":5,"exclude_free_pairs":true,"#);
+        assert!(ok.contains("\"ok\":true"), "{ok}");
+        let detect = |extra: &str| {
+            handle_line(
+                &engine,
+                &format!(r#"{{"op":"detect","tenant":"ty","id":1,{extra}"counts":{counts}}}"#),
+            )
+        };
+        for (extra, field, must_be) in [
+            (r#""t":-1,"#, "t", "a non-negative integer"),
+            (r#""k":"3","#, "k", "a non-negative integer"),
+            (r#""scale":"0.5","#, "scale", "a positive finite number"),
+        ] {
+            assert_eq!(detect(extra), refused(field, must_be), "{extra}");
+        }
+        let ok = detect(r#""t":2,"k":1,"scale":0.5,"#);
+        assert!(ok.contains("\"op\":\"detect\""), "{ok}");
+        let r = handle_line(
+            &engine,
+            r#"{"op":"maintain","tenant":"ty","id":1,"updates":[["t0",1]],"replenish":1}"#,
+        );
+        assert_eq!(r, refused("replenish", "true or false"));
+        for (extra, field, must_be) in [
+            (r#""t":"2""#, "t", "a non-negative integer"),
+            (r#""quorum":"0.5""#, "quorum", "a number from 0 to 1"),
+            (r#""quorum":2"#, "quorum", "a number from 0 to 1"),
+        ] {
+            let r = handle_line(
+                &engine,
+                &format!(r#"{{"op":"dispute","a":"ty","b":"ty","id":1,{extra}}}"#),
+            );
+            assert_eq!(r, refused(field, must_be), "{extra}");
+        }
         assert_eq!(engine.metrics()[M::Failed], 0);
         engine.shutdown();
     }

@@ -78,9 +78,11 @@ fn rows(bytes: &[u8]) -> impl Iterator<Item = (&str, u64)> {
 }
 
 /// `(token, count)` rows packed into one buffer in the order they were
-/// pushed, in [`StoredHistogram`]'s encoding. A request's `counts`
-/// decode into this: one allocation, where a [`Histogram`] makes one
-/// per token, keeps a second copy of each in its index and sorts.
+/// pushed: per row the token's LEB128 length, its bytes, and the
+/// LEB128 count. A request's `counts` decode into this: one allocation,
+/// where a [`Histogram`] makes one per token, keeps a second copy of
+/// each in its index and sorts. Rows hand out `&str` borrowed from the
+/// buffer, so tokens are stored whole.
 #[derive(Clone)]
 pub struct CountRows {
     bytes: Vec<u8>,
@@ -131,43 +133,135 @@ impl std::fmt::Debug for CountRows {
     }
 }
 
-/// A watermarked histogram at rest, in a compact varint form: per
-/// entry, in rank order, the token's LEB128 length, its bytes, then
-/// its LEB128 count — about 12 bytes for a 9-byte token, where the
-/// log's fixed-width form takes 25 and a [`Histogram`] also keeps a
-/// token index with a second copy of every token. Maintenance and
-/// disputes decode it with [`StoredHistogram::to_histogram`].
+/// Zig-zag: a signed step as an unsigned number with small steps of
+/// either sign small, so a LEB128 of it is short.
+fn zigzag(step: u64) -> u64 {
+    (step << 1) ^ ((step as i64 >> 63) as u64)
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(v: u64) -> u64 {
+    (v >> 1) ^ (v & 1).wrapping_neg()
+}
+
+/// Length of the longest common prefix of `a` and `b` that ends on a
+/// character boundary of both.
+fn shared_prefix(a: &str, b: &str) -> usize {
+    let mut n = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+    // Equal bytes before `n` make a boundary of `b` a boundary of `a`.
+    while !b.is_char_boundary(n) {
+        n -= 1;
+    }
+    n
+}
+
+/// Writes a [`StoredHistogram`]'s bytes one entry at a time.
+struct FrontCoder<'t> {
+    buf: Vec<u8>,
+    token: &'t str,
+    count: u64,
+}
+
+impl<'t> FrontCoder<'t> {
+    /// A coder for `len` entries.
+    fn new(len: u64) -> Self {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, len);
+        FrontCoder {
+            buf,
+            token: "",
+            count: 0,
+        }
+    }
+
+    fn push(&mut self, token: &'t str, count: u64) {
+        let shared = shared_prefix(self.token, token);
+        put_varint(&mut self.buf, shared as u64);
+        put_token(&mut self.buf, &token[shared..]);
+        put_varint(&mut self.buf, zigzag(count.wrapping_sub(self.count)));
+        (self.token, self.count) = (token, count);
+    }
+
+    fn finish(self) -> StoredHistogram {
+        StoredHistogram(self.buf.into_boxed_slice())
+    }
+}
+
+/// A [`StoredHistogram`]'s entries, decoded in rank order into one
+/// reused token buffer: a lending iterator, since each token lives only
+/// until the next call.
+struct Entries<'a> {
+    cur: Cursor<'a>,
+    token: String,
+    count: u64,
+}
+
+impl Entries<'_> {
+    fn next(&mut self) -> Option<(&str, u64)> {
+        if self.cur.is_empty() {
+            return None;
+        }
+        let shared = usize::try_from(self.cur.varint()).expect("shared prefix fits usize");
+        self.token.truncate(shared);
+        self.token.push_str(self.cur.token());
+        self.count = self.count.wrapping_add(unzigzag(self.cur.varint()));
+        Some((&self.token, self.count))
+    }
+}
+
+/// A watermarked histogram at rest, front-coded: the entry count as a
+/// LEB128, then per entry, in rank order, the LEB128 length of the
+/// prefix the token shares with the previous token (never splitting a
+/// UTF-8 sequence), the LEB128 length and the bytes of the rest, and
+/// the zig-zag LEB128 of the count minus the previous count. Rank order
+/// makes both the shared prefixes long and the count steps small: an
+/// embed-sized histogram of tokens like `e7c0-123` takes about four
+/// bytes an entry, where the log's fixed-width form takes 25 and a
+/// [`Histogram`] also keeps a token index with a second copy of every
+/// token. Maintenance and disputes decode it with
+/// [`StoredHistogram::to_histogram`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct StoredHistogram(Box<[u8]>);
 
 impl StoredHistogram {
     /// Encodes `hist` for storage.
     pub fn new(hist: &Histogram) -> Self {
-        let mut buf = Vec::with_capacity(hist.len() * 12);
+        let mut coder = FrontCoder::new(hist.len() as u64);
         for (token, count) in hist.entries() {
-            put_token(&mut buf, token.as_str());
-            put_varint(&mut buf, *count);
+            coder.push(token.as_str(), *count);
         }
-        StoredHistogram(buf.into_boxed_slice())
+        coder.finish()
     }
 
-    /// `(token, count)` in rank order.
-    fn entries(&self) -> impl Iterator<Item = (&str, u64)> {
-        rows(&self.0)
+    /// The entries in rank order.
+    fn entries(&self) -> Entries<'_> {
+        let mut cur = Cursor { bytes: &self.0 };
+        cur.varint();
+        Entries {
+            cur,
+            token: String::new(),
+            count: 0,
+        }
     }
 
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.entries().count()
+        let len = Cursor { bytes: &self.0 }.varint();
+        usize::try_from(len).expect("stored entry count fits usize")
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
     }
 
     /// Decodes the stored histogram.
     pub fn to_histogram(&self) -> Histogram {
-        Histogram::from_counts(self.entries().map(|(t, c)| (Token::new(t), c)))
+        let mut rows = Vec::with_capacity(self.len());
+        let mut entries = self.entries();
+        while let Some((token, count)) = entries.next() {
+            rows.push((Token::new(token), count));
+        }
+        Histogram::from_counts(rows)
     }
 
     /// Appends the histogram in the durable log's and snapshots'
@@ -175,7 +269,8 @@ impl StoredHistogram {
     /// a length-prefixed token and a big-endian `u64` count.
     pub(crate) fn put_log(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.len() as u64);
-        for (token, count) in self.entries() {
+        let mut entries = self.entries();
+        while let Some((token, count)) = entries.next() {
             put_str(buf, token);
             put_u64(buf, count);
         }
@@ -185,12 +280,11 @@ impl StoredHistogram {
     /// stored form.
     pub(crate) fn read_log(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         let n = r.u64()?;
-        let mut buf = Vec::new();
+        let mut coder = FrontCoder::new(n);
         for _ in 0..n {
-            put_token(&mut buf, r.str()?);
-            put_varint(&mut buf, r.u64()?);
+            coder.push(r.str()?, r.u64()?);
         }
-        Ok(StoredHistogram(buf.into_boxed_slice()))
+        Ok(coder.finish())
     }
 }
 
@@ -699,7 +793,40 @@ mod tests {
             h((0..10_000u64)
                 .map(|i| (Token::new(format!("tk{i}")), i * 7919))
                 .collect()),
+            // Shared prefixes, a token that shares nothing, ties, the
+            // empty token among others, and 0 next to u64::MAX.
+            h(vec![
+                (Token::new("e7c0-12"), u64::MAX),
+                (Token::new("e7c0-123"), u64::MAX - 1),
+                (Token::new("e7c0-124"), 9),
+                (Token::new("e7c0-2"), 9),
+                (Token::new("zzz"), 9),
+                (Token::new(""), 3),
+                (Token::new("e7c0-1"), 0),
+                (Token::new("e7c0-10"), 0),
+            ]),
+            // The first differing byte is inside a multi-byte character:
+            // é and è share their lead byte.
+            h(vec![
+                (Token::new("café"), 5),
+                (Token::new("cafè"), 4),
+                (Token::new("caf"), 3),
+                (Token::new("cafés"), 2),
+                (Token::new("ca🦀"), 1),
+                (Token::new("ca🦁"), 0),
+            ]),
         ]
+    }
+
+    /// Size of the plain varint form: per entry the token's LEB128
+    /// length, its bytes and its LEB128 count.
+    fn plain_size(h: &Histogram) -> usize {
+        let mut buf = Vec::new();
+        for (token, count) in h.entries() {
+            put_token(&mut buf, token.as_str());
+            put_varint(&mut buf, *count);
+        }
+        buf.len()
     }
 
     #[test]
@@ -718,6 +845,98 @@ mod tests {
             assert_eq!(StoredHistogram::read_log(&mut r).unwrap(), stored);
             assert!(r.is_empty());
         }
+    }
+
+    #[test]
+    fn stored_histogram_keeps_a_non_monotone_log_byte_for_byte() {
+        // The log form does not require rank order: counts that rise,
+        // fall and wrap, and tokens in no order, round-trip exactly.
+        let rows: [(&str, u64); 7] = [
+            ("b", 3),
+            ("a", u64::MAX),
+            ("ab", 0),
+            ("", 7),
+            ("é", 1 << 63),
+            ("èx", 8),
+            ("b", 8),
+        ];
+        let mut log = Vec::new();
+        put_u64(&mut log, rows.len() as u64);
+        for (token, count) in rows {
+            put_str(&mut log, token);
+            put_u64(&mut log, count);
+        }
+        let stored = StoredHistogram::read_log(&mut Reader::new(&log)).unwrap();
+        assert_eq!(stored.len(), rows.len());
+        let mut again = Vec::new();
+        stored.put_log(&mut again);
+        assert_eq!(again, log);
+    }
+
+    #[test]
+    fn front_coding_costs_at_most_a_byte_an_entry_when_tokens_share_nothing() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf2047);
+        let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789";
+        // Strictly falling power-law counts keep rank order the order
+        // of generation, and no two neighbours start with one byte.
+        let mut first = 0usize;
+        let entries: Vec<(Token, u64)> = (0..1_000u64)
+            .map(|k| {
+                first = (first + 1 + rng.gen_range(0..alphabet.len() - 1)) % alphabet.len();
+                let mut token = vec![alphabet[first]];
+                token.extend((0..8).map(|_| alphabet[rng.gen_range(0..alphabet.len())]));
+                let count = 1_000_000 / (k + 1) + (1_000 - k);
+                (Token::new(String::from_utf8(token).unwrap()), count)
+            })
+            .collect();
+        let h = Histogram::from_counts(entries);
+        let stored = StoredHistogram::new(&h);
+        assert!(stored == h);
+        let tokens: Vec<&str> = h.entries().iter().map(|(t, _)| t.as_str()).collect();
+        assert!(tokens.windows(2).all(|w| shared_prefix(w[0], w[1]) == 0));
+        assert!(
+            stored.0.len() <= plain_size(&h) + h.len(),
+            "{} bytes front-coded, {} plain, {} entries",
+            stored.0.len(),
+            plain_size(&h),
+            h.len()
+        );
+    }
+
+    #[test]
+    fn front_coding_shrinks_an_embed_sized_histogram() {
+        let h = Histogram::from_counts(
+            (0..625u64).map(|i| (Token::new(format!("e7c0-{i}")), 1_000_000 / (i + 1))),
+        );
+        let stored = StoredHistogram::new(&h);
+        assert_eq!(stored.to_histogram(), h);
+        assert!(
+            stored.0.len() * 2 < plain_size(&h),
+            "{} bytes front-coded, {} plain",
+            stored.0.len(),
+            plain_size(&h)
+        );
+    }
+
+    #[test]
+    fn zigzag_round_trips_every_step() {
+        for step in [
+            0u64,
+            1,
+            2,
+            63,
+            64,
+            u64::MAX,
+            u64::MAX - 1,
+            1 << 63,
+            (1 << 63) - 1,
+        ] {
+            assert_eq!(unzigzag(zigzag(step)), step, "{step}");
+        }
+        assert_eq!(zigzag(0), 0);
+        assert_eq!(zigzag(u64::MAX), 1, "-1 is one byte");
+        assert_eq!(zigzag(1), 2);
     }
 
     #[test]

@@ -109,10 +109,10 @@ fn register_and_embed(engine: &Engine, k: usize) -> (String, Histogram) {
 }
 
 #[test]
-fn completed_embeds_leave_at_most_16_kib_resident_each() {
+fn completed_embeds_leave_at_most_8_kib_resident_each() {
     const WARM_UP: usize = 20;
     const EMBEDS: usize = 200;
-    const MAX_PER_EMBED: isize = 16 * 1024;
+    const MAX_PER_EMBED: isize = 8 * 1024;
 
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir =
