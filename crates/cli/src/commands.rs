@@ -423,7 +423,7 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
                     // Session machinery as the socket path; EOF takes
                     // the graceful-drain route (in-flight responses
                     // flush before exit).
-                    proto::serve_with_auth(
+                    proto::serve(
                         &engine,
                         std::io::BufReader::new(std::io::stdin()),
                         &mut *out,
@@ -996,6 +996,25 @@ mod tests {
         assert!(lines[2].contains("retry_after_ms"), "{log}");
         assert!(lines[3].contains("\"op\":\"quota\""), "{log}");
         assert!(lines[4].contains("\"ok\":true"), "{log}");
+    }
+
+    #[test]
+    fn batch_stops_at_shutdown() {
+        let reqs = tmp("shutdown-requests.jsonl");
+        fs::write(
+            &reqs,
+            concat!(
+                "{\"op\":\"register\",\"tenant\":\"s\",\"secret_label\":\"cli-sd\"}\n",
+                "{\"op\":\"shutdown\"}\n",
+                "{\"op\":\"metrics\"}\n",
+            ),
+        )
+        .unwrap();
+        let (code, log) = run_line(&["batch", "--input", &reqs]);
+        assert_eq!(code, 1, "{log}");
+        let lines: Vec<&str> = log.trim().lines().collect();
+        assert_eq!(lines.len(), 3, "{log}");
+        assert!(lines[2].contains("session shutting down"), "{log}");
     }
 
     #[test]

@@ -13,22 +13,20 @@
 //! differ only in the render callback.
 
 use crate::poller::Interest;
-use std::io::{Read, Write};
+use crate::stream::{OutBuf, READ_CHUNK};
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::Instant;
 
 /// Request-head cap: a scrape request has no business being larger.
 const MAX_HEAD: usize = 8 * 1024;
 
-const READ_CHUNK: usize = 4 * 1024;
-
 /// One scrape connection: accumulates the request head, answers once,
 /// then drains its write buffer and is closed by the owning reactor.
 pub struct HttpConn {
     stream: TcpStream,
     head: Vec<u8>,
-    out_buf: Vec<u8>,
-    out_pos: usize,
+    out: OutBuf,
     /// I/O failed — close as soon as the reactor sees it.
     pub failed: bool,
     /// A response has been queued; no more input will be consumed.
@@ -43,8 +41,7 @@ impl HttpConn {
         HttpConn {
             stream,
             head: Vec::new(),
-            out_buf: Vec::new(),
-            out_pos: 0,
+            out: OutBuf::default(),
             failed: false,
             responded: false,
             last_activity: Instant::now(),
@@ -121,8 +118,7 @@ impl HttpConn {
     }
 
     fn queue(&mut self, resp: Vec<u8>) {
-        self.out_buf = resp;
-        self.out_pos = 0;
+        self.out.extend(&resp);
         self.responded = true;
         self.head.clear();
     }
@@ -130,32 +126,16 @@ impl HttpConn {
     /// Writes as much buffered output as the socket accepts. Returns
     /// bytes written. Never blocks.
     pub fn flush(&mut self) -> u64 {
-        let mut total = 0u64;
-        while self.out_pos < self.out_buf.len() {
-            match self.stream.write(&self.out_buf[self.out_pos..]) {
-                Ok(0) => {
-                    self.failed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.out_pos += n;
-                    total += n as u64;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.failed = true;
-                    break;
-                }
-            }
+        let n = self.out.flush(&mut self.stream, &mut self.failed);
+        if n > 0 {
+            self.last_activity = Instant::now();
         }
-        total
+        n as u64
     }
 
     /// Response bytes queued but not yet accepted by the socket.
     pub fn buffered(&self) -> usize {
-        self.out_buf.len() - self.out_pos
+        self.out.buffered()
     }
 
     /// The one response is fully written — close the connection.

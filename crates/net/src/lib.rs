@@ -31,10 +31,9 @@
 //! pipe transport remains available.
 
 mod config;
-pub mod framing;
 
 pub use config::{Backend, NetConfig};
-pub use framing::{LineEvent, LineFramer};
+pub use freqywm_service::framing::{LineEvent, LineFramer};
 
 #[cfg(unix)]
 mod conn;
@@ -45,12 +44,16 @@ mod poller;
 #[cfg(unix)]
 mod server;
 #[cfg(unix)]
+mod stream;
+#[cfg(unix)]
 mod sys;
 
 #[cfg(unix)]
 pub use poller::{Event, Interest, Poller};
 #[cfg(unix)]
 pub use server::{serve_listener, serve_listener_with_metrics};
+#[cfg(unix)]
+pub use stream::LineStream;
 
 #[cfg(not(unix))]
 pub fn serve_listener(

@@ -176,7 +176,7 @@ impl<'a> Reactor<'a> {
                         let Some(conn) = self.conns.get_mut(&fd) else {
                             continue;
                         };
-                        if ev.readable && !conn.eof && self.draining.is_none() {
+                        if ev.readable && !conn.io.eof && self.draining.is_none() {
                             conn.read_ready(
                                 self.engine,
                                 self.engine.counters(),
@@ -185,7 +185,7 @@ impl<'a> Reactor<'a> {
                         } else if ev.hangup {
                             // Input is being ignored (drain); a hangup
                             // still means the peer is gone.
-                            conn.eof = true;
+                            conn.io.eof = true;
                         }
                         if ev.writable {
                             conn.flush(self.engine.counters());
@@ -390,14 +390,14 @@ impl<'a> Reactor<'a> {
                 shutdown_requested = true;
             }
             conn.queue_responses();
-            if !conn.failed {
+            if !conn.io.failed {
                 conn.flush(self.engine.counters());
             }
-            if conn.failed {
+            if conn.io.failed {
                 close = Some(CloseKind::Error);
-            } else if conn.buffered() > self.config.max_write_buffer {
+            } else if conn.io.buffered() > self.config.max_write_buffer {
                 close = Some(CloseKind::SlowEvicted);
-            } else if (conn.eof || self.draining.is_some()) && conn.settled() {
+            } else if (conn.io.eof || self.draining.is_some()) && conn.settled() {
                 close = Some(CloseKind::Done);
             }
         }
@@ -419,8 +419,8 @@ impl<'a> Reactor<'a> {
             return;
         };
         let want = Interest {
-            readable: !conn.eof && !draining,
-            writable: conn.buffered() > 0,
+            readable: !conn.io.eof && !draining,
+            writable: conn.io.buffered() > 0,
         };
         if want != conn.interest {
             if self.poller.modify(fd, fd as u64, want).is_ok() {

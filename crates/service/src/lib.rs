@@ -34,6 +34,7 @@
 
 pub mod engine;
 pub mod error;
+pub mod framing;
 pub mod job;
 pub mod metrics;
 pub mod persist;

@@ -36,6 +36,7 @@
 
 use crate::engine::Engine;
 use crate::error::ServiceError;
+use crate::framing::{LineEvent, LineFramer};
 use crate::job::{JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState};
 use crate::metrics::M;
 use crate::registry::CountRows;
@@ -1419,11 +1420,11 @@ enum Slot {
 
 /// A transport-agnostic, order-preserving, pipelined protocol session.
 ///
-/// Both front-ends — the stdin/stdout pipe of `freqywm serve` and each
-/// TCP connection of the `freqywm-net` reactor — feed request lines in
-/// and take response lines out, while jobs run on the engine's worker
-/// pool without the transport ever blocking on them. The session
-/// guarantees:
+/// Every engine front-end — the stdin/stdout pipe of `freqywm serve`,
+/// the request file of `freqywm batch` and each TCP connection of the
+/// `freqywm-net` reactor — feeds request lines in and takes response
+/// lines out, while jobs run on the engine's worker pool without the
+/// transport ever blocking on them. The session guarantees:
 ///
 /// * **responses come back in request order**, whatever order jobs
 ///   complete in;
@@ -1433,7 +1434,7 @@ enum Slot {
 ///   only once every earlier job finished, and register / dispute /
 ///   metrics / shutdown ops execute only with no job in flight — so a
 ///   pipelined `embed` → `detect` always detects against the new
-///   watermark, exactly like `freqywm batch`.
+///   watermark.
 ///
 /// The driving transport must deliver [`Session::on_job_done`] for
 /// every id surfaced by [`Session::take_new_jobs`] (wired to
@@ -1757,94 +1758,17 @@ impl Session {
     }
 }
 
-/// One framing unit read from a byte stream.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Frame {
-    /// A complete line (without the trailing newline).
-    Line(String),
-    /// A line longer than the cap; its bytes were discarded through the
-    /// terminating newline (or EOF).
-    Oversized,
-    /// End of stream.
-    Eof,
-}
-
-/// Newline-delimited framing with a size cap, for blocking readers (the
-/// pipe transport; the reactor does its own non-blocking equivalent).
-/// An oversized line is consumed and reported as [`Frame::Oversized`]
-/// instead of aborting the stream, so one bad frame costs one error
-/// response, not the connection.
-pub struct FrameReader<R: BufRead> {
-    inner: R,
-    max_frame: usize,
-}
-
-impl<R: BufRead> FrameReader<R> {
-    pub fn new(inner: R, max_frame: usize) -> Self {
-        FrameReader { inner, max_frame }
-    }
-
-    pub fn next_frame(&mut self) -> std::io::Result<Frame> {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut skipping = false;
-        loop {
-            let chunk = self.inner.fill_buf()?;
-            if chunk.is_empty() {
-                return Ok(if skipping {
-                    Frame::Oversized
-                } else if buf.is_empty() {
-                    Frame::Eof
-                } else {
-                    // Final line without a trailing newline.
-                    Frame::Line(String::from_utf8_lossy(&buf).into_owned())
-                });
-            }
-            match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if skipping {
-                        self.inner.consume(pos + 1);
-                        return Ok(Frame::Oversized);
-                    }
-                    buf.extend_from_slice(&chunk[..pos]);
-                    self.inner.consume(pos + 1);
-                    if buf.len() > self.max_frame {
-                        return Ok(Frame::Oversized);
-                    }
-                    return Ok(Frame::Line(String::from_utf8_lossy(&buf).into_owned()));
-                }
-                None => {
-                    let len = chunk.len();
-                    if !skipping {
-                        buf.extend_from_slice(chunk);
-                        if buf.len() > self.max_frame {
-                            skipping = true;
-                            buf.clear();
-                        }
-                    }
-                    self.inner.consume(len);
-                }
-            }
-        }
-    }
-}
-
 enum ServeEvent {
-    Frame(Frame),
+    Input(LineEvent),
+    Eof,
     JobDone(JobId),
 }
 
 /// Serves JSON-lines over arbitrary reader/writer until EOF or a
-/// `shutdown` op, with [`DEFAULT_MAX_FRAME`] as the input frame cap.
-/// Blank lines and `#` comments are skipped.
-pub fn serve<R, W>(engine: &Engine, reader: R, writer: W) -> std::io::Result<()>
-where
-    R: BufRead + Send + 'static,
-    W: Write,
-{
-    serve_with(engine, reader, writer, DEFAULT_MAX_FRAME)
-}
-
-/// [`serve`] with an explicit input frame-size cap.
+/// `shutdown` op. A request line longer than `max_frame` bytes is
+/// answered with one error and skipped; with `auth_token` set, requests
+/// are refused until the client authenticates (see
+/// [`Session::with_auth`]).
 ///
 /// Requests are pipelined through a [`Session`]: jobs run on the worker
 /// pool while the reader keeps feeding, responses stream back in
@@ -1854,24 +1778,9 @@ where
 /// on a helper thread so completions can be written while the transport
 /// is idle; the engine's completion hook is used for wakeups and is
 /// released on return.
-pub fn serve_with<R, W>(
+pub fn serve<R, W>(
     engine: &Engine,
-    reader: R,
-    writer: W,
-    max_frame: usize,
-) -> std::io::Result<()>
-where
-    R: BufRead + Send + 'static,
-    W: Write,
-{
-    serve_with_auth(engine, reader, writer, max_frame, None)
-}
-
-/// [`serve_with`] behind the shared-secret auth gate (see
-/// [`Session::with_auth`]).
-pub fn serve_with_auth<R, W>(
-    engine: &Engine,
-    reader: R,
+    mut reader: R,
     mut writer: W,
     max_frame: usize,
     auth_token: Option<String>,
@@ -1886,20 +1795,25 @@ where
         let _ = hook_tx.send(ServeEvent::JobDone(id));
     });
     std::thread::spawn(move || {
-        let mut frames = FrameReader::new(reader, max_frame);
-        loop {
-            match frames.next_frame() {
-                Ok(Frame::Eof) | Err(_) => {
-                    let _ = tx.send(ServeEvent::Frame(Frame::Eof));
-                    break;
-                }
-                Ok(frame) => {
-                    if tx.send(ServeEvent::Frame(frame)).is_err() {
-                        break;
-                    }
-                }
+        let mut framer = LineFramer::new(max_frame);
+        let mut open = true;
+        while open {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            if chunk.is_empty() {
+                framer.finish(|e| {
+                    let _ = tx.send(ServeEvent::Input(e));
+                });
+                break;
             }
+            framer.push(chunk, |e| open &= tx.send(ServeEvent::Input(e)).is_ok());
+            let n = chunk.len();
+            reader.consume(n);
         }
+        let _ = tx.send(ServeEvent::Eof);
     });
 
     let mut session = Session::with_auth(auth_token);
@@ -1920,11 +1834,11 @@ where
             session.take_new_jobs();
             match rx.recv() {
                 Err(_) => return Ok(()),
-                Ok(ServeEvent::Frame(Frame::Line(line))) => session.push_line(engine, &line),
-                Ok(ServeEvent::Frame(Frame::Oversized)) => {
+                Ok(ServeEvent::Input(LineEvent::Line(line))) => session.push_line(engine, &line),
+                Ok(ServeEvent::Input(LineEvent::Oversized)) => {
                     session.push_transport_error(frame_too_large_response(max_frame))
                 }
-                Ok(ServeEvent::Frame(Frame::Eof)) => eof = true,
+                Ok(ServeEvent::Eof) => eof = true,
                 Ok(ServeEvent::JobDone(id)) => {
                     session.on_job_done(engine, id);
                 }
@@ -1935,82 +1849,42 @@ where
     result
 }
 
-/// Batch execution with pipelined reads: consecutive `detect` requests
-/// are submitted together and awaited in order, so a file of N detect
-/// requests saturates the worker pool instead of running serially.
-/// State-changing requests (`register`, `embed`, `maintain`,
-/// `dispute`, `metrics`) are barriers — every in-flight job completes
-/// before they run, so a detect after an embed always sees the new
-/// watermark. Responses come back in request order.
+/// Runs a file of requests through one [`Session`], under the pipe and
+/// socket transports' rules: consecutive detects run together on the
+/// worker pool, mutating requests and ordered ops are barriers, and
+/// requests after a `shutdown` are refused. Responses come back in
+/// request order.
 pub fn run_batch(engine: &Engine, lines: &[String]) -> Vec<String> {
-    enum Slot {
-        Ready(String),
-        Pending { id: Option<Value> },
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(lines.len());
-    let mut pending: Vec<(usize, Result<crate::job::JobId, ServiceError>)> = Vec::new();
-
-    let flush = |pending: &mut Vec<(usize, Result<crate::job::JobId, ServiceError>)>,
-                 slots: &mut Vec<Slot>| {
-        for (slot_idx, submitted) in pending.drain(..) {
-            let Slot::Pending { id } = &slots[slot_idx] else {
-                continue;
-            };
-            let id = id.clone();
-            let resp = match submitted {
-                Ok(job_id) => render_job_state(engine.wait(job_id), id.as_ref()),
-                Err(e) => err_response(id.as_ref(), &e.to_string()),
-            };
-            slots[slot_idx] = Slot::Ready(resp);
-        }
-    };
-
+    let mut session = Session::new();
+    let mut out = Vec::new();
     for (lineno, line) in lines.iter().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (id, planned) = plan(line);
-        // Batch inputs are files: name the offending 1-based line so a
-        // malformed request is findable (and the run exits nonzero).
-        let planned = planned.map_err(|e| format!("line {}: {e}", lineno + 1));
-        match planned {
-            Ok(Planned::Job(spec)) if matches!(spec.payload, JobPayload::Detect { .. }) => {
-                let idx = slots.len();
-                slots.push(Slot::Pending { id });
-                let submitted = engine.submit(spec);
-                pending.push((idx, submitted));
-            }
-            Ok(Planned::Job(spec)) => {
-                // Embed/maintain mutate the tenant's registry state that
-                // later jobs read; run them as barriers.
-                flush(&mut pending, &mut slots);
-                slots.push(Slot::Ready(render_job_state(engine.run(spec), id.as_ref())));
-            }
-            other => {
-                // Ordered ops (register/dispute/metrics) act as
-                // barriers: all in-flight jobs complete first.
-                flush(&mut pending, &mut slots);
-                let resp = match other {
-                    Err(e) => err_response(id.as_ref(), &e),
-                    Ok(Planned::Op(req)) => run_op(engine, &req, id.as_ref()),
-                    Ok(Planned::Shutdown) => {
-                        inject_id("{\"ok\":true,\"op\":\"shutdown\"}".to_string(), id.as_ref())
-                    }
-                    Ok(Planned::Job(_)) => unreachable!(),
-                };
-                slots.push(Slot::Ready(resp));
-            }
+        if session.wants_shutdown() {
+            // Refused with `session shutting down`, unparsed.
+            session.push_line(engine, line);
+        } else {
+            let started = Instant::now();
+            let (id, planned) = plan(line);
+            // Batch inputs are files: name the offending 1-based line so
+            // a malformed request is findable (and the run exits nonzero).
+            let planned = planned.map_err(|e| format!("line {}: {e}", lineno + 1));
+            session.push_planned(engine, id, planned, started);
         }
+        // Job ids need no routing map here: one session owns them all.
+        session.take_new_jobs();
+        if !session.deferred.is_empty() {
+            // A barrier waits on in-flight jobs: settle them before
+            // reading on, so the file is not planned ahead into memory.
+            session.drain_blocking(engine);
+        }
+        out.extend(session.take_ready());
     }
-    flush(&mut pending, &mut slots);
-    slots
-        .into_iter()
-        .map(|s| match s {
-            Slot::Ready(r) => r,
-            Slot::Pending { id } => err_response(id.as_ref(), "internal: unflushed job"),
-        })
-        .collect()
+    session.drain_blocking(engine);
+    out.extend(session.take_ready());
+    out
 }
 
 #[cfg(test)]
@@ -2415,7 +2289,7 @@ mod tests {
             "{\"op\":\"metrics\"}\n", // after shutdown: never processed
         );
         let mut out = Vec::new();
-        serve(&engine, input.as_bytes(), &mut out).unwrap();
+        serve(&engine, input.as_bytes(), &mut out, DEFAULT_MAX_FRAME, None).unwrap();
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
         assert_eq!(lines.len(), 3, "{lines:?}");
         assert!(lines[0].contains("register"));
@@ -2444,7 +2318,14 @@ mod tests {
         }
         input.push_str("not json at all\n");
         let mut out = Vec::new();
-        serve(&engine, std::io::Cursor::new(input), &mut out).unwrap();
+        serve(
+            &engine,
+            std::io::Cursor::new(input),
+            &mut out,
+            DEFAULT_MAX_FRAME,
+            None,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 7, "{text}");
@@ -2465,24 +2346,13 @@ mod tests {
         let big = format!("{{\"op\":\"metrics\",\"pad\":\"{}\"}}", "x".repeat(512));
         let input = format!("{big}\n{{\"op\":\"metrics\"}}\n");
         let mut out = Vec::new();
-        serve_with(&engine, std::io::Cursor::new(input), &mut out, 256).unwrap();
+        serve(&engine, std::io::Cursor::new(input), &mut out, 256, None).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
         assert!(lines[0].contains("frame exceeds 256 bytes"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
         engine.shutdown();
-    }
-
-    #[test]
-    fn frame_reader_caps_and_recovers() {
-        let input = format!("short\n{}\nafter\nlast", "y".repeat(100));
-        let mut frames = FrameReader::new(std::io::Cursor::new(input), 16);
-        assert_eq!(frames.next_frame().unwrap(), Frame::Line("short".into()));
-        assert_eq!(frames.next_frame().unwrap(), Frame::Oversized);
-        assert_eq!(frames.next_frame().unwrap(), Frame::Line("after".into()));
-        assert_eq!(frames.next_frame().unwrap(), Frame::Line("last".into()));
-        assert_eq!(frames.next_frame().unwrap(), Frame::Eof);
     }
 
     #[test]
@@ -2639,7 +2509,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_auth_gates_the_pipe_transport() {
+    fn serve_auth_gates_the_pipe_transport() {
         let engine = test_engine();
         let input = concat!(
             "{\"op\":\"metrics\",\"id\":0}\n",
@@ -2647,7 +2517,7 @@ mod tests {
             "{\"op\":\"metrics\",\"id\":2}\n",
         );
         let mut out = Vec::new();
-        serve_with_auth(
+        serve(
             &engine,
             input.as_bytes(),
             &mut out,
@@ -2709,6 +2579,23 @@ mod tests {
             assert!(resp.contains(&format!("\"id\":{i}")), "order lost: {resp}");
         }
         assert!(out[8].contains("\"completed\":7"), "{}", out[8]);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn batch_refuses_requests_after_shutdown() {
+        let engine = test_engine();
+        let lines = vec![
+            r#"{"op":"register","tenant":"t","secret_label":"sd"}"#.to_string(),
+            r#"{"op":"shutdown"}"#.to_string(),
+            r#"{"op":"metrics","id":7}"#.to_string(),
+        ];
+        let out = run_batch(&engine, &lines);
+        assert_eq!(out.len(), 3, "{out:?}");
+        assert!(out[1].contains("\"op\":\"shutdown\""), "{}", out[1]);
+        assert!(out[2].starts_with("{\"ok\":false"), "{}", out[2]);
+        assert!(out[2].contains("\"id\":7"), "{}", out[2]);
+        assert!(out[2].contains("session shutting down"), "{}", out[2]);
         engine.shutdown();
     }
 
@@ -2793,7 +2680,14 @@ mod tests {
         ));
         input.push_str("{\"op\":\"trace\",\"trace\":\"t-serve-9\"}\n");
         let mut out = Vec::new();
-        serve(&engine, std::io::Cursor::new(input), &mut out).unwrap();
+        serve(
+            &engine,
+            std::io::Cursor::new(input),
+            &mut out,
+            DEFAULT_MAX_FRAME,
+            None,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.trim().lines().collect();
         assert_eq!(lines.len(), 3, "{text}");

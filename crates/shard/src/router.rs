@@ -6,10 +6,10 @@
 //! the same reactor shape as `freqywm-net` (one [`Poller`], level
 //! triggered, nothing blocks), extended with an *outbound* side:
 //!
-//! * **clients** — accepted from the listener, framed with the shared
-//!   [`LineFramer`], responses kept in per-client ordered slots so
-//!   pipelined requests answer in request order even when they fan out
-//!   to different shards;
+//! * **clients** — accepted from the listener, read and written through
+//!   the shared [`LineStream`], responses kept in per-client ordered
+//!   slots so pipelined requests answer in request order even when they
+//!   fan out to different shards;
 //! * **backends** — one multiplexed, pipelined connection per shard.
 //!   Each forwarded request is pushed onto that backend's in-flight
 //!   FIFO; the engine's `Session` answers in order per connection, so
@@ -31,7 +31,7 @@
 use crate::ring::ShardMap;
 use crate::signal;
 use freqywm_net::http::HttpConn;
-use freqywm_net::{Backend, Event, Interest, LineEvent, LineFramer, Poller};
+use freqywm_net::{Backend, Event, Interest, LineEvent, LineStream, Poller};
 use freqywm_obs::family::{
     counter, gauge, histogram, info, write_prom, JsonObject, LatencyHistogram, Val,
 };
@@ -109,9 +109,6 @@ freqywm_obs::families! {
 /// are reaped (they never wait on jobs, so a fixed bound is safe).
 const HTTP_IDLE: Duration = Duration::from_secs(10);
 
-const READ_CHUNK: usize = 16 * 1024;
-const READ_BUDGET: usize = 4 * READ_CHUNK;
-const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// Backend response frames (metrics blobs) may exceed client request
 /// caps; a response larger than this means the stream lost framing.
 const BACKEND_MAX_FRAME: usize = 8 << 20;
@@ -222,14 +219,9 @@ enum CSlot {
 
 struct ClientConn {
     id: u64,
-    stream: TcpStream,
-    framer: LineFramer,
-    out_buf: Vec<u8>,
-    out_pos: usize,
+    io: LineStream,
     slots: VecDeque<CSlot>,
     base: usize,
-    eof: bool,
-    failed: bool,
     authed: bool,
     interest: Interest,
 }
@@ -238,14 +230,9 @@ impl ClientConn {
     fn new(id: u64, stream: TcpStream, max_frame: usize) -> Self {
         ClientConn {
             id,
-            stream,
-            framer: LineFramer::new(max_frame),
-            out_buf: Vec::new(),
-            out_pos: 0,
+            io: LineStream::new(stream, max_frame),
             slots: VecDeque::new(),
             base: 0,
-            eof: false,
-            failed: false,
             authed: false,
             interest: Interest::READ,
         }
@@ -275,17 +262,12 @@ impl ClientConn {
                 unreachable!("front checked above");
             };
             self.base += 1;
-            self.out_buf.extend_from_slice(resp.as_bytes());
-            self.out_buf.push(b'\n');
+            self.io.queue_line(&resp);
         }
     }
 
-    fn buffered(&self) -> usize {
-        self.out_buf.len() - self.out_pos
-    }
-
     fn settled(&self) -> bool {
-        self.slots.is_empty() && self.buffered() == 0
+        self.slots.is_empty() && self.io.buffered() == 0
     }
 }
 
@@ -329,15 +311,10 @@ struct ParkedRequest {
 const MAX_PARKED: usize = 4096;
 
 struct BackendConn {
-    stream: TcpStream,
-    framer: LineFramer,
-    out_buf: Vec<u8>,
-    out_pos: usize,
+    io: LineStream,
     /// Each entry is (send time, correlation); the send time feeds the
     /// per-backend latency histogram when the FIFO response arrives.
     inflight: VecDeque<(Instant, Pending)>,
-    eof: bool,
-    failed: bool,
     last_activity: Instant,
     interest: Interest,
 }
@@ -345,20 +322,11 @@ struct BackendConn {
 impl BackendConn {
     fn new(stream: TcpStream) -> Self {
         BackendConn {
-            stream,
-            framer: LineFramer::new(BACKEND_MAX_FRAME),
-            out_buf: Vec::new(),
-            out_pos: 0,
+            io: LineStream::new(stream, BACKEND_MAX_FRAME),
             inflight: VecDeque::new(),
-            eof: false,
-            failed: false,
             last_activity: Instant::now(),
             interest: Interest::READ,
         }
-    }
-
-    fn buffered(&self) -> usize {
-        self.out_buf.len() - self.out_pos
     }
 }
 
@@ -588,78 +556,6 @@ fn err_with_part(id_part: &str, msg: &str) -> String {
         "{{\"ok\":false{id_part},\"error\":\"{}\"}}",
         json::escape(msg)
     )
-}
-
-/// Non-blocking bounded read into a framer; returns the completed
-/// events. Shared by the client and backend sides. `deliver_tail`
-/// controls EOF handling: client input honours a final line without a
-/// trailing newline (FrameReader parity), but a backend *response*
-/// with no newline is by definition truncated mid-write — delivering
-/// it would hand a client garbage as its answer, so the backend side
-/// discards it and lets the teardown error the in-flight slot instead.
-fn read_events(
-    stream: &mut TcpStream,
-    framer: &mut LineFramer,
-    eof: &mut bool,
-    failed: &mut bool,
-    deliver_tail: bool,
-) -> Vec<LineEvent> {
-    let mut out = Vec::new();
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut budget = READ_BUDGET;
-    while budget > 0 {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                *eof = true;
-                if deliver_tail {
-                    framer.finish(|e| out.push(e));
-                }
-                break;
-            }
-            Ok(n) => {
-                framer.push(&chunk[..n], |e| out.push(e));
-                budget = budget.saturating_sub(n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *failed = true;
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Non-blocking flush of a positioned write buffer.
-fn flush_stream(
-    stream: &mut TcpStream,
-    out_buf: &mut Vec<u8>,
-    out_pos: &mut usize,
-    failed: &mut bool,
-) {
-    while *out_pos < out_buf.len() {
-        match stream.write(&out_buf[*out_pos..]) {
-            Ok(0) => {
-                *failed = true;
-                break;
-            }
-            Ok(n) => *out_pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *failed = true;
-                break;
-            }
-        }
-    }
-    if *out_pos == out_buf.len() {
-        out_buf.clear();
-        *out_pos = 0;
-    } else if *out_pos > COMPACT_THRESHOLD {
-        out_buf.drain(..*out_pos);
-        *out_pos = 0;
-    }
 }
 
 /// An optional string value: `null` in JSON while unknown.
@@ -1130,17 +1026,11 @@ impl Router {
         let Some(conn) = self.backends[idx].conn.as_mut() else {
             return;
         };
-        conn.out_buf.extend_from_slice(line.as_bytes());
-        conn.out_buf.push(b'\n');
+        conn.io.queue_line(line);
         conn.inflight.push_back((Instant::now(), pending));
-        flush_stream(
-            &mut conn.stream,
-            &mut conn.out_buf,
-            &mut conn.out_pos,
-            &mut conn.failed,
-        );
+        conn.io.flush();
         conn.last_activity = Instant::now();
-        if conn.failed {
+        if conn.io.failed {
             self.fail_backend(idx);
         } else {
             self.update_backend_interest(idx);
@@ -1157,42 +1047,30 @@ impl Router {
                 return;
             };
             if ev.readable {
-                let events = read_events(
-                    &mut conn.stream,
-                    &mut conn.framer,
-                    &mut conn.eof,
-                    &mut conn.failed,
-                    // A backend tail with no newline is a response
-                    // truncated mid-write — never a deliverable line.
-                    false,
-                );
+                let mut oversized = false;
+                // A backend tail with no newline is a response
+                // truncated mid-write — never a deliverable line.
+                conn.io.read_ready(false, |e| match e {
+                    LineEvent::Line(line) => lines.push(line),
+                    LineEvent::Oversized => oversized = true,
+                });
+                // A response that overflows the cap means the stream
+                // lost framing; resync via reconnect.
+                conn.io.failed |= oversized;
                 conn.last_activity = Instant::now();
-                for e in events {
-                    match e {
-                        LineEvent::Line(line) => lines.push(line),
-                        // A response that overflows the cap means the
-                        // stream lost framing; resync via reconnect.
-                        LineEvent::Oversized => conn.failed = true,
-                    }
-                }
             }
             if ev.hangup {
-                conn.eof = true;
+                conn.io.eof = true;
             }
-            if ev.writable && !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
+            if ev.writable && !conn.io.failed {
+                conn.io.flush();
             }
         }
         for line in lines {
             self.backend_line(idx, line);
         }
         let dead = match self.backends[idx].conn.as_ref() {
-            Some(conn) => conn.failed || conn.eof,
+            Some(conn) => conn.io.failed || conn.io.eof,
             None => false,
         };
         if dead {
@@ -1216,7 +1094,7 @@ impl Router {
                 // A response with nothing in flight: the stream is out
                 // of sync; reconnect to resync.
                 if let Some(conn) = self.backends[idx].conn.as_mut() {
-                    conn.failed = true;
+                    conn.io.failed = true;
                 }
             }
             Some(Pending::Client { client, seq, .. }) => {
@@ -1341,7 +1219,7 @@ impl Router {
         let Some(mut conn) = self.backends[idx].conn.take() else {
             return;
         };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        let _ = self.poller.deregister(conn.io.as_raw_fd());
         self.backends[idx].healthy = false;
         let addr = self.backends[idx].addr.clone();
         for (_sent, pending) in conn.inflight.drain(..) {
@@ -1424,10 +1302,10 @@ impl Router {
         };
         let want = Interest {
             readable: true,
-            writable: conn.buffered() > 0,
+            writable: conn.io.buffered() > 0,
         };
         if want != conn.interest {
-            let fd = conn.stream.as_raw_fd();
+            let fd = conn.io.as_raw_fd();
             if self
                 .poller
                 .modify(fd, TOKEN_BACKEND_BASE + idx as u64, want)
@@ -1480,25 +1358,13 @@ impl Router {
             let Some(conn) = self.clients.get_mut(&fd) else {
                 return;
             };
-            if ev.readable && !conn.eof && self.drain.is_none() {
-                let events = read_events(
-                    &mut conn.stream,
-                    &mut conn.framer,
-                    &mut conn.eof,
-                    &mut conn.failed,
-                    true,
-                );
-                incoming = events;
+            if ev.readable && !conn.io.eof && self.drain.is_none() {
+                conn.io.read_ready(true, |e| incoming.push(e));
             } else if ev.hangup {
-                conn.eof = true;
+                conn.io.eof = true;
             }
-            if ev.writable && !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
+            if ev.writable && !conn.io.failed {
+                conn.io.flush();
             }
         }
         for event in incoming {
@@ -1884,17 +1750,12 @@ impl Router {
                 return;
             };
             conn.queue_ready();
-            if !conn.failed {
-                flush_stream(
-                    &mut conn.stream,
-                    &mut conn.out_buf,
-                    &mut conn.out_pos,
-                    &mut conn.failed,
-                );
+            if !conn.io.failed {
+                conn.io.flush();
             }
-            conn.failed
-                || conn.buffered() > self.config.max_write_buffer
-                || ((conn.eof || self.drain.is_some()) && conn.settled())
+            conn.io.failed
+                || conn.io.buffered() > self.config.max_write_buffer
+                || ((conn.io.eof || self.drain.is_some()) && conn.settled())
         };
         if close {
             self.close_client(fd);
@@ -1909,8 +1770,8 @@ impl Router {
             return;
         };
         let want = Interest {
-            readable: !conn.eof && !draining,
-            writable: conn.buffered() > 0,
+            readable: !conn.io.eof && !draining,
+            writable: conn.io.buffered() > 0,
         };
         if want != conn.interest {
             if self.poller.modify(fd, fd as u64, want).is_ok() {
