@@ -1764,6 +1764,34 @@ enum ServeEvent {
     JobDone(JobId),
 }
 
+/// Frames `reader` into lines capped at `max_frame` bytes and hands each
+/// to `emit` until EOF, a read error, or `emit` returning `false`. An
+/// unterminated tail at EOF is delivered as a final line.
+fn read_frames<R: BufRead>(
+    reader: &mut R,
+    max_frame: usize,
+    mut emit: impl FnMut(LineEvent) -> bool,
+) {
+    let mut framer = LineFramer::new(max_frame);
+    let mut open = true;
+    while open {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        if chunk.is_empty() {
+            framer.finish(|e| {
+                emit(e);
+            });
+            break;
+        }
+        framer.push(chunk, |e| open &= emit(e));
+        let n = chunk.len();
+        reader.consume(n);
+    }
+}
+
 /// Serves JSON-lines over arbitrary reader/writer until EOF or a
 /// `shutdown` op. A request line longer than `max_frame` bytes is
 /// answered with one error and skipped; with `auth_token` set, requests
@@ -1795,24 +1823,9 @@ where
         let _ = hook_tx.send(ServeEvent::JobDone(id));
     });
     std::thread::spawn(move || {
-        let mut framer = LineFramer::new(max_frame);
-        let mut open = true;
-        while open {
-            let chunk = match reader.fill_buf() {
-                Ok(chunk) => chunk,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            };
-            if chunk.is_empty() {
-                framer.finish(|e| {
-                    let _ = tx.send(ServeEvent::Input(e));
-                });
-                break;
-            }
-            framer.push(chunk, |e| open &= tx.send(ServeEvent::Input(e)).is_ok());
-            let n = chunk.len();
-            reader.consume(n);
-        }
+        read_frames(&mut reader, max_frame, |e| {
+            tx.send(ServeEvent::Input(e)).is_ok()
+        });
         let _ = tx.send(ServeEvent::Eof);
     });
 
@@ -2353,6 +2366,27 @@ mod tests {
         assert!(lines[0].contains("frame exceeds 256 bytes"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
         engine.shutdown();
+    }
+
+    #[test]
+    fn frame_reader_caps_and_recovers() {
+        let input = format!("short\n{}\nafter\nlast", "y".repeat(100));
+        // A small read buffer makes the oversized frame span many chunks.
+        let mut reader = std::io::BufReader::with_capacity(8, std::io::Cursor::new(input));
+        let mut frames = Vec::new();
+        read_frames(&mut reader, 16, |e| {
+            frames.push(e);
+            true
+        });
+        assert_eq!(
+            frames,
+            vec![
+                LineEvent::Line("short".into()),
+                LineEvent::Oversized,
+                LineEvent::Line("after".into()),
+                LineEvent::Line("last".into()),
+            ]
+        );
     }
 
     #[test]
