@@ -20,6 +20,13 @@ pub enum Error {
     MalformedSecret(String),
     /// Detection threshold `k` exceeds the number of stored pairs.
     ThresholdTooLarge { k: usize, pairs: usize },
+    /// A maintenance update would drive `token`'s count below zero or
+    /// past `u64::MAX`.
+    CountOutOfRange {
+        token: String,
+        count: u64,
+        delta: i64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -44,6 +51,14 @@ impl fmt::Display for Error {
                     "detection threshold k={k} exceeds stored pairs ({pairs})"
                 )
             }
+            Error::CountOutOfRange {
+                token,
+                count,
+                delta,
+            } => write!(
+                f,
+                "update {delta:+} to {token} (count {count}) leaves the range 0..=u64::MAX"
+            ),
         }
     }
 }
@@ -69,5 +84,12 @@ mod tests {
         assert!(Error::MalformedSecret("bad line".into())
             .to_string()
             .contains("bad line"));
+        assert!(Error::CountOutOfRange {
+            token: "x".into(),
+            count: 3,
+            delta: -4
+        }
+        .to_string()
+        .contains("-4 to x (count 3)"));
     }
 }

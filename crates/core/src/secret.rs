@@ -123,9 +123,9 @@ pub fn secret_text<'a>(
     let mut out = format!("freqywm-secret-v1\nz={z}\nr={}\n", secret.to_hex());
     for (a, b) in pairs {
         out.push_str("pair=");
-        out.push_str(&hex::encode(a.as_bytes()));
+        hex::encode_into(a.as_bytes(), &mut out);
         out.push(',');
-        out.push_str(&hex::encode(b.as_bytes()));
+        hex::encode_into(b.as_bytes(), &mut out);
         out.push('\n');
     }
     out

@@ -3,13 +3,19 @@
 
 /// Encodes bytes as lowercase hex.
 pub fn encode(bytes: &[u8]) -> String {
-    const TABLE: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
+    encode_into(bytes, &mut out);
+    out
+}
+
+/// Appends the lowercase hex of `bytes` to `out`.
+pub fn encode_into(bytes: &[u8], out: &mut String) {
+    const TABLE: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
         out.push(TABLE[(b >> 4) as usize] as char);
         out.push(TABLE[(b & 0xf) as usize] as char);
     }
-    out
 }
 
 /// Decodes a hex string (upper- or lowercase). Returns `None` on odd

@@ -98,44 +98,85 @@ impl Histogram {
         self.entries.iter().map(|(t, _)| t)
     }
 
-    /// Rank boundaries per entry (see module docs). Empty histogram
-    /// yields an empty vector; a single entry gets `(∞, f)`.
-    pub fn boundaries(&self) -> Vec<Boundaries> {
-        let n = self.entries.len();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let f = self.entries[i].1;
-            let upper = if i == 0 {
-                u64::MAX
-            } else {
-                self.entries[i - 1].1 - f
-            };
-            let lower = if i + 1 == n {
-                f
-            } else {
-                f - self.entries[i + 1].1
-            };
-            out.push(Boundaries { upper, lower });
-        }
-        out
+    /// Boundaries of the entry at `rank`, read from its two
+    /// neighbours' counts: `(∞, f)` for a single entry. Panics if
+    /// `rank` is out of range.
+    pub fn boundaries_at(&self, rank: usize) -> Boundaries {
+        let f = self.entries[rank].1;
+        let upper = match rank.checked_sub(1) {
+            Some(above) => self.entries[above].1 - f,
+            None => u64::MAX,
+        };
+        let lower = match self.entries.get(rank + 1) {
+            Some((_, below)) => f - below,
+            None => f,
+        };
+        Boundaries { upper, lower }
     }
 
-    /// Returns a histogram with the given signed count changes applied
-    /// (and re-sorted). Panics if a change would drive a count negative
-    /// or references an unknown token.
-    pub fn with_changes(&self, changes: &[(Token, i64)]) -> Histogram {
-        let mut counts: HashMap<Token, u64> = self.entries.iter().cloned().collect();
-        for (t, d) in changes {
-            let c = counts
-                .get_mut(t)
-                .unwrap_or_else(|| panic!("unknown token in change set: {t}"));
-            let next = (*c as i64)
-                .checked_add(*d)
-                .filter(|&v| v >= 0)
-                .unwrap_or_else(|| panic!("change drives count of {t} negative"));
-            *c = next as u64;
+    /// Rank boundaries per entry (see module docs). Empty histogram
+    /// yields an empty vector.
+    pub fn boundaries(&self) -> Vec<Boundaries> {
+        (0..self.len()).map(|i| self.boundaries_at(i)).collect()
+    }
+
+    /// Sets `token`'s count, inserting the token if it is unknown, and
+    /// moves its entry to the rank [`Self::from_counts`] would give it
+    /// (count descending, ties by token text). Only the entries between
+    /// the old and the new rank shift, and only theirs are re-indexed.
+    pub fn set_count(&mut self, token: &Token, count: u64) {
+        let from = match self.index.get(token) {
+            Some(&i) => i,
+            None => {
+                self.index.insert(token.clone(), self.entries.len());
+                self.entries.push((token.clone(), count));
+                self.entries.len() - 1
+            }
+        };
+        self.entries[from].1 = count;
+        // Every other entry is still in rank order, so each side of
+        // `from` splits into "ranks before `token`" and "after".
+        let before = |(t, c): &(Token, u64)| *c > count || (*c == count && t < token);
+        let up = self.entries[..from].partition_point(before);
+        let down = from + self.entries[from + 1..].partition_point(before);
+        let moved = if up < from {
+            self.entries[up..=from].rotate_right(1);
+            up..from + 1
+        } else if down > from {
+            self.entries[from..=down].rotate_left(1);
+            from..down + 1
+        } else {
+            return;
+        };
+        for i in moved {
+            *self.index.get_mut(&self.entries[i].0).expect("indexed") = i;
         }
-        Histogram::from_counts(counts)
+    }
+
+    /// Drops every token whose count is zero (they rank last).
+    pub fn drop_zero_counts(&mut self) {
+        let keep = self.entries.partition_point(|(_, c)| *c > 0);
+        for (t, _) in self.entries.drain(keep..) {
+            self.index.remove(&t);
+        }
+    }
+
+    /// Returns a histogram with the given signed count changes applied,
+    /// each moving its token to its new rank. Panics if a change would
+    /// drive a count negative (or past `u64::MAX`) or references an
+    /// unknown token.
+    pub fn with_changes(&self, changes: &[(Token, i64)]) -> Histogram {
+        let mut out = self.clone();
+        for (t, d) in changes {
+            let c = out
+                .count(t)
+                .unwrap_or_else(|| panic!("unknown token in change set: {t}"));
+            let next = c
+                .checked_add_signed(*d)
+                .unwrap_or_else(|| panic!("change drives count of {t} negative or out of range"));
+            out.set_count(t, next);
+        }
+        out
     }
 
     /// Scales every count by `factor` (rounding to nearest), the
@@ -347,6 +388,29 @@ mod tests {
             for w in f.windows(2) {
                 prop_assert!(w[0] >= w[1]);
             }
+        }
+
+        #[test]
+        fn in_place_moves_equal_a_rebuild(
+            start in proptest::collection::vec(0u64..8, 0..30),
+            moves in proptest::collection::vec((0usize..40, 0u64..8), 0..60),
+        ) {
+            // Few distinct counts, so most moves cross tie runs; token
+            // ids past `start` insert, and zero counts stay in.
+            let name = |i: usize| tk(&format!("t{i:02}"));
+            let mut h = Histogram::from_counts(
+                start.iter().enumerate().map(|(i, &c)| (name(i), c)),
+            );
+            let mut counts: std::collections::BTreeMap<Token, u64> =
+                h.entries().iter().cloned().collect();
+            for (i, c) in moves {
+                h.set_count(&name(i), c);
+                counts.insert(name(i), c);
+                prop_assert_eq!(&h, &Histogram::from_counts(counts.clone()));
+            }
+            h.drop_zero_counts();
+            counts.retain(|_, c| *c > 0);
+            prop_assert_eq!(&h, &Histogram::from_counts(counts));
         }
 
         #[test]

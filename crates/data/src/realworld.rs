@@ -28,31 +28,6 @@ pub const TAXI_DEFAULT_TRIPS: usize = 600_000;
 pub const EYEWNDER_DEFAULT_EVENTS: usize = 220_000;
 pub const ADULT_DEFAULT_ROWS: usize = 32_561;
 
-/// Explicit-seed wrappers: the reproducible entry points (service
-/// tests and benches must never fall back to ambient entropy).
-pub fn chicago_taxi_seeded(trips: usize, seed: u64) -> Dataset {
-    use rand::SeedableRng;
-    chicago_taxi(trips, &mut rand::rngs::StdRng::seed_from_u64(seed))
-}
-
-/// Seeded [`chicago_taxi_hist`].
-pub fn chicago_taxi_hist_seeded(trips: u64, sigma: f64, seed: u64) -> crate::histogram::Histogram {
-    use rand::SeedableRng;
-    chicago_taxi_hist(trips, sigma, &mut rand::rngs::StdRng::seed_from_u64(seed))
-}
-
-/// Seeded [`eyewnder`].
-pub fn eyewnder_seeded(events: usize, seed: u64) -> ClickStream {
-    use rand::SeedableRng;
-    eyewnder(events, &mut rand::rngs::StdRng::seed_from_u64(seed))
-}
-
-/// Seeded [`adult`].
-pub fn adult_seeded(rows: usize, seed: u64) -> Table {
-    use rand::SeedableRng;
-    adult(rows, &mut rand::rngs::StdRng::seed_from_u64(seed))
-}
-
 /// Simulated Chicago Taxi: returns the Taxi-ID token dataset.
 ///
 /// Trips per taxi follow a lognormal-like law (exp of a normal sampled

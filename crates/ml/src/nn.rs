@@ -36,12 +36,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        debug_assert!(r < self.rows && c < self.cols);
-        &mut self.data[r * self.cols + c]
-    }
-
     /// `y = A·x` (length `rows`).
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");

@@ -1282,15 +1282,11 @@ fn run_payload(
             let sweep_started = Instant::now();
             let report = maintainer.apply_updates(&updates, replenish)?;
             sweep_span(&tenant, JobKind::Maintain, sweep_started);
+            let (secrets, hist) = maintainer.into_parts();
             let ledger_index = {
                 let mut registry = shared.registry.write().expect("registry lock poisoned");
                 let now = shared.clock.fetch_add(1, Ordering::Relaxed);
-                registry.replace_latest_watermark(
-                    &tenant,
-                    maintainer.secrets().clone(),
-                    maintainer.histogram().clone(),
-                    now,
-                )?
+                registry.replace_latest_watermark(&tenant, secrets, hist, now)?
             };
             Ok(JobOutput::Maintain(MaintainOutcome {
                 tenant,

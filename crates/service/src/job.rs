@@ -24,16 +24,6 @@ pub enum JobData {
     Tokens(Vec<Token>),
 }
 
-impl JobData {
-    pub fn len_hint(&self) -> usize {
-        match self {
-            JobData::Histogram(h) => h.len(),
-            JobData::Rows(r) => r.len(),
-            JobData::Tokens(t) => t.len(),
-        }
-    }
-}
-
 /// What to do.
 #[derive(Debug, Clone)]
 pub enum JobPayload {

@@ -116,7 +116,9 @@ fn read_secret_list(r: &mut Reader<'_>) -> std::result::Result<StoredSecrets, Co
 }
 
 /// Encodes an event payload (sequence number + body, not yet framed).
-fn encode_event(seq: u64, ev: &RegistryEvent) -> Vec<u8> {
+/// A watermark event's secret text is taken from `secret_text`, or
+/// rendered into it, so the ledger fingerprint can reuse it.
+fn encode_event(seq: u64, ev: &RegistryEvent, secret_text: &mut Option<String>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     put_u64(&mut buf, seq);
     match ev {
@@ -148,7 +150,8 @@ fn encode_event(seq: u64, ev: &RegistryEvent) -> Vec<u8> {
             });
             put_u64(&mut buf, *now);
             put_str(&mut buf, tenant);
-            put_bytes(&mut buf, secrets.to_text().as_bytes());
+            let text = secret_text.get_or_insert_with(|| secrets.to_text());
+            put_bytes(&mut buf, text.as_bytes());
             watermarked.put_log(&mut buf);
         }
         RegistryEvent::RemoveTenant { tenant } => {
@@ -575,7 +578,7 @@ impl DurableRegistry {
                 )));
             }
             clock_floor = clock_floor.max(ev.now());
-            apply(&mut inner, ev)
+            apply(&mut inner, ev, None)
                 .map_err(|e| ServiceError::Storage(format!("replay failed: {e}")))?;
             next_seq += 1;
             recovery.replayed_events += 1;
@@ -626,10 +629,11 @@ impl DurableRegistry {
                 "registry log has an unrepaired torn tail; reopen to recover".into(),
             ));
         }
+        let mut secret_text = None;
         if self.storage.is_durable() {
             let framed = frame(&seal_event(
                 &self.ledger_key,
-                &encode_event(self.next_seq, &ev),
+                &encode_event(self.next_seq, &ev, &mut secret_text),
             ));
             if let Err(e) = self.storage.append_log(&framed) {
                 // The append may have landed partially (ENOSPC, I/O
@@ -647,7 +651,7 @@ impl DurableRegistry {
         }
         self.next_seq += 1;
         self.clock_floor = self.clock_floor.max(ev.now());
-        apply(&mut self.inner, ev).expect("validated event cannot fail to apply");
+        apply(&mut self.inner, ev, secret_text).expect("validated event cannot fail to apply");
         self.events_since_snapshot += 1;
         if self.storage.is_durable()
             && self.snapshot_every > 0
@@ -914,7 +918,7 @@ impl DurableRegistry {
         }
         self.next_seq += 1;
         self.clock_floor = self.clock_floor.max(ev.now());
-        apply(&mut self.inner, ev).expect("validated event cannot fail to apply");
+        apply(&mut self.inner, ev, None).expect("validated event cannot fail to apply");
         self.events_since_snapshot += 1;
         if self.storage.is_durable()
             && self.snapshot_every > 0
@@ -1001,8 +1005,11 @@ fn validate(registry: &KeyRegistry, ev: &RegistryEvent) -> Result<()> {
     }
 }
 
-/// Applies a (pre-validated or replayed) event to the registry.
-fn apply(registry: &mut KeyRegistry, ev: RegistryEvent) -> Result<()> {
+/// Applies a (pre-validated or replayed) event to the registry. A
+/// watermark event registers `secret_text` when the caller already
+/// rendered it, else renders it.
+fn apply(registry: &mut KeyRegistry, ev: RegistryEvent, secret_text: Option<String>) -> Result<()> {
+    let replace = matches!(ev, RegistryEvent::ReplaceWatermark { .. });
     match ev {
         RegistryEvent::RegisterTenant {
             tenant,
@@ -1014,17 +1021,18 @@ fn apply(registry: &mut KeyRegistry, ev: RegistryEvent) -> Result<()> {
             secrets,
             watermarked,
             now,
-        } => registry
-            .record_watermark(&tenant, secrets, watermarked, now)
-            .map(|_| ()),
-        RegistryEvent::ReplaceWatermark {
+        }
+        | RegistryEvent::ReplaceWatermark {
             tenant,
             secrets,
             watermarked,
             now,
-        } => registry
-            .replace_latest_watermark(&tenant, secrets, watermarked, now)
-            .map(|_| ()),
+        } => {
+            let text = secret_text.unwrap_or_else(|| secrets.to_text());
+            registry
+                .put_watermark(&tenant, secrets, &text, watermarked, now, replace)
+                .map(|_| ())
+        }
         RegistryEvent::RemoveTenant { tenant } => {
             registry.remove_tenant(&tenant);
             Ok(())
@@ -1118,7 +1126,7 @@ mod tests {
             },
         ];
         for (i, ev) in events.iter().enumerate() {
-            let payload = encode_event(i as u64, ev);
+            let payload = encode_event(i as u64, ev, &mut None);
             let (seq, back) = decode_event(&payload).unwrap();
             assert_eq!(seq, i as u64);
             assert_eq!(&back, ev);

@@ -632,15 +632,6 @@ impl KeyRegistry {
             .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
     }
 
-    /// Audit view of a tenant's onboarding: `(ledger_index,
-    /// registered_at)`.
-    pub fn tenant_registration(&self, tenant: &str) -> Result<(u64, u64)> {
-        self.tenants
-            .get(tenant)
-            .map(|r| (r.ledger_index, r.registered_at))
-            .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
-    }
-
     /// Records a completed embed: appends the secret-list fingerprint
     /// to the ledger and stores the watermark for later detect /
     /// maintain / dispute calls. Returns the ledger index.
@@ -651,21 +642,8 @@ impl KeyRegistry {
         watermarked: StoredHistogram,
         now: u64,
     ) -> Result<u64> {
-        // Append first so a missing tenant cannot mutate the chain.
-        if !self.tenants.contains_key(tenant) {
-            return Err(ServiceError::UnknownTenant(tenant.to_string()));
-        }
-        let ledger_index = self
-            .ledger
-            .register(now, tenant, secrets.to_text().as_bytes());
-        let record = self.tenants.get_mut(tenant).expect("checked above");
-        record.watermarks.push(StoredWatermark {
-            secrets,
-            watermarked,
-            ledger_index,
-            registered_at: now,
-        });
-        Ok(ledger_index)
+        let text = secrets.to_text();
+        self.put_watermark(tenant, secrets, &text, watermarked, now, false)
     }
 
     /// Replaces the latest stored watermark (maintenance rewrites the
@@ -677,23 +655,40 @@ impl KeyRegistry {
         watermarked: StoredHistogram,
         now: u64,
     ) -> Result<u64> {
-        if self.latest_watermark(tenant).is_none() {
-            return Err(ServiceError::NoWatermark(tenant.to_string()));
-        }
-        let ledger_index = self
-            .ledger
-            .register(now, tenant, secrets.to_text().as_bytes());
-        let record = self
-            .tenants
-            .get_mut(tenant)
-            .expect("latest_watermark checked");
-        let latest = record.watermarks.last_mut().expect("non-empty");
-        *latest = StoredWatermark {
+        let text = secrets.to_text();
+        self.put_watermark(tenant, secrets, &text, watermarked, now, true)
+    }
+
+    /// [`Self::record_watermark`], or with `replace`
+    /// [`Self::replace_latest_watermark`], registering `secret_text`
+    /// (`secrets.to_text()`, which a durable commit also logs) as the
+    /// fingerprint. A refused call leaves the chain as it was.
+    pub(crate) fn put_watermark(
+        &mut self,
+        tenant: &str,
+        secrets: StoredSecrets,
+        secret_text: &str,
+        watermarked: StoredHistogram,
+        now: u64,
+        replace: bool,
+    ) -> Result<u64> {
+        let record = match self.tenants.get_mut(tenant) {
+            Some(r) if !(replace && r.watermarks.is_empty()) => r,
+            _ if replace => return Err(ServiceError::NoWatermark(tenant.to_string())),
+            _ => return Err(ServiceError::UnknownTenant(tenant.to_string())),
+        };
+        let ledger_index = self.ledger.register(now, tenant, secret_text.as_bytes());
+        let watermark = StoredWatermark {
             secrets,
             watermarked,
             ledger_index,
             registered_at: now,
         };
+        if replace {
+            *record.watermarks.last_mut().expect("checked above") = watermark;
+        } else {
+            record.watermarks.push(watermark);
+        }
         Ok(ledger_index)
     }
 

@@ -3,10 +3,12 @@
 //! acceptance criteria for concurrent multi-tenant detection, and a
 //! thread-storm smoke test.
 
+use freqywm_core::incremental::IncrementalWatermarker;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_data::synthetic::{power_law_counts, power_law_dataset_seeded, PowerLawConfig};
+use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::job::{JobData, JobOutput, JobPayload, JobSpec, JobState};
 use freqywm_service::metrics::M;
@@ -269,21 +271,46 @@ fn maintain_job_repairs_watermark() {
         GenerationParams::default().with_z(101),
     );
     let ledger_before = engine.registry().ledger().len();
-
-    // A day of drift: bump a spread of token counts.
-    let updates: Vec<(freqywm_data::token::Token, i64)> = (0..200)
-        .step_by(3)
-        .map(|i| (freqywm_data::token::Token::new(format!("tk{i:05}")), 17))
-        .collect();
-    let state = engine.run(JobSpec::new(JobPayload::Maintain {
-        tenant: "acme".into(),
-        updates,
-        replenish: true,
-    }));
-    let JobState::Completed(JobOutput::Maintain(m)) = state else {
-        panic!("maintain did not complete: {state:?}");
+    // The library mirror every served maintain must match.
+    let mut mirror = {
+        let stored = engine.registry().require_watermark("acme").unwrap().clone();
+        IncrementalWatermarker::new(
+            GenerationParams::default().with_z(101),
+            stored.secrets.to_secret_list(),
+            stored.watermarked.to_histogram(),
+        )
     };
-    assert!(m.report.intact + m.report.repaired + m.report.added > 0);
+
+    // A day of drift: bump a spread of token counts; then batches of
+    // purges, cuts, repeats and newcomers, with and without
+    // replenishing.
+    let tk = |i: usize| Token::new(format!("tk{i:05}"));
+    let batches: Vec<(Vec<(Token, i64)>, bool)> = vec![
+        ((0..200).step_by(3).map(|i| (tk(i), 17)).collect(), true),
+        (vec![(tk(1), 3), (tk(7), 2), (tk(1), 1)], false),
+        (
+            vec![(tk(2), -40), (tk(150), 9), (Token::new("newcomer"), 2_500)],
+            true,
+        ),
+        ((0..200).step_by(7).map(|i| (tk(i), -1)).collect(), false),
+    ];
+    for (k, (updates, replenish)) in batches.into_iter().enumerate() {
+        let want = mirror.apply_updates(&updates, replenish).unwrap();
+        let state = engine.run(JobSpec::new(JobPayload::Maintain {
+            tenant: "acme".into(),
+            updates,
+            replenish,
+        }));
+        let JobState::Completed(JobOutput::Maintain(m)) = state else {
+            panic!("maintain {k} did not complete: {state:?}");
+        };
+        assert_eq!(m.report, want, "maintain {k}");
+        assert!(m.report.intact + m.report.repaired + m.report.added > 0);
+        let registry = engine.registry();
+        let stored = registry.require_watermark("acme").unwrap();
+        assert!(stored.watermarked == *mirror.histogram(), "maintain {k}");
+        assert!(stored.secrets == *mirror.secrets(), "maintain {k}");
+    }
 
     // The refreshed mark verifies on the maintained histogram.
     let maintained = engine
@@ -305,8 +332,8 @@ fn maintain_job_repairs_watermark() {
         DetectionParams::default().with_t(0).with_k(pairs),
     );
     assert!(d.accepted, "maintained watermark must verify: {d:?}");
-    // Maintenance re-registered the fingerprint.
-    assert_eq!(engine.registry().ledger().len(), ledger_before + 1);
+    // Each maintenance re-registered the fingerprint.
+    assert_eq!(engine.registry().ledger().len(), ledger_before + 4);
     assert!(engine.registry().ledger().verify_chain().is_ok());
     engine.shutdown();
 }
