@@ -49,24 +49,34 @@ fn bench_matchers(c: &mut Criterion) {
     group.finish();
 }
 
-/// `OptMatch` at the size of a served embed: a 625-token power-law
-/// histogram at z = 131, about 1300 edges once free pairs are excluded
-/// — the graph build, blossom and the budget knapsack together.
+/// `OptMatch` at the size of a served embed, on every power-law shape
+/// the embed workload draws (625 tokens at α 0.4 and 0.7, 1000 tokens
+/// at α 0.9, 1000 samples per token) at z = 131 and z = 1031, with free
+/// pairs excluded — the graph build, blossom and the budget knapsack
+/// together. 625 tokens at α 0.4, z = 131 gives about 1300 edges.
 fn bench_select_optimal(c: &mut Criterion) {
-    let hist = Histogram::from_counts(power_law_counts(&PowerLawConfig {
-        distinct_tokens: 625,
-        sample_size: 625_000,
-        alpha: 0.4,
-    }));
-    let params = GenerationParams::default()
-        .with_z(131)
-        .with_exclude_free_pairs(true);
-    let eligible = eligible_pairs(&hist, &Secret::from_label("select-bench"), 131);
     let mut group = c.benchmark_group("select_pairs");
     group.sample_size(10);
-    group.bench_function("optimal", |b| {
-        b.iter(|| select_pairs(black_box(&hist), black_box(&eligible), &params))
-    });
+    for (tokens, alpha) in [(625usize, 0.4), (625, 0.7), (1000, 0.9)] {
+        let hist = Histogram::from_counts(power_law_counts(&PowerLawConfig {
+            distinct_tokens: tokens,
+            sample_size: tokens * 1000,
+            alpha,
+        }));
+        for z in [131u64, 1031] {
+            let params = GenerationParams::default()
+                .with_z(z)
+                .with_exclude_free_pairs(true);
+            let eligible = eligible_pairs(&hist, &Secret::from_label("select-bench"), z);
+            group.bench_with_input(
+                BenchmarkId::new("optimal", format!("{tokens}t-a{alpha}-z{z}")),
+                &eligible,
+                |b, eligible| {
+                    b.iter(|| select_pairs(black_box(&hist), black_box(eligible), &params))
+                },
+            );
+        }
+    }
     group.finish();
 }
 

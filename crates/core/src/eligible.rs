@@ -62,12 +62,15 @@ pub fn eligible_pairs(hist: &Histogram, secret: &Secret, z: u64) -> Vec<Eligible
 /// [`eligible_pairs`] with an additional modulus floor: pairs with
 /// `s_ij < min_s` are rejected.
 ///
-/// Two deliberate deviations from the paper's rule:
+/// Three deliberate deviations from the paper's rule:
 ///
 /// * the lower boundary of the **last** token is capped at
 ///   `f_last − 1` instead of `f_last`, so no token can be erased from
 ///   the dataset entirely (a vanished token makes its pair
 ///   undetectable in a materialised dataset);
+/// * the upper boundary of the **first** token is capped at
+///   `u64::MAX − f_first` instead of ∞, so no count can grow past
+///   `u64::MAX`;
 /// * `min_s > 2` lets the owner skip tiny moduli, whose pairs verify
 ///   trivially once the detection tolerance `t` reaches `s/2` and so
 ///   raise the false-positive rate on unmarked data (`exp_ablation`
@@ -181,7 +184,13 @@ impl Sweep {
         let min_bound: Vec<u64> = bounds
             .iter()
             .zip(&counts)
-            .map(|(b, &c)| b.upper.min(b.lower.min(c.saturating_sub(1))))
+            .map(|(b, &c)| {
+                // The top token's upper boundary is unbounded; cap it
+                // at the headroom left below u64::MAX.
+                b.upper
+                    .min(u64::MAX - c)
+                    .min(b.lower.min(c.saturating_sub(1)))
+            })
             .collect();
         let candidates: Vec<usize> = (0..counts.len()).filter(|&i| min_bound[i] >= 1).collect();
         if candidates.len() < 2 {

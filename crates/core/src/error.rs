@@ -12,6 +12,9 @@ pub enum Error {
     BudgetExhausted,
     /// `z` outside the valid range `(2, r_max)` (Sec. IV-A1).
     InvalidModuloBase { z: u64, r_max: u64 },
+    /// `z` above [`crate::generate::MAX_MODULO_BASE`] (2^61): larger
+    /// pair moduli would overflow the matcher's i64 edge weights.
+    ModulusTooLarge { z: u64 },
     /// Budget percentage outside `(0, 100]`.
     InvalidBudget(f64),
     /// The input dataset is empty.
@@ -42,6 +45,10 @@ impl fmt::Display for Error {
             Error::InvalidModuloBase { z, r_max } => {
                 write!(f, "modulo base z={z} outside valid range (2, {r_max})")
             }
+            Error::ModulusTooLarge { z } => write!(
+                f,
+                "modulo base z={z} exceeds 2^61, the largest the pair matcher's i64 weights admit"
+            ),
             Error::InvalidBudget(b) => write!(f, "budget {b}% outside (0, 100]"),
             Error::EmptyDataset => write!(f, "input dataset is empty"),
             Error::MalformedSecret(msg) => write!(f, "malformed secret: {msg}"),
@@ -77,6 +84,9 @@ mod tests {
         assert!(Error::InvalidModuloBase { z: 1, r_max: 50 }
             .to_string()
             .contains("z=1"));
+        assert!(Error::ModulusTooLarge { z: u64::MAX }
+            .to_string()
+            .contains("exceeds 2^61"));
         assert!(Error::InvalidBudget(0.0).to_string().contains("0"));
         assert!(Error::ThresholdTooLarge { k: 5, pairs: 2 }
             .to_string()

@@ -18,6 +18,12 @@ use freqywm_data::dataset::{Dataset, Table};
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
 
+/// The largest modulo base `z` generation accepts. Every pair modulus
+/// is below `z`, so the matching weights `T − rm` stay within
+/// `1..=2^61`, the range in which the blossom matcher's duals, slacks
+/// and doubled weights fit in an i64.
+pub const MAX_MODULO_BASE: u64 = 1 << 61;
+
 /// Statistics of one generation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerationReport {
@@ -73,6 +79,9 @@ impl Watermarker {
                 z: self.params.z,
                 r_max: r_max(hist),
             });
+        }
+        if self.params.z > MAX_MODULO_BASE {
+            return Err(Error::ModulusTooLarge { z: self.params.z });
         }
         Ok(())
     }
@@ -395,6 +404,63 @@ mod tests {
             assert_eq!(direct.report.eligible_pairs, provided.len());
             assert_eq!(direct.secrets.pairs, chosen);
         }
+    }
+
+    /// Counts and moduli near the top of u64 once overflowed the
+    /// selection's i64 weights, slacks and budget arithmetic (a panic
+    /// with overflow checks, a silent wrap without them).
+    #[test]
+    fn moduli_past_2_pow_61_are_refused_and_huge_counts_do_not_overflow() {
+        let hist = |top: u64| {
+            Histogram::from_counts([
+                (Token::new("a"), top),
+                (Token::new("b"), 1 << 63),
+                (Token::new("c"), 3),
+            ])
+        };
+        let h = hist(u64::MAX);
+        let secrets = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        for z in [u64::MAX, 1 << 63, MAX_MODULO_BASE + 1] {
+            for s in secrets {
+                let wm = Watermarker::new(GenerationParams::default().with_z(z));
+                assert_eq!(
+                    wm.generate_histogram(&h, Secret::from_label(s)).err(),
+                    Some(Error::ModulusTooLarge { z })
+                );
+            }
+        }
+        // Every accepted z runs without overflow, whether the top token
+        // sits at u64::MAX or has headroom to grow.
+        let mut generated = 0;
+        for (h, z) in [hist(u64::MAX), hist(3 << 62)]
+            .iter()
+            .flat_map(|h| [MAX_MODULO_BASE, MAX_MODULO_BASE - 1, 1 << 40, 131].map(|z| (h, z)))
+        {
+            for s in secrets {
+                let wm = Watermarker::new(GenerationParams::default().with_z(z));
+                let out = match wm.generate_histogram(h, Secret::from_label(s)) {
+                    Ok(out) => out,
+                    Err(e) => {
+                        assert_eq!(e, Error::NoEligiblePairs, "z={z}");
+                        continue;
+                    }
+                };
+                generated += 1;
+                assert!(out.report.ranking_preserved);
+                for (a, b) in &out.secrets.pairs {
+                    let fa = out.watermarked.count(a).unwrap();
+                    let fb = out.watermarked.count(b).unwrap();
+                    let s = freqywm_crypto::prf::pair_modulus(
+                        &out.secrets.secret,
+                        a.as_bytes(),
+                        b.as_bytes(),
+                        z,
+                    );
+                    assert_eq!(fa.abs_diff(fb) % s, 0, "z={z}: ({a}, {b}) not watermarked");
+                }
+            }
+        }
+        assert!(generated > 0);
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub struct GenerationParams {
     /// keep `similarity ≥ (100 − b)%`. Paper default: 2.
     pub budget_pct: f64,
     /// Public modulo parameter `z` (the paper uses 131 on real data and
-    /// 1031 on synthetic sweeps). Valid range `(2, r_max)`.
+    /// 1031 on synthetic sweeps). Valid range `(2, r_max)`; generation
+    /// refuses `z` above [`crate::generate::MAX_MODULO_BASE`] (2^61).
     pub z: u64,
     /// Similarity metric for the budget (cosine in the paper).
     pub metric: SimilarityMetric,

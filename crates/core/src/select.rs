@@ -79,7 +79,9 @@ impl BudgetTracker {
 
     fn apply_delta(&mut self, idx: usize, d: i64) {
         let old = self.cur[idx] as f64;
-        let new = (self.cur[idx] as i64 + d) as u64;
+        let new = self.cur[idx]
+            .checked_add_signed(d)
+            .expect("the eligibility bound keeps counts in range");
         self.cur[idx] = new;
         let new = new as f64;
         self.dot += self.orig[idx] as f64 * (new - old);

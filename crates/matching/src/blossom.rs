@@ -8,11 +8,62 @@
 //! integer edge weights the duals stay integral because all S-vertex
 //! duals keep a common parity, so type-3 delta `slack/2` is exact.
 //!
+//! # Data layout
+//!
+//! Edges are read in place from the [`Graph`]. Edge `k` has endpoints
+//! `2k` (its `u`) and `2k + 1` (its `v`); `endpoint[p]` is the vertex at
+//! endpoint `p`. Each vertex's incident edges are one slice of a flat
+//! `u32` array of (remote endpoint, remote vertex) pairs,
+//! `neighbend[neighstart[v]..neighstart[v + 1]]`, in edge order.
+//! Vertices are `0..V`; blossoms take ids `V..2V` from a pool, from the
+//! top down, so every scan over blossoms starts at the lowest id taken
+//! so far. Every per-vertex and per-blossom table is a flat vector of
+//! `V` or `2V` entries.
+//!
+//! # Reused buffers
+//!
+//! A call sizes its tables once. Within a stage a buffer allocates only
+//! when it outgrows every earlier use:
+//!
+//! * Labelling a single vertex S pushes it straight onto the queue; the
+//!   leaves of a real blossom are walked with one scratch stack into
+//!   one scratch list, both owned by the matcher.
+//! * The queue scan reads a vertex's adjacency slice by index.
+//! * A recycled blossom id keeps its child, endpoint and least-slack
+//!   edge lists; they are cleared and refilled, not reallocated.
+//! * `add_blossom` collects each neighbouring S-blossom's least-slack
+//!   edge, with its slack, in a `2V` table that stays all-empty between
+//!   calls: it notes the entries it fills, sorts that short list and
+//!   resets only them.
+//! * The dual delta is one pass over vertices and one over top-level
+//!   blossoms, keeping each type's first minimum; the vertex duals are
+//!   then updated without branching on the labels.
+//!
+//! # Tie-breaking
+//!
+//! On tied weights a maximum-weight matching is not unique, and which
+//! one comes back is decided by these orders, all kept from the
+//! original formulation:
+//!
+//! * the scan queue is LIFO, and a blossom's leaves are queued in
+//!   depth-first order, last child first;
+//! * blossom ids are popped from the end of the unused pool and pushed
+//!   back on expansion, in the same order;
+//! * every least-slack scan keeps the first index on equal slack;
+//! * on equal delta the lower type wins: 1 < 2 < 3 < 4;
+//! * a blossom's least-slack edge list is in ascending order of the
+//!   S-blossom each edge leads to.
+//!
+//! `tests/matching_fixture.rs` pins the resulting `mate` vectors of
+//! about 10⁴ seeded tie-heavy graphs and 200 embed-shaped eligible-pair
+//! graphs, in both modes, against hashes in `tests/fixtures/mates.txt`.
+//!
 //! Every returned matching is validated with [`verify_matching`] in
 //! debug builds; the test-suite additionally cross-checks optimality
 //! against the exponential oracle in [`crate::brute`].
 
-use crate::graph::Graph;
+use crate::graph::{Edge, Graph};
+use std::mem;
 
 /// Computes a maximum-weight matching of `graph`.
 ///
@@ -22,10 +73,13 @@ use crate::graph::Graph;
 ///
 /// Negative-weight edges are never selected when `max_cardinality` is
 /// `false` (they cannot improve the objective).
+///
+/// Weights must lie within `±2^61`: that keeps every dual variable,
+/// every slack `dual_i + dual_j − 2w` and every `2w` inside an i64.
+/// `OptMatch`'s weights `T − rm` meet it because generation refuses a
+/// modulo base above 2^61.
 pub fn max_weight_matching(graph: &Graph, max_cardinality: bool) -> Vec<Option<usize>> {
-    let edges: Vec<(usize, usize, i64)> =
-        graph.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
-    let mate = Matcher::new(graph.num_vertices(), &edges, max_cardinality).run();
+    let mate = Matcher::new(graph, max_cardinality).run();
     debug_assert!(verify_matching(graph, &mate));
     mate
 }
@@ -58,14 +112,37 @@ pub fn verify_matching(graph: &Graph, mate: &[Option<usize>]) -> bool {
 
 const NONE: isize = -1;
 
+/// Appends the vertices of blossom `b` to `out`, in the order a
+/// depth-first walk that pops the last child first visits them.
+fn push_leaves(
+    blossomchilds: &[Vec<usize>],
+    nvertex: usize,
+    b: usize,
+    stack: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) {
+    stack.clear();
+    stack.push(b);
+    while let Some(t) = stack.pop() {
+        if t < nvertex {
+            out.push(t);
+        } else {
+            stack.extend_from_slice(&blossomchilds[t]);
+        }
+    }
+}
+
 struct Matcher<'a> {
-    edges: &'a [(usize, usize, i64)],
+    edges: &'a [Edge],
     nvertex: usize,
     max_cardinality: bool,
     /// `endpoint[p]` = vertex at endpoint `p` (edge `p/2`, side `p%2`).
     endpoint: Vec<usize>,
-    /// For each vertex, the remote endpoints of its incident edges.
-    neighbend: Vec<Vec<usize>>,
+    /// Remote endpoint and remote vertex of each vertex's incident
+    /// edges, in edge order: vertex `v`'s are
+    /// `neighbend[neighstart[v]..neighstart[v + 1]]`.
+    neighbend: Vec<[u32; 2]>,
+    neighstart: Vec<u32>,
     /// `mate[v]` = remote endpoint of v's matched edge, or -1.
     mate: Vec<isize>,
     /// 0 = free, 1 = S, 2 = T, 5 = breadcrumb, -1 = recycled blossom.
@@ -75,33 +152,65 @@ struct Matcher<'a> {
     /// Top-level blossom containing each vertex.
     inblossom: Vec<usize>,
     blossomparent: Vec<isize>,
+    /// Sub-blossoms of each blossom, empty for a vertex.
     blossomchilds: Vec<Vec<usize>>,
     blossombase: Vec<isize>,
     blossomendps: Vec<Vec<usize>>,
     /// Least-slack edge to a different S-blossom, per vertex/blossom.
     bestedge: Vec<isize>,
-    blossombestedges: Vec<Option<Vec<usize>>>,
+    /// Least-slack edges of an S-blossom to each neighbouring
+    /// S-blossom; meaningful only where `hasbestedges` is set.
+    blossombestedges: Vec<Vec<usize>>,
+    hasbestedges: Vec<bool>,
     unusedblossoms: Vec<usize>,
+    /// The lowest blossom id ever taken from the pool. Ids are taken
+    /// from the top down, so every id below it is unused and the scans
+    /// over blossoms start here.
+    lowblossom: usize,
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// Scratch: the leaves of one blossom, and the walk that finds them.
+    leaves: Vec<usize>,
+    stack: Vec<usize>,
+    /// Scratch: the blossoms `scan_blossom` marked.
+    trail: Vec<usize>,
+    /// Scratch for `add_blossom`: least-slack edge to each S-blossom
+    /// with its slack, `NONE` between calls, and the entries filled in
+    /// this call.
+    bestedgeto: Vec<(isize, i64)>,
+    touched: Vec<usize>,
 }
 
 impl<'a> Matcher<'a> {
-    fn new(nvertex: usize, edges: &'a [(usize, usize, i64)], max_cardinality: bool) -> Self {
-        let nedge = edges.len();
-        let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
-        let mut endpoint = Vec::with_capacity(2 * nedge);
-        for &(u, v, _) in edges {
-            assert_ne!(u, v, "self-loop in matching input");
-            assert!(u < nvertex && v < nvertex, "edge endpoint out of range");
-            endpoint.push(u);
-            endpoint.push(v);
+    fn new(graph: &'a Graph, max_cardinality: bool) -> Self {
+        let edges = graph.edges();
+        let nvertex = graph.num_vertices();
+        assert!(
+            2 * edges.len() <= u32::MAX as usize,
+            "too many edges for the matcher"
+        );
+        let maxweight = edges.iter().map(|e| e.weight).max().unwrap_or(0).max(0);
+        let mut endpoint = Vec::with_capacity(2 * edges.len());
+        let mut neighstart = vec![0u32; nvertex + 1];
+        for e in edges {
+            assert_ne!(e.u, e.v, "self-loop in matching input");
+            assert!(e.u < nvertex && e.v < nvertex, "edge endpoint out of range");
+            endpoint.push(e.u);
+            endpoint.push(e.v);
+            neighstart[e.u + 1] += 1;
+            neighstart[e.v + 1] += 1;
         }
-        let mut neighbend = vec![Vec::new(); nvertex];
-        for (k, &(u, v, _)) in edges.iter().enumerate() {
-            neighbend[u].push(2 * k + 1);
-            neighbend[v].push(2 * k);
+        for v in 0..nvertex {
+            neighstart[v + 1] += neighstart[v];
+        }
+        let mut next = neighstart.clone();
+        let mut neighbend = vec![[0u32; 2]; 2 * edges.len()];
+        for (k, e) in edges.iter().enumerate() {
+            for (x, p, y) in [(e.u, 2 * k + 1, e.v), (e.v, 2 * k, e.u)] {
+                neighbend[next[x] as usize] = [p as u32, y as u32];
+                next[x] += 1;
+            }
         }
         let mut dualvar = vec![maxweight; nvertex];
         dualvar.extend(std::iter::repeat_n(0, nvertex));
@@ -111,6 +220,7 @@ impl<'a> Matcher<'a> {
             max_cardinality,
             endpoint,
             neighbend,
+            neighstart,
             mate: vec![NONE; nvertex],
             label: vec![0; 2 * nvertex],
             labelend: vec![NONE; 2 * nvertex],
@@ -122,40 +232,36 @@ impl<'a> Matcher<'a> {
                 .collect(),
             blossomendps: vec![Vec::new(); 2 * nvertex],
             bestedge: vec![NONE; 2 * nvertex],
-            blossombestedges: vec![None; 2 * nvertex],
+            blossombestedges: vec![Vec::new(); 2 * nvertex],
+            hasbestedges: vec![false; 2 * nvertex],
             unusedblossoms: (nvertex..2 * nvertex).collect(),
+            lowblossom: 2 * nvertex,
             dualvar,
-            allowedge: vec![false; nedge],
+            allowedge: vec![false; edges.len()],
             queue: Vec::new(),
+            leaves: Vec::new(),
+            stack: Vec::new(),
+            trail: Vec::new(),
+            bestedgeto: vec![(NONE, 0); 2 * nvertex],
+            touched: Vec::new(),
         }
     }
 
     fn slack(&self, k: usize) -> i64 {
-        let (i, j, wt) = self.edges[k];
-        self.dualvar[i] + self.dualvar[j] - 2 * wt
+        let e = &self.edges[k];
+        self.dualvar[e.u] + self.dualvar[e.v] - 2 * e.weight
     }
 
-    /// All vertices contained (transitively) in blossom `b`.
-    fn blossom_leaves(&self, b: usize, out: &mut Vec<usize>) {
-        if b < self.nvertex {
-            out.push(b);
-        } else {
-            // Iterative DFS to avoid recursion depth issues.
-            let mut stack = vec![b];
-            while let Some(t) = stack.pop() {
-                if t < self.nvertex {
-                    out.push(t);
-                } else {
-                    stack.extend(self.blossomchilds[t].iter().copied());
-                }
-            }
-        }
-    }
-
-    fn leaves(&self, b: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.blossom_leaves(b, &mut out);
-        out
+    /// Fills `self.leaves` with the vertices of blossom `b`.
+    fn collect_leaves(&mut self, b: usize) {
+        self.leaves.clear();
+        push_leaves(
+            &self.blossomchilds,
+            self.nvertex,
+            b,
+            &mut self.stack,
+            &mut self.leaves,
+        );
     }
 
     /// Labels vertex `w` (and its blossom) S (t=1) or T (t=2), having
@@ -170,8 +276,17 @@ impl<'a> Matcher<'a> {
         self.bestedge[w] = NONE;
         self.bestedge[b] = NONE;
         if t == 1 {
-            let lv = self.leaves(b);
-            self.queue.extend(lv);
+            if b < self.nvertex {
+                self.queue.push(b);
+            } else {
+                push_leaves(
+                    &self.blossomchilds,
+                    self.nvertex,
+                    b,
+                    &mut self.stack,
+                    &mut self.queue,
+                );
+            }
         } else {
             let base = self.blossombase[b] as usize;
             debug_assert!(self.mate[base] >= 0);
@@ -183,7 +298,7 @@ impl<'a> Matcher<'a> {
     /// Traces back from S-vertices `v` and `w` to find a common
     /// ancestor (new blossom base) or -1 (augmenting path found).
     fn scan_blossom(&mut self, v: usize, w: usize) -> isize {
-        let mut path: Vec<usize> = Vec::new();
+        self.trail.clear();
         let mut base = NONE;
         let mut v = v as isize;
         let mut w = w as isize;
@@ -194,7 +309,7 @@ impl<'a> Matcher<'a> {
                 break;
             }
             debug_assert_eq!(self.label[b], 1);
-            path.push(b);
+            self.trail.push(b);
             self.label[b] = 5;
             debug_assert_eq!(self.labelend[b], self.mate[self.blossombase[b] as usize]);
             if self.labelend[b] == NONE {
@@ -207,10 +322,10 @@ impl<'a> Matcher<'a> {
                 v = self.endpoint[self.labelend[b] as usize] as isize;
             }
             if w != NONE {
-                std::mem::swap(&mut v, &mut w);
+                mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
+        for &b in &self.trail {
             self.label[b] = 1;
         }
         base
@@ -219,16 +334,21 @@ impl<'a> Matcher<'a> {
     /// Constructs a new blossom with the given base, through edge `k`
     /// which connects two S-vertices in different blossoms.
     fn add_blossom(&mut self, base: usize, k: usize) {
-        let (mut v, mut w, _) = self.edges[k];
+        let Edge {
+            u: mut v, v: mut w, ..
+        } = self.edges[k];
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
         let mut bw = self.inblossom[w];
         let b = self.unusedblossoms.pop().expect("blossom pool exhausted");
+        self.lowblossom = self.lowblossom.min(b);
         self.blossombase[b] = base as isize;
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b as isize;
-        let mut path: Vec<usize> = Vec::new();
-        let mut endps: Vec<usize> = Vec::new();
+        let mut path = mem::take(&mut self.blossomchilds[b]);
+        let mut endps = mem::take(&mut self.blossomendps[b]);
+        path.clear();
+        endps.clear();
         // Trace back from v to base.
         while bv != bb {
             self.blossomparent[bv] = b as isize;
@@ -266,67 +386,86 @@ impl<'a> Matcher<'a> {
         self.labelend[b] = self.labelend[bb];
         self.dualvar[b] = 0;
         // Relabel contained vertices.
-        for &leaf in &path
-            .iter()
-            .flat_map(|&c| self.leaves(c))
-            .collect::<Vec<_>>()
-        {
-            if self.label[self.inblossom[leaf]] == 2 {
-                self.queue.push(leaf);
+        for &c in &path {
+            self.collect_leaves(c);
+            for &leaf in &self.leaves {
+                if self.label[self.inblossom[leaf]] == 2 {
+                    self.queue.push(leaf);
+                }
+                self.inblossom[leaf] = b;
             }
-            self.inblossom[leaf] = b;
         }
-        self.blossomchilds[b] = path.clone();
-        self.blossomendps[b] = endps;
-        // Compute the blossom's least-slack edges to other S-blossoms.
-        let mut bestedgeto = vec![NONE; 2 * self.nvertex];
+        // Compute the blossom's least-slack edges to other S-blossoms:
+        // from a child's own list where it has one, else from every
+        // edge of the child's vertices.
         for &bv in &path {
-            let nblists: Vec<Vec<usize>> = match self.blossombestedges[bv].take() {
-                Some(lst) => vec![lst],
-                None => self
-                    .leaves(bv)
-                    .into_iter()
-                    .map(|lv| self.neighbend[lv].iter().map(|&p| p / 2).collect())
-                    .collect(),
-            };
-            for nblist in nblists {
-                for k2 in nblist {
-                    let (mut i, mut j, _) = self.edges[k2];
-                    if self.inblossom[j] == b {
-                        std::mem::swap(&mut i, &mut j);
-                    }
-                    let bj = self.inblossom[j];
-                    if bj != b
-                        && self.label[bj] == 1
-                        && (bestedgeto[bj] == NONE
-                            || self.slack(k2) < self.slack(bestedgeto[bj] as usize))
-                    {
-                        bestedgeto[bj] = k2 as isize;
+            if self.hasbestedges[bv] {
+                let list = mem::take(&mut self.blossombestedges[bv]);
+                for &k2 in &list {
+                    let e = &self.edges[k2];
+                    let j = if self.inblossom[e.v] == b { e.u } else { e.v };
+                    self.offer_bestedgeto(b, k2, j);
+                }
+                self.blossombestedges[bv] = list;
+                self.hasbestedges[bv] = false;
+            } else {
+                self.collect_leaves(bv);
+                let leaves = mem::take(&mut self.leaves);
+                for &lv in &leaves {
+                    let nb = self.neighstart[lv] as usize..self.neighstart[lv + 1] as usize;
+                    for i in nb {
+                        let [p, w] = self.neighbend[i];
+                        self.offer_bestedgeto(b, p as usize / 2, w as usize);
                     }
                 }
+                self.leaves = leaves;
             }
-            self.blossombestedges[bv] = None;
             self.bestedge[bv] = NONE;
         }
-        let blist: Vec<usize> = bestedgeto
-            .into_iter()
-            .filter(|&k2| k2 != NONE)
-            .map(|k2| k2 as usize)
-            .collect();
+        self.blossomchilds[b] = path;
+        self.blossomendps[b] = endps;
+        // Ascending target-blossom order, as a scan of the whole table.
+        self.touched.sort_unstable();
+        let mut blist = mem::take(&mut self.blossombestedges[b]);
+        blist.clear();
         self.bestedge[b] = NONE;
-        for &k2 in &blist {
-            if self.bestedge[b] == NONE || self.slack(k2) < self.slack(self.bestedge[b] as usize) {
-                self.bestedge[b] = k2 as isize;
+        let mut bestslack = 0;
+        for &bj in &self.touched {
+            let (k2, kslack) = mem::replace(&mut self.bestedgeto[bj], (NONE, 0));
+            blist.push(k2 as usize);
+            if self.bestedge[b] == NONE || kslack < bestslack {
+                self.bestedge[b] = k2;
+                bestslack = kslack;
             }
         }
-        self.blossombestedges[b] = Some(blist);
+        self.touched.clear();
+        self.blossombestedges[b] = blist;
+        self.hasbestedges[b] = true;
+    }
+
+    /// Records edge `k2` from new blossom `b` to vertex `j` as `b`'s
+    /// least-slack edge to the S-blossom containing `j`, unless an
+    /// earlier edge has no more slack.
+    fn offer_bestedgeto(&mut self, b: usize, k2: usize, j: usize) {
+        let bj = self.inblossom[j];
+        if bj == b || self.label[bj] != 1 {
+            return;
+        }
+        let kslack = self.slack(k2);
+        let (best, bestslack) = self.bestedgeto[bj];
+        if best == NONE {
+            self.touched.push(bj);
+        } else if kslack >= bestslack {
+            return;
+        }
+        self.bestedgeto[bj] = (k2 as isize, kslack);
     }
 
     /// Expands blossom `b`, turning its children into top-level
     /// blossoms. During a stage (`endstage == false`) T-blossom
     /// sub-blossoms must be carefully relabelled.
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
-        let childs = self.blossomchilds[b].clone();
+        let childs = mem::take(&mut self.blossomchilds[b]);
         for &s in &childs {
             self.blossomparent[s] = NONE;
             if s < self.nvertex {
@@ -334,11 +473,13 @@ impl<'a> Matcher<'a> {
             } else if endstage && self.dualvar[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                for leaf in self.leaves(s) {
+                self.collect_leaves(s);
+                for &leaf in &self.leaves {
                     self.inblossom[leaf] = s;
                 }
             }
         }
+        self.blossomchilds[b] = childs;
         if !endstage && self.label[b] == 2 {
             debug_assert!(self.labelend[b] >= 0);
             let entrychild = self.inblossom[self.endpoint[(self.labelend[b] as usize) ^ 1]];
@@ -388,16 +529,9 @@ impl<'a> Matcher<'a> {
                     j += jstep;
                     continue;
                 }
-                let mut vlab = 0usize;
-                let mut found = false;
-                for leaf in self.leaves(bv) {
-                    if self.label[leaf] != 0 {
-                        vlab = leaf;
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                self.collect_leaves(bv);
+                let labelled = self.leaves.iter().copied().find(|&v| self.label[v] != 0);
+                if let Some(vlab) = labelled {
                     debug_assert_eq!(self.label[vlab], 2);
                     debug_assert_eq!(self.inblossom[vlab], bv);
                     self.label[vlab] = 0;
@@ -415,11 +549,10 @@ impl<'a> Matcher<'a> {
         self.blossomchilds[b].clear();
         self.blossomendps[b].clear();
         self.blossombase[b] = NONE;
-        self.blossombestedges[b] = None;
+        self.hasbestedges[b] = false;
         self.bestedge[b] = NONE;
         self.unusedblossoms.push(b);
     }
-
     /// Swaps matched/unmatched edges over an alternating path through
     /// blossom `b` between vertex `v` and the base vertex.
     fn augment_blossom(&mut self, b: usize, v: usize) {
@@ -472,7 +605,7 @@ impl<'a> Matcher<'a> {
 
     /// Augments the matching along the path through edge `k`.
     fn augment_matching(&mut self, k: usize) {
-        let (v, w, _) = self.edges[k];
+        let Edge { u: v, v: w, .. } = self.edges[k];
         for (mut s, mut p) in [(v, 2 * k + 1), (w, 2 * k)] {
             loop {
                 let bs = self.inblossom[s];
@@ -501,6 +634,71 @@ impl<'a> Matcher<'a> {
         }
     }
 
+    /// The dual delta and its type, with the edge (types 2 and 3) or
+    /// blossom (type 4) it concerns: the least of each type's first
+    /// minimum, the lower type winning a tie.
+    fn dual_delta(&self) -> (i32, i64, usize) {
+        let nvertex = self.nvertex;
+        let mut mindual = i64::MAX;
+        let mut best2: Option<(i64, usize)> = None;
+        let mut best3: Option<(i64, usize)> = None;
+        let mut best4: Option<(i64, usize)> = None;
+        // Vertices: the least vertex dual (type 1), the least-slack
+        // edge from a free vertex to an S-blossom (type 2), and the
+        // least-slack S-S edge of a top-level S-vertex (type 3).
+        for v in 0..nvertex {
+            mindual = mindual.min(self.dualvar[v]);
+            let k = self.bestedge[v];
+            if k == NONE {
+                continue;
+            }
+            if self.label[self.inblossom[v]] == 0 {
+                let d = self.slack(k as usize);
+                if best2.is_none_or(|(m, _)| d < m) {
+                    best2 = Some((d, k as usize));
+                }
+            } else if self.blossomparent[v] == NONE && self.label[v] == 1 {
+                let kslack = self.slack(k as usize);
+                debug_assert_eq!(kslack % 2, 0, "S-S slack must be even");
+                if best3.is_none_or(|(m, _)| kslack / 2 < m) {
+                    best3 = Some((kslack / 2, k as usize));
+                }
+            }
+        }
+        // Top-level blossoms: the least-slack S-S edge of an S-blossom
+        // (type 3), and the least dual of a T-blossom (type 4).
+        for b in self.lowblossom..2 * nvertex {
+            if self.blossomparent[b] != NONE || self.blossombase[b] < 0 {
+                continue;
+            }
+            match self.label[b] {
+                1 if self.bestedge[b] != NONE => {
+                    let k = self.bestedge[b] as usize;
+                    let kslack = self.slack(k);
+                    debug_assert_eq!(kslack % 2, 0, "S-S slack must be even");
+                    if best3.is_none_or(|(m, _)| kslack / 2 < m) {
+                        best3 = Some((kslack / 2, k));
+                    }
+                }
+                2 if best4.is_none_or(|(m, _)| self.dualvar[b] < m) => {
+                    best4 = Some((self.dualvar[b], b));
+                }
+                _ => {}
+            }
+        }
+        let mut best = (!self.max_cardinality).then_some((1, mindual.max(0), 0));
+        for (deltatype, candidate) in [(2, best2), (3, best3), (4, best4)] {
+            if let Some((d, at)) = candidate {
+                if best.is_none_or(|(_, delta, _)| d < delta) {
+                    best = Some((deltatype, d, at));
+                }
+            }
+        }
+        // No further improvement possible (max-cardinality mode); make
+        // the optimum verifiable.
+        best.unwrap_or((1, mindual.max(0), 0))
+    }
+
     fn run(mut self) -> Vec<Option<usize>> {
         let nvertex = self.nvertex;
         if nvertex == 0 || self.edges.is_empty() {
@@ -508,12 +706,10 @@ impl<'a> Matcher<'a> {
         }
         for _ in 0..nvertex {
             // Start of a stage.
-            self.label.iter_mut().for_each(|l| *l = 0);
-            self.bestedge.iter_mut().for_each(|e| *e = NONE);
-            for be in self.blossombestedges[nvertex..].iter_mut() {
-                *be = None;
-            }
-            self.allowedge.iter_mut().for_each(|a| *a = false);
+            self.label.fill(0);
+            self.bestedge.fill(NONE);
+            self.hasbestedges[self.lowblossom..].fill(false);
+            self.allowedge.fill(false);
             self.queue.clear();
             for v in 0..nvertex {
                 if self.mate[v] == NONE && self.label[self.inblossom[v]] == 0 {
@@ -523,13 +719,13 @@ impl<'a> Matcher<'a> {
             let mut augmented = false;
             loop {
                 // Substage: scan the queue.
-                while let Some(v) = self.queue.pop() {
+                'scan: while let Some(v) = self.queue.pop() {
                     debug_assert_eq!(self.label[self.inblossom[v]], 1);
-                    let nb = self.neighbend[v].clone();
-                    let mut broke = false;
-                    for p in nb {
+                    let nb = self.neighstart[v] as usize..self.neighstart[v + 1] as usize;
+                    for i in nb {
+                        let [p, w] = self.neighbend[i];
+                        let (p, w) = (p as usize, w as usize);
                         let k = p / 2;
-                        let w = self.endpoint[p];
                         if self.inblossom[v] == self.inblossom[w] {
                             continue;
                         }
@@ -550,8 +746,7 @@ impl<'a> Matcher<'a> {
                                 } else {
                                     self.augment_matching(k);
                                     augmented = true;
-                                    broke = true;
-                                    break;
+                                    break 'scan;
                                 }
                             } else if self.label[w] == 0 {
                                 debug_assert_eq!(self.label[self.inblossom[w]], 2);
@@ -572,83 +767,19 @@ impl<'a> Matcher<'a> {
                             self.bestedge[w] = k as isize;
                         }
                     }
-                    if broke {
-                        break;
-                    }
                 }
                 if augmented {
                     break;
                 }
-                // Compute the dual delta.
-                let mut deltatype = -1i32;
-                let mut delta = 0i64;
-                let mut deltaedge = 0usize;
-                let mut deltablossom = 0usize;
-                if !self.max_cardinality {
-                    deltatype = 1;
-                    delta = self.dualvar[..nvertex]
-                        .iter()
-                        .copied()
-                        .min()
-                        .unwrap()
-                        .max(0);
+                let (deltatype, delta, at) = self.dual_delta();
+                // Update dual variables: S-vertices fall and T-vertices
+                // rise by delta (a top-level label is 0, 1 or 2 here;
+                // branch-free, as the labels follow no pattern).
+                let step = |label: i8| delta * (i64::from(label == 2) - i64::from(label == 1));
+                for (dual, &b) in self.dualvar[..nvertex].iter_mut().zip(&self.inblossom) {
+                    *dual += step(self.label[b]);
                 }
-                for v in 0..nvertex {
-                    if self.label[self.inblossom[v]] == 0 && self.bestedge[v] != NONE {
-                        let d = self.slack(self.bestedge[v] as usize);
-                        if deltatype == -1 || d < delta {
-                            delta = d;
-                            deltatype = 2;
-                            deltaedge = self.bestedge[v] as usize;
-                        }
-                    }
-                }
-                for b in 0..2 * nvertex {
-                    if self.blossomparent[b] == NONE
-                        && self.label[b] == 1
-                        && self.bestedge[b] != NONE
-                    {
-                        let kslack = self.slack(self.bestedge[b] as usize);
-                        debug_assert_eq!(kslack % 2, 0, "S-S slack must be even");
-                        let d = kslack / 2;
-                        if deltatype == -1 || d < delta {
-                            delta = d;
-                            deltatype = 3;
-                            deltaedge = self.bestedge[b] as usize;
-                        }
-                    }
-                }
-                for b in nvertex..2 * nvertex {
-                    if self.blossombase[b] >= 0
-                        && self.blossomparent[b] == NONE
-                        && self.label[b] == 2
-                        && (deltatype == -1 || self.dualvar[b] < delta)
-                    {
-                        delta = self.dualvar[b];
-                        deltatype = 4;
-                        deltablossom = b;
-                    }
-                }
-                if deltatype == -1 {
-                    // No further improvement possible (max-cardinality
-                    // mode); make the optimum verifiable.
-                    deltatype = 1;
-                    delta = self.dualvar[..nvertex]
-                        .iter()
-                        .copied()
-                        .min()
-                        .unwrap()
-                        .max(0);
-                }
-                // Update dual variables.
-                for v in 0..nvertex {
-                    match self.label[self.inblossom[v]] {
-                        1 => self.dualvar[v] -= delta,
-                        2 => self.dualvar[v] += delta,
-                        _ => {}
-                    }
-                }
-                for b in nvertex..2 * nvertex {
+                for b in self.lowblossom..2 * nvertex {
                     if self.blossombase[b] >= 0 && self.blossomparent[b] == NONE {
                         match self.label[b] {
                             1 => self.dualvar[b] += delta,
@@ -661,8 +792,8 @@ impl<'a> Matcher<'a> {
                 match deltatype {
                     1 => break,
                     2 => {
-                        self.allowedge[deltaedge] = true;
-                        let (mut i, j, _) = self.edges[deltaedge];
+                        self.allowedge[at] = true;
+                        let Edge { u: mut i, v: j, .. } = self.edges[at];
                         if self.label[self.inblossom[i]] == 0 {
                             i = j;
                         }
@@ -670,12 +801,12 @@ impl<'a> Matcher<'a> {
                         self.queue.push(i);
                     }
                     3 => {
-                        self.allowedge[deltaedge] = true;
-                        let (i, _, _) = self.edges[deltaedge];
+                        self.allowedge[at] = true;
+                        let i = self.edges[at].u;
                         debug_assert_eq!(self.label[self.inblossom[i]], 1);
                         self.queue.push(i);
                     }
-                    4 => self.expand_blossom(deltablossom, false),
+                    4 => self.expand_blossom(at, false),
                     _ => unreachable!(),
                 }
             }
@@ -683,7 +814,7 @@ impl<'a> Matcher<'a> {
                 break;
             }
             // End of stage: expand all S-blossoms with zero dual.
-            for b in nvertex..2 * nvertex {
+            for b in self.lowblossom..2 * nvertex {
                 if self.blossomparent[b] == NONE
                     && self.blossombase[b] >= 0
                     && self.label[b] == 1

@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An undirected weighted edge `(u, v, weight)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +40,34 @@ pub struct Graph {
     edges: Vec<Edge>,
     /// Position in `edges` of the edge between `(min, max)`, so a
     /// duplicate is found without scanning the edge list.
-    index: HashMap<(usize, usize), usize>,
+    index: HashMap<(usize, usize), usize, BuildHasherDefault<PairHasher>>,
+}
+
+/// A multiplicative hasher for the `(min, max)` edge index: each word
+/// is folded in with a rotate, an xor and a multiply by an odd
+/// constant (the FxHash step). Vertex ids are not attacker-chosen
+/// hash-flooding input, so SipHash's keyed mixing buys nothing here.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Graph {
@@ -48,7 +76,7 @@ impl Graph {
         Graph {
             n,
             edges: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
         }
     }
 

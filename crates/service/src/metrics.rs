@@ -133,8 +133,10 @@ pub struct Metrics {
     /// request can be attributed to a saturated queue vs a slow sweep.
     pub queue_wait: LatencyHistogram,
     /// Per-tenant rows under one mutex: a few integer bumps at admission
-    /// and completion, far off the PRF-sweep hot path.
-    per_tenant: Mutex<HashMap<String, Values>>,
+    /// and completion, far off the PRF-sweep hot path. Rows are boxed,
+    /// so the table holds a pointer per slot: its empty slots and its
+    /// growth cost a pointer each, not a whole row.
+    per_tenant: Mutex<HashMap<String, Box<Values>>>,
     started: Instant,
 }
 
@@ -221,7 +223,7 @@ impl Metrics {
             .iter()
             .map(|(tenant, ops)| TenantOpsSnapshot {
                 tenant: tenant.clone(),
-                ops: *ops,
+                ops: **ops,
             })
             .collect();
         per_tenant.sort_by(|a, b| a.tenant.cmp(&b.tenant));

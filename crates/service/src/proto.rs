@@ -2214,6 +2214,31 @@ mod tests {
     }
 
     #[test]
+    fn embed_past_the_modulus_bound_is_an_error_response() {
+        let engine = test_engine();
+        handle_line(
+            &engine,
+            r#"{"op":"register","tenant":"big","secret_label":"e"}"#,
+        );
+        let embed = |top: u64, z: u64| {
+            let counts = format!(r#"[["a",{top}],["b",{}],["c",3]]"#, 1u64 << 63);
+            handle_line(
+                &engine,
+                &format!(r#"{{"op":"embed","tenant":"big","id":1,"z":{z},"counts":{counts}}}"#),
+            )
+        };
+        for z in [u64::MAX, 1 << 63] {
+            let r = embed(u64::MAX, z);
+            assert!(r.starts_with(r#"{"ok":false,"id":1,"#), "{r}");
+            assert!(r.contains(&format!("z={z} exceeds 2^61")), "{r}");
+        }
+        // At the bound, counts past i64::MAX embed without overflowing.
+        let r = embed(3 << 62, 1 << 61);
+        assert!(r.contains(r#""ok":true"#), "{r}");
+        engine.shutdown();
+    }
+
+    #[test]
     fn quota_op_sets_budgets_and_refusals_are_typed() {
         let engine = test_engine();
         handle_line(

@@ -312,10 +312,12 @@ pub trait FilterStorage: Send {
     fn remove(&mut self, tenant: &str);
 }
 
-/// The default storage: a plain in-process hash map.
+/// The default storage: a plain in-process hash map. Filters are
+/// boxed, so the table holds a pointer per slot: its empty slots and
+/// its growth cost a pointer each, not a whole filter.
 #[derive(Default)]
 pub struct HashMapFilterStorage {
-    filters: HashMap<String, TenantFilter>,
+    filters: HashMap<String, Box<TenantFilter>>,
 }
 
 impl HashMapFilterStorage {
@@ -331,17 +333,17 @@ impl FilterStorage for HashMapFilterStorage {
         default: &dyn Fn() -> TenantFilter,
     ) -> &mut TenantFilter {
         if !self.filters.contains_key(tenant) {
-            self.filters.insert(tenant.to_string(), default());
+            self.filters.insert(tenant.to_string(), Box::new(default()));
         }
         self.filters.get_mut(tenant).expect("just inserted")
     }
 
     fn get_mut(&mut self, tenant: &str) -> Option<&mut TenantFilter> {
-        self.filters.get_mut(tenant)
+        self.filters.get_mut(tenant).map(|f| &mut **f)
     }
 
     fn insert(&mut self, tenant: &str, filter: TenantFilter) {
-        self.filters.insert(tenant.to_string(), filter);
+        self.filters.insert(tenant.to_string(), Box::new(filter));
     }
 
     fn remove(&mut self, tenant: &str) {

@@ -306,10 +306,14 @@ impl std::fmt::Debug for StoredHistogram {
 }
 
 /// A secret list `L_sc = {L_wm, R, z}` at rest: `R` and `z` as they
-/// are, and every pair token packed into one buffer (LEB128 length and
-/// bytes, first token then second, pair by pair) — one allocation
-/// where a [`SecretList`] makes two per pair. `R` stays a [`Secret`],
-/// so it is wiped on drop.
+/// are, and the pair tokens front-coded into one buffer — the pair
+/// count as a LEB128, then per token, first then second, pair by pair,
+/// the LEB128 length of the prefix it shares with the previous token
+/// (never splitting a UTF-8 sequence) and the LEB128 length and bytes
+/// of the rest. One allocation where a [`SecretList`] makes two per
+/// pair; the tokens of one histogram mostly share a stem, so an
+/// embed's pairs of tokens like `e7c0-123` take about five bytes a
+/// token. `R` stays a [`Secret`], so it is wiped on drop.
 #[derive(Clone, PartialEq, Eq)]
 pub struct StoredSecrets {
     secret: Secret,
@@ -317,13 +321,41 @@ pub struct StoredSecrets {
     pairs: Box<[u8]>,
 }
 
+/// A [`StoredSecrets`]' pair tokens decoded into one string, with the
+/// end offset of each token in order.
+struct PairTokens {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl PairTokens {
+    /// The watermarked pairs, in generation order.
+    fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        let mut start = 0;
+        self.ends.chunks_exact(2).map(move |ends| {
+            let a = &self.text[start..ends[0]];
+            let b = &self.text[ends[0]..ends[1]];
+            start = ends[1];
+            (a, b)
+        })
+    }
+}
+
 impl StoredSecrets {
     /// Encodes `list` for storage.
     pub fn new(list: &SecretList) -> Self {
         let mut pairs = Vec::new();
-        for (a, b) in &list.pairs {
-            put_token(&mut pairs, a.as_str());
-            put_token(&mut pairs, b.as_str());
+        put_varint(&mut pairs, list.pairs.len() as u64);
+        let mut prev = "";
+        for token in list
+            .pairs
+            .iter()
+            .flat_map(|(a, b)| [a.as_str(), b.as_str()])
+        {
+            let shared = shared_prefix(prev, token);
+            put_varint(&mut pairs, shared as u64);
+            put_token(&mut pairs, &token[shared..]);
+            prev = token;
         }
         StoredSecrets {
             secret: list.secret.clone(),
@@ -332,19 +364,35 @@ impl StoredSecrets {
         }
     }
 
-    /// The watermarked pairs, in generation order.
-    fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+    /// Decodes the pair tokens; detect borrows its slot map's keys
+    /// from the result.
+    fn tokens(&self) -> PairTokens {
         let mut cur = Cursor { bytes: &self.pairs };
-        std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.token())))
+        let n = 2 * usize::try_from(cur.varint()).expect("stored pair count fits usize");
+        let mut tokens = PairTokens {
+            text: String::new(),
+            ends: Vec::with_capacity(n),
+        };
+        let mut prev = 0;
+        for _ in 0..n {
+            let shared = usize::try_from(cur.varint()).expect("shared prefix fits usize");
+            let start = tokens.text.len();
+            tokens.text.extend_from_within(prev..prev + shared);
+            tokens.text.push_str(cur.token());
+            tokens.ends.push(tokens.text.len());
+            prev = start;
+        }
+        tokens
     }
 
     /// Number of watermarked pairs.
     pub fn len(&self) -> usize {
-        self.pairs().count()
+        let len = Cursor { bytes: &self.pairs }.varint();
+        usize::try_from(len).expect("stored pair count fits usize")
     }
 
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.len() == 0
     }
 
     /// The modulo base `z`.
@@ -355,7 +403,8 @@ impl StoredSecrets {
     /// Decodes the stored secret list.
     pub fn to_secret_list(&self) -> SecretList {
         SecretList::new(
-            self.pairs()
+            self.tokens()
+                .pairs()
                 .map(|(a, b)| (Token::new(a), Token::new(b)))
                 .collect(),
             self.secret.clone(),
@@ -364,7 +413,7 @@ impl StoredSecrets {
     }
 
     /// `WM_Detect` verdict totals over suspect rows, streamed once: a
-    /// map from each stored token, borrowed from the packed buffer, to
+    /// map from each stored token, borrowed from one decoded buffer, to
     /// a slot keeps the count of every row that names one, and only
     /// the pairs with both counts are hashed. A repeated token keeps
     /// its last row's count.
@@ -376,7 +425,8 @@ impl StoredSecrets {
         let n = self.len();
         let mut slots: HashMap<&str, usize> = HashMap::with_capacity(2 * n);
         let mut pairs = Vec::with_capacity(n);
-        for (a, b) in self.pairs() {
+        let tokens = self.tokens();
+        for (a, b) in tokens.pairs() {
             let mut slot = |t| {
                 let next = slots.len();
                 *slots.entry(t).or_insert(next)
@@ -398,7 +448,7 @@ impl StoredSecrets {
     /// [`SecretList::to_text`] of the stored list: the ledger
     /// fingerprint, and the form the log and snapshots write.
     pub fn to_text(&self) -> String {
-        secret_text(self.pairs(), &self.secret, self.z)
+        secret_text(self.tokens().pairs(), &self.secret, self.z)
     }
 
     /// Parses the text [`Self::to_text`] writes.
@@ -409,7 +459,8 @@ impl StoredSecrets {
 
 impl PartialEq<SecretList> for StoredSecrets {
     fn eq(&self, other: &SecretList) -> bool {
-        let mut mine = self.pairs();
+        let tokens = self.tokens();
+        let mut mine = tokens.pairs();
         self.secret == other.secret
             && self.z == other.z
             && other
@@ -911,6 +962,30 @@ mod tests {
             "{} bytes front-coded, {} plain",
             stored.0.len(),
             plain_size(&h)
+        );
+    }
+
+    #[test]
+    fn front_coding_shrinks_an_embed_sized_secret_list() {
+        // Pairs in no token order, as the knapsack admits them.
+        let token = |i: u64| Token::new(format!("e7c0-{}", (i * 389) % 625));
+        let list = SecretList::new(
+            (0..140).map(|i| (token(2 * i), token(2 * i + 1))).collect(),
+            Secret::from_label("front"),
+            131,
+        );
+        let stored = StoredSecrets::new(&list);
+        assert!(stored == list);
+        let plain: usize = list
+            .pairs
+            .iter()
+            .map(|(a, b)| 2 + a.as_str().len() + b.as_str().len())
+            .sum();
+        assert!(
+            stored.pairs.len() * 3 < plain * 2,
+            "{} bytes front-coded, {} plain",
+            stored.pairs.len(),
+            plain
         );
     }
 
