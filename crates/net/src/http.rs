@@ -8,22 +8,23 @@
 //! the same poller loop as the protocol connections, so a scrape
 //! endpoint costs no extra thread.
 //!
-//! Shared by both reactors: `freqywm serve --metrics-listen` (engine
-//! exposition) and `freqywm router --metrics-listen` (tier exposition)
-//! differ only in the render callback.
+//! Only the [`crate::FrontDoor`] holds these connections; the engine and
+//! the router differ in the render closure they hand it, which runs
+//! once per answered `GET /metrics` and never for any other head.
 
 use crate::poller::Interest;
 use crate::stream::{OutBuf, READ_CHUNK};
 use std::io::Read;
 use std::net::TcpStream;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Instant;
 
 /// Request-head cap: a scrape request has no business being larger.
 const MAX_HEAD: usize = 8 * 1024;
 
 /// One scrape connection: accumulates the request head, answers once,
-/// then drains its write buffer and is closed by the owning reactor.
-pub struct HttpConn {
+/// then drains its write buffer and is closed by the door.
+pub(crate) struct HttpConn {
     stream: TcpStream,
     head: Vec<u8>,
     out: OutBuf,
@@ -67,16 +68,10 @@ impl HttpConn {
                     total += n as u64;
                     self.last_activity = Instant::now();
                     self.head.extend_from_slice(&chunk[..n]);
-                    if head_complete(&self.head) {
-                        self.respond(render);
-                        break;
-                    }
-                    if self.head.len() > MAX_HEAD {
-                        self.queue(response(
-                            "431 Request Header Fields Too Large",
-                            "text/plain; charset=utf-8",
-                            "request head too large\n",
-                        ));
+                    if head_complete(&self.head) || self.head.len() > MAX_HEAD {
+                        self.out.extend(&respond(&self.head, render));
+                        self.responded = true;
+                        self.head.clear();
                         break;
                     }
                 }
@@ -89,38 +84,6 @@ impl HttpConn {
             }
         }
         total
-    }
-
-    fn respond(&mut self, render: impl FnOnce() -> String) {
-        let resp = match parse_request_line(&self.head) {
-            Some(("GET", target)) if is_metrics_target(target) => response(
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &render(),
-            ),
-            Some(("GET", _)) => response(
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found; try /metrics\n",
-            ),
-            Some((_, _)) => response(
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "only GET is supported\n",
-            ),
-            None => response(
-                "400 Bad Request",
-                "text/plain; charset=utf-8",
-                "malformed request line\n",
-            ),
-        };
-        self.queue(resp);
-    }
-
-    fn queue(&mut self, resp: Vec<u8>) {
-        self.out.extend(&resp);
-        self.responded = true;
-        self.head.clear();
     }
 
     /// Writes as much buffered output as the socket accepts. Returns
@@ -141,6 +104,47 @@ impl HttpConn {
     /// The one response is fully written — close the connection.
     pub fn settled(&self) -> bool {
         self.responded && self.buffered() == 0
+    }
+}
+
+impl AsRawFd for HttpConn {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+}
+
+/// The one response to a head that is complete or over [`MAX_HEAD`]:
+/// the rendered exposition for `GET /metrics`, an error status
+/// otherwise. `render` runs only for the `200`.
+fn respond(head: &[u8], render: impl FnOnce() -> String) -> Vec<u8> {
+    if !head_complete(head) {
+        return response(
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n",
+        );
+    }
+    match parse_request_line(head) {
+        Some(("GET", target)) if is_metrics_target(target) => response(
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            &render(),
+        ),
+        Some(("GET", _)) => response(
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            "not found; try /metrics\n",
+        ),
+        Some((_, _)) => response(
+            "405 Method Not Allowed",
+            "text/plain; charset=utf-8",
+            "only GET is supported\n",
+        ),
+        None => response(
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            "malformed request line\n",
+        ),
     }
 }
 
@@ -167,7 +171,7 @@ fn is_metrics_target(target: &str) -> bool {
 }
 
 /// Renders a complete HTTP/1.1 response with `Connection: close`.
-pub fn response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
+fn response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
     format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -179,6 +183,7 @@ pub fn response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_line_parsing_and_target_match() {
@@ -198,6 +203,112 @@ mod tests {
         assert!(head_complete(b"GET / HTTP/1.1\r\n\r\n"));
         assert!(head_complete(b"GET / HTTP/1.0\n\n"));
         assert!(!head_complete(b"GET / HTTP/1.1\r\nHost: x\r\n"));
+    }
+
+    /// Feeds `input` in `piece`-byte reads the way
+    /// [`HttpConn::read_ready`] does: accumulate, answer once the head
+    /// is complete or too long. Returns the response, if any, and the render count.
+    fn serve(input: &[u8], piece: usize) -> (Option<String>, usize) {
+        let mut head = Vec::new();
+        let mut renders = 0;
+        for chunk in input.chunks(piece) {
+            head.extend_from_slice(chunk);
+            if head_complete(&head) || head.len() > MAX_HEAD {
+                let resp = respond(&head, || {
+                    renders += 1;
+                    "up 1\n".to_string()
+                });
+                return (Some(String::from_utf8(resp).unwrap()), renders);
+            }
+        }
+        (None, renders) // EOF before a decided head: close, no answer
+    }
+
+    /// One well-formed response, or none when the input ended before
+    /// the head was decided; a render exactly for a `200`.
+    fn check(input: &[u8], piece: usize) {
+        let (resp, renders) = serve(input, piece);
+        // Deciding is monotone in the prefix: the whole input decides.
+        let decided = head_complete(input) || input.len() > MAX_HEAD;
+        let Some(resp) = resp else {
+            assert!(!decided, "a decided head went unanswered: {input:?}");
+            assert_eq!(renders, 0);
+            return;
+        };
+        assert_eq!(resp.matches("HTTP/1.1 ").count(), 1, "{resp}");
+        let status = &resp["HTTP/1.1 ".len()..resp.find("\r\n").unwrap()];
+        assert!(
+            [
+                "200 OK",
+                "400 Bad Request",
+                "404 Not Found",
+                "405 Method Not Allowed",
+                "431 Request Header Fields Too Large"
+            ]
+            .contains(&status),
+            "{status}"
+        );
+        assert_eq!(renders, usize::from(status == "200 OK"), "{resp}");
+        let (head, body) = resp.split_once("\r\n\r\n").unwrap();
+        assert!(
+            head.contains(&format!("Content-Length: {}\r\n", body.len())),
+            "{resp}"
+        );
+    }
+
+    const SCRAPE: &[u8] = b"GET /metrics HTTP/1.1\r\n\r\n";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_get_one_status_or_a_close(
+            input in collection::vec(0u8..=255, 0..600),
+            piece in 1usize..64,
+        ) {
+            check(&input, piece);
+        }
+
+        #[test]
+        fn mutated_scrape_heads_get_one_status_or_a_close(
+            edits in collection::vec((0usize..64, 0u8..3, 0u8..=255), 0..6),
+            piece in 1usize..8,
+        ) {
+            let mut input = SCRAPE.to_vec();
+            for (at, kind, byte) in edits {
+                let at = at % (input.len() + 1);
+                match kind {
+                    0 if at < input.len() => input[at] = byte,
+                    1 => input.insert(at, byte),
+                    _ if at < input.len() => {
+                        input.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            check(&input, piece);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn long_heads_are_answered_once(
+            input in collection::vec(0u8..=255, 8000..9000),
+            piece in 512usize..4096,
+        ) {
+            check(&input, piece);
+        }
+    }
+
+    #[test]
+    fn the_scrape_head_renders_once_in_any_pieces() {
+        for piece in 1..=SCRAPE.len() {
+            let (resp, renders) = serve(SCRAPE, piece);
+            assert!(resp.unwrap().starts_with("HTTP/1.1 200 OK\r\n"));
+            assert_eq!(renders, 1);
+        }
     }
 
     #[test]

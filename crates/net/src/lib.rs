@@ -15,6 +15,11 @@
 //! wakeups — total thread count stays `1 + worker pool` regardless of
 //! connection count.
 //!
+//! Both reactors, this one and the shard router's, enter through one
+//! [`FrontDoor`]: the poller with both listeners and the wake pair on
+//! it, the capped accept loop, every `GET /metrics` scrape connection
+//! and the listeners' close at drain. The [`token`] layout lives there.
+//!
 //! The full connection lifecycle is handled: non-blocking accept with
 //! a connection cap, partial reads/writes with per-connection buffers,
 //! an input frame-size cap (an oversized request costs one error
@@ -38,7 +43,9 @@ pub use freqywm_service::framing::{LineEvent, LineFramer};
 #[cfg(unix)]
 mod conn;
 #[cfg(unix)]
-pub mod http;
+mod front;
+#[cfg(unix)]
+mod http;
 #[cfg(unix)]
 mod poller;
 #[cfg(unix)]
@@ -48,6 +55,8 @@ mod stream;
 #[cfg(unix)]
 mod sys;
 
+#[cfg(unix)]
+pub use front::{token, FrontDoor, Report};
 #[cfg(unix)]
 pub use poller::{Event, Interest, Poller};
 #[cfg(unix)]

@@ -96,6 +96,18 @@ impl Poller {
         }
     }
 
+    /// Moves a registration from interest `cur` to `want`, recording it
+    /// in `cur`; `false` means the change failed and the fd must close.
+    pub fn update(&mut self, fd: RawFd, token: u64, cur: &mut Interest, want: Interest) -> bool {
+        if *cur != want {
+            if self.modify(fd, token, want).is_err() {
+                return false;
+            }
+            *cur = want;
+        }
+        true
+    }
+
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]

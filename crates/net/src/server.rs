@@ -1,12 +1,14 @@
-//! The reactor: one thread multiplexing the listener, a wakeup pipe
-//! and every connection over a [`Poller`], with all watermarking work
-//! on the engine's worker pool.
+//! The reactor: one thread multiplexing the [`FrontDoor`] (listeners,
+//! wakeup pipe, scrape connections) and every protocol connection over
+//! the door's [`Poller`], with all watermarking work on the engine's
+//! worker pool.
 //!
 //! Dataflow per loop iteration:
 //!
-//! 1. readiness events — accept new connections, read request frames
-//!    (feeding each connection's [`Session`], which submits jobs
-//!    non-blockingly), flush writable sockets, drain the wakeup pipe;
+//! 1. readiness events — the door accepts new connections, answers
+//!    scrapes and drains the wakeup pipe; protocol connections read
+//!    request frames (feeding each connection's [`Session`], which
+//!    submits jobs non-blockingly) and flush writable sockets;
 //! 2. completion intake — the engine's completion hook pushed finished
 //!    job ids and a wakeup byte from the worker threads; route each id
 //!    to its connection's session (responses stay in request order);
@@ -23,26 +25,16 @@
 
 use crate::config::NetConfig;
 use crate::conn::Conn;
-use crate::http::HttpConn;
-use crate::poller::{Event, Interest, Poller};
+use crate::front::{token, FrontDoor, Report};
+use crate::poller::{Event, Interest};
 use freqywm_service::metrics::M;
 use freqywm_service::{Engine, JobId};
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKE: u64 = u64::MAX - 1;
-const TOKEN_METRICS_LISTENER: u64 = u64::MAX - 2;
-
-/// A scrape connection that has sent no complete request for this long
-/// is reaped even with `--idle-timeout` unset: a half-open HTTP
-/// request is dead weight, never a client waiting on a job.
-const HTTP_IDLE_DEFAULT: Duration = Duration::from_secs(10);
 
 /// Serves the engine's JSON-lines protocol on `listener` until a
 /// `shutdown` op completes its graceful drain. Installs the engine's
@@ -86,17 +78,10 @@ enum CloseKind {
 struct Reactor<'a> {
     engine: &'a Engine,
     config: NetConfig,
-    poller: Poller,
-    /// `None` once draining (accepting stopped, socket closed).
-    listener: Option<TcpListener>,
-    /// HTTP `GET /metrics` scrape listener; also closed by the drain.
-    metrics_listener: Option<TcpListener>,
-    wake_rx: UnixStream,
+    door: FrontDoor,
     completed: Arc<Mutex<Vec<JobId>>>,
+    /// Protocol connections, registered under their fd.
     conns: HashMap<RawFd, Conn>,
-    /// Scrape connections, disjoint from `conns` (an fd lives in
-    /// exactly one map).
-    http_conns: HashMap<RawFd, HttpConn>,
     /// In-flight job → owning connection.
     jobs: HashMap<JobId, RawFd>,
     /// Jobs whose connection died before they finished; their results
@@ -117,17 +102,13 @@ impl<'a> Reactor<'a> {
         metrics_listener: Option<TcpListener>,
         config: NetConfig,
     ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let mut poller = Poller::new(config.backend)?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        if let Some(ml) = &metrics_listener {
-            ml.set_nonblocking(true)?;
-            poller.register(ml.as_raw_fd(), TOKEN_METRICS_LISTENER, Interest::READ)?;
-        }
+        let (door, wake_tx) = FrontDoor::open(
+            listener,
+            metrics_listener,
+            config.backend,
+            config.max_conns,
+            config.idle_timeout,
+        )?;
         let completed = Arc::new(Mutex::new(Vec::new()));
         let hook_completed = Arc::clone(&completed);
         engine.set_completion_hook(move |id| {
@@ -142,13 +123,9 @@ impl<'a> Reactor<'a> {
         Ok(Reactor {
             engine,
             config,
-            poller,
-            listener: Some(listener),
-            metrics_listener,
-            wake_rx,
+            door,
             completed,
             conns: HashMap::new(),
-            http_conns: HashMap::new(),
             jobs: HashMap::new(),
             orphaned: HashSet::new(),
             unmatched: Vec::new(),
@@ -160,19 +137,20 @@ impl<'a> Reactor<'a> {
         let mut events: Vec<Event> = Vec::new();
         let mut touched: Vec<RawFd> = Vec::new();
         loop {
-            self.poller.wait(&mut events, self.poll_timeout())?;
+            let timeout = self.poll_timeout();
+            self.door.poller.wait(&mut events, timeout)?;
             touched.clear();
             for &ev in &events {
                 match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_METRICS_LISTENER => self.accept_metrics_ready(),
-                    TOKEN_WAKE => self.drain_wake(),
-                    token => {
-                        let fd = token as RawFd;
-                        if self.http_conns.contains_key(&fd) {
-                            self.http_event(fd, ev);
-                            continue;
-                        }
+                    token::LISTENER => self.accept_ready(),
+                    t if t >= token::SCRAPE_BASE => {
+                        let engine = self.engine;
+                        let render = || engine.metrics().to_prom();
+                        let report = self.door.event(ev, self.conns.len(), render);
+                        self.record(report);
+                    }
+                    t => {
+                        let fd = t as RawFd;
                         let Some(conn) = self.conns.get_mut(&fd) else {
                             continue;
                         };
@@ -230,16 +208,15 @@ impl<'a> Reactor<'a> {
             }
             self.reap_idle();
             if let Some(deadline) = self.draining {
-                if self.conns.is_empty() && self.http_conns.is_empty() {
+                if self.conns.is_empty() && self.door.scrapes() == 0 {
                     return Ok(());
                 }
                 if Instant::now() >= deadline {
                     for fd in self.conns.keys().copied().collect::<Vec<_>>() {
                         self.close_conn(fd, CloseKind::Done);
                     }
-                    for fd in self.http_conns.keys().copied().collect::<Vec<_>>() {
-                        self.close_http(fd);
-                    }
+                    let report = self.door.close_scrapes();
+                    self.record(report);
                     return Ok(());
                 }
             }
@@ -248,129 +225,29 @@ impl<'a> Reactor<'a> {
 
     /// Accepts everything pending, enforcing the connection cap.
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.conns.len() >= self.config.max_conns {
-                        self.engine.counters().bump(M::NetRejected);
-                        continue; // dropped: peer sees an immediate close
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    self.engine.counters().conn_accepted();
-                    self.conns.insert(
-                        fd,
-                        Conn::new(
-                            stream,
-                            self.config.max_frame,
-                            self.config.auth_token.clone(),
-                        ),
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // ECONNABORTED and friends: transient, keep serving.
-                Err(_) => return,
-            }
-        }
+        let conns = &mut self.conns;
+        let config = &self.config;
+        let report = self.door.accept(
+            conns.len(),
+            |stream| stream.as_raw_fd() as u64,
+            |fd, stream| {
+                let conn = Conn::new(stream, config.max_frame, config.auth_token.clone());
+                conns.insert(fd as RawFd, conn);
+            },
+        );
+        self.record(report);
     }
 
-    /// Accepts pending scrape connections. They share the connection
-    /// cap with the protocol side — a scrape storm cannot starve
-    /// clients of more slots than any other connection flood could.
-    fn accept_metrics_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.metrics_listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.conns.len() + self.http_conns.len() >= self.config.max_conns {
-                        self.engine.counters().bump(M::NetRejected);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    self.engine.counters().conn_accepted();
-                    self.http_conns.insert(fd, HttpConn::new(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// One readiness event on a scrape connection: read the request
-    /// head, render the exposition, flush, close when the single
-    /// response is out. No jobs are involved, so the whole lifecycle
-    /// settles here.
-    fn http_event(&mut self, fd: RawFd, ev: Event) {
+    /// Records what the door did in the engine's `net.*` counters.
+    /// Scrape connections count like protocol ones.
+    fn record(&self, report: Report) {
         let counters = self.engine.counters();
-        let Some(conn) = self.http_conns.get_mut(&fd) else {
-            return;
-        };
-        if ev.readable && !conn.responded {
-            let engine = self.engine;
-            counters.add(
-                M::NetBytesIn,
-                conn.read_ready(|| engine.metrics().to_prom()),
-            );
-        } else if ev.hangup {
-            conn.failed = true;
-        }
-        if ev.writable || conn.responded {
-            counters.add(M::NetBytesOut, conn.flush());
-        }
-        if conn.failed || conn.settled() {
-            self.close_http(fd);
-            return;
-        }
-        let want = Interest {
-            readable: !conn.responded,
-            writable: conn.buffered() > 0,
-        };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_http(fd);
-            }
-        }
-    }
-
-    fn close_http(&mut self, fd: RawFd) {
-        if self.http_conns.remove(&fd).is_some() {
-            let _ = self.poller.deregister(fd);
-            self.engine.counters().conn_closed();
-        }
-    }
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
+        counters.add(M::NetRejected, report.refused);
+        (0..report.accepted).for_each(|_| counters.conn_accepted());
+        counters.add(M::NetBytesIn, report.bytes_in);
+        counters.add(M::NetBytesOut, report.bytes_out);
+        counters.add(M::NetTimedOutIdle, report.reaped);
+        (0..report.closed).for_each(|_| counters.conn_closed());
     }
 
     /// Settles a connection's bookkeeping after any activity: records
@@ -422,12 +299,9 @@ impl<'a> Reactor<'a> {
             readable: !conn.io.eof && !draining,
             writable: conn.io.buffered() > 0,
         };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_conn(fd, CloseKind::Error);
-            }
+        let poller = &mut self.door.poller;
+        if !poller.update(fd, fd as u64, &mut conn.interest, want) {
+            self.close_conn(fd, CloseKind::Error);
         }
     }
 
@@ -435,7 +309,7 @@ impl<'a> Reactor<'a> {
         let Some(mut conn) = self.conns.remove(&fd) else {
             return;
         };
-        let _ = self.poller.deregister(fd);
+        let _ = self.door.poller.deregister(fd);
         for id in conn.session.take_new_jobs() {
             self.orphaned.insert(id);
         }
@@ -458,30 +332,16 @@ impl<'a> Reactor<'a> {
     /// settle.
     fn start_drain(&mut self) {
         self.draining = Some(Instant::now() + self.config.drain_timeout);
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        if let Some(ml) = self.metrics_listener.take() {
-            let _ = self.poller.deregister(ml.as_raw_fd());
-        }
+        self.door.stop_accepting();
         for fd in self.conns.keys().copied().collect::<Vec<_>>() {
             self.post_process(fd);
         }
     }
 
     fn reap_idle(&mut self) {
+        let report = self.door.reap_scrapes();
+        self.record(report);
         let now = Instant::now();
-        let http_idle = self.config.idle_timeout.unwrap_or(HTTP_IDLE_DEFAULT);
-        let http_expired: Vec<RawFd> = self
-            .http_conns
-            .iter()
-            .filter(|(_, c)| now.duration_since(c.last_activity) >= http_idle)
-            .map(|(&fd, _)| fd)
-            .collect();
-        for fd in http_expired {
-            self.engine.counters().bump(M::NetTimedOutIdle);
-            self.close_http(fd);
-        }
         let Some(idle) = self.config.idle_timeout else {
             return;
         };
@@ -527,9 +387,8 @@ impl<'a> Reactor<'a> {
                 timeout = Some(timeout.map_or(d, |t| t.min(d)));
             }
         }
-        if let Some(earliest) = self.http_conns.values().map(|c| c.last_activity).min() {
-            let http_idle = self.config.idle_timeout.unwrap_or(HTTP_IDLE_DEFAULT);
-            let d = (earliest + http_idle).saturating_duration_since(now);
+        if let Some(expiry) = self.door.next_scrape_expiry() {
+            let d = expiry.saturating_duration_since(now);
             timeout = Some(timeout.map_or(d, |t| t.min(d)));
         }
         timeout

@@ -1455,18 +1455,68 @@ pub struct Session {
     pending_mutations: usize,
     new_jobs: Vec<JobId>,
     shutdown: bool,
-    /// Shared-secret gate: until a `hello` op (or a per-request `auth`
-    /// field) presents this token, every request is refused.
-    auth_token: Option<String>,
-    authed: bool,
+    gate: AuthGate,
 }
 
-/// Constant-time auth-token comparison (leaks length only). Public so
-/// every front-end tier (the engine serve, the shard router) gates on
-/// the same implementation.
-pub fn token_eq(a: &str, b: &str) -> bool {
+/// Constant-time auth-token comparison (leaks length only).
+fn token_eq(a: &str, b: &str) -> bool {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     a.len() == b.len() && a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
+}
+
+/// One connection's shared-secret gate, in every front-end tier: until a
+/// `hello` op presents the token, only requests carrying it as `"auth"`
+/// run.
+#[derive(Default)]
+pub struct AuthGate {
+    token: Option<String>,
+    authed: bool,
+    /// Extra members of the hello ack (the router adds `"router":true`).
+    ack_extra: &'static str,
+}
+
+impl AuthGate {
+    /// A gate on `token` (`None`: always open) whose hello ack ends
+    /// with `ack_extra`, e.g. `,"router":true`.
+    pub fn new(token: Option<String>, ack_extra: &'static str) -> Self {
+        AuthGate {
+            token,
+            authed: false,
+            ack_extra,
+        }
+    }
+
+    /// A token is set and no `hello` has presented it yet.
+    pub fn locked(&self) -> bool {
+        self.token.is_some() && !self.authed
+    }
+
+    /// `None` admits `req`. `Some` is the answer in its place: the
+    /// hello ack if `req` unlocked the gate, else a refusal.
+    pub fn check(&mut self, req: &Envelope<'_>) -> Option<String> {
+        let token = self.token.as_deref().filter(|_| !self.authed)?;
+        let id = req.get("id");
+        if req.get("op").and_then(Value::as_str) == Some("hello") {
+            let presented = req.get("token").and_then(Value::as_str).unwrap_or("");
+            if !token_eq(presented, token) {
+                return Some(err_response(id, "hello: bad auth token"));
+            }
+            self.authed = true;
+            return Some(format!(
+                "{{\"ok\":true{},\"op\":\"hello\",\"authenticated\":true{}}}",
+                id_echo(id),
+                self.ack_extra
+            ));
+        }
+        let presented = req.get("auth").and_then(Value::as_str);
+        if presented.is_some_and(|p| token_eq(p, token)) {
+            return None;
+        }
+        Some(err_response(
+            id,
+            "authentication required: send {\"op\":\"hello\",\"token\":…} first",
+        ))
+    }
 }
 
 impl Session {
@@ -1474,13 +1524,11 @@ impl Session {
         Session::default()
     }
 
-    /// A session gated on a shared secret: requests are refused until
-    /// the client authenticates with `{"op":"hello","token":"…"}` (the
-    /// connection stays unlocked afterwards) or carries a matching
-    /// per-request `"auth"` field. `None` behaves like [`Session::new`].
+    /// A session behind an [`AuthGate`] on `auth_token`; `None` behaves
+    /// like [`Session::new`].
     pub fn with_auth(auth_token: Option<String>) -> Self {
         Session {
-            auth_token,
+            gate: AuthGate::new(auth_token, ""),
             ..Session::default()
         }
     }
@@ -1503,26 +1551,22 @@ impl Session {
             )));
             return;
         }
-        if let Some(token) = self.auth_token.clone() {
-            if !self.authed {
-                match Envelope::parse(line) {
-                    Err(e) => {
-                        self.slots
-                            .push_back(Slot::Ready(err_response(None, &format!("bad json: {e}"))));
-                    }
-                    Ok(req) => self.push_locked(engine, req, &token, started),
+        if self.gate.locked() {
+            match Envelope::parse(line) {
+                Err(e) => {
+                    self.slots
+                        .push_back(Slot::Ready(err_response(None, &format!("bad json: {e}"))));
                 }
-                return;
+                Ok(req) => self.push_locked(engine, req, started),
             }
+            return;
         }
         let (id, planned) = plan(line);
         self.push_planned(engine, id, planned, started);
     }
 
-    /// One request on a locked session: a `hello` op with the right
-    /// token unlocks it, a matching per-request `auth` field admits
-    /// just this request, anything else is refused.
-    fn push_locked(&mut self, engine: &Engine, req: Envelope<'_>, token: &str, started: Instant) {
+    /// One request on a locked session, through the [`AuthGate`].
+    fn push_locked(&mut self, engine: &Engine, req: Envelope<'_>, started: Instant) {
         // Every request handled on a locked session pays an auth check;
         // record it as its own span so auth overhead is visible in
         // traces separately from parse/run time.
@@ -1533,34 +1577,13 @@ impl Session {
             Stage::Auth,
             started.elapsed().as_micros() as u64,
         ));
-        let id = req.get("id").cloned();
-        let is_hello = req.get("op").and_then(Value::as_str) == Some("hello");
-        if is_hello {
-            let presented = req.get("token").and_then(Value::as_str).unwrap_or("");
-            let resp = if token_eq(presented, token) {
-                self.authed = true;
-                inject_id(
-                    "{\"ok\":true,\"op\":\"hello\",\"authenticated\":true}".to_string(),
-                    id.as_ref(),
-                )
-            } else {
-                err_response(id.as_ref(), "hello: bad auth token")
-            };
-            self.slots.push_back(Slot::Ready(resp));
-            return;
+        match self.gate.check(&req) {
+            None => {
+                let (id, planned) = plan_envelope(req);
+                self.push_planned(engine, id, planned, started);
+            }
+            Some(resp) => self.slots.push_back(Slot::Ready(resp)),
         }
-        let presented = req.get("auth").and_then(Value::as_str);
-        if presented.is_some_and(|p| token_eq(p, token)) {
-            // Stateless per-request auth: this request runs, the
-            // session stays locked.
-            let (id, planned) = plan_envelope(req);
-            self.push_planned(engine, id, planned, started);
-            return;
-        }
-        self.slots.push_back(Slot::Ready(err_response(
-            id.as_ref(),
-            "authentication required: send {\"op\":\"hello\",\"token\":…} first",
-        )));
     }
 
     fn push_planned(

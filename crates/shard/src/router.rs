@@ -2,14 +2,15 @@
 //! onto N backend engine shards.
 //!
 //! The router speaks the engine's exact protocol on its client side, so
-//! clients cannot tell a router from a single engine. Internally it is
-//! the same reactor shape as `freqywm-net` (one [`Poller`], level
-//! triggered, nothing blocks), extended with an *outbound* side:
+//! clients cannot tell a router from a single engine. It enters through
+//! the engine reactor's [`FrontDoor`] (listeners, wake pair, scrapes)
+//! and adds an *outbound* side on the door's poller (level triggered,
+//! nothing blocks):
 //!
-//! * **clients** — accepted from the listener, read and written through
-//!   the shared [`LineStream`], responses kept in per-client ordered
-//!   slots so pipelined requests answer in request order even when they
-//!   fan out to different shards;
+//! * **clients** — registered under never-reused ids, read and written
+//!   through the shared [`LineStream`] behind the shared [`AuthGate`],
+//!   responses kept in per-client ordered slots so pipelined requests
+//!   answer in request order even when they fan out to different shards;
 //! * **backends** — one multiplexed, pipelined connection per shard.
 //!   Each forwarded request is pushed onto that backend's in-flight
 //!   FIFO; the engine's `Session` answers in order per connection, so
@@ -30,30 +31,29 @@
 
 use crate::ring::ShardMap;
 use crate::signal;
-use freqywm_net::http::HttpConn;
-use freqywm_net::{Backend, Event, Interest, LineEvent, LineStream, Poller};
+use freqywm_net::{token, Backend, Event, FrontDoor, Interest, LineEvent, LineStream};
 use freqywm_obs::family::{
     counter, gauge, histogram, info, write_prom, JsonObject, LatencyHistogram, Val,
 };
 use freqywm_obs::prom::PromText;
 use freqywm_service::metrics::{aggregate_shard_metrics, ShardMetricsPiece};
 use freqywm_service::proto::{
-    err_response, frame_too_large_response, id_echo, json, request_id, route_of, token_eq,
+    err_response, frame_too_large_response, id_echo, json, request_id, route_of, AuthGate,
     Envelope, RouteInfo,
 };
 use json::Value;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKE: u64 = u64::MAX - 1;
-const TOKEN_METRICS_LISTENER: u64 = u64::MAX - 2;
+/// Backend `i` registers as `TOKEN_BACKEND_BASE + i`; clients register
+/// under their id, below it. Both sit under the door's
+/// [`token::SCRAPE_BASE`].
 const TOKEN_BACKEND_BASE: u64 = 1 << 40;
 
 const SHARD_INFO: &str = "Shard address and replication role; value is always 1.";
@@ -104,10 +104,6 @@ freqywm_obs::families! {
                 "including the shard's own queueing and run time).")).per_row(),
     }
 }
-
-/// Scrape connections that sent no complete request within this window
-/// are reaped (they never wait on jobs, so a fixed bound is safe).
-const HTTP_IDLE: Duration = Duration::from_secs(10);
 
 /// Backend response frames (metrics blobs) may exceed client request
 /// caps; a response larger than this means the stream lost framing.
@@ -218,22 +214,20 @@ enum CSlot {
 }
 
 struct ClientConn {
-    id: u64,
     io: LineStream,
     slots: VecDeque<CSlot>,
     base: usize,
-    authed: bool,
+    gate: AuthGate,
     interest: Interest,
 }
 
 impl ClientConn {
-    fn new(id: u64, stream: TcpStream, max_frame: usize) -> Self {
+    fn new(stream: TcpStream, max_frame: usize, auth_token: Option<String>) -> Self {
         ClientConn {
-            id,
             io: LineStream::new(stream, max_frame),
             slots: VecDeque::new(),
             base: 0,
-            authed: false,
+            gate: AuthGate::new(auth_token, ",\"router\":true"),
             interest: Interest::READ,
         }
     }
@@ -493,33 +487,116 @@ struct RouterStats {
     inflight_failed: u64,
 }
 
-struct DrainState {
-    deadline: Instant,
-}
-
 struct Router {
     config: RouterConfig,
     map: ShardMap,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    /// HTTP `GET /metrics` scrape listener; also closed by the drain.
-    metrics_listener: Option<TcpListener>,
-    wake_rx: UnixStream,
+    door: FrontDoor,
+    /// Write end of the door's wake pair (connector threads, signals).
     wake_tx: UnixStream,
     connect_rx: Receiver<(usize, io::Result<TcpStream>)>,
     connect_tx: Sender<(usize, io::Result<TcpStream>)>,
-    clients: HashMap<RawFd, ClientConn>,
-    client_fds: HashMap<u64, RawFd>,
-    /// Scrape connections, disjoint from `clients` by fd.
-    http_conns: HashMap<RawFd, HttpConn>,
+    /// Clients by id, which is also their poller token.
+    clients: HashMap<u64, ClientConn>,
     next_client: u64,
     backends: Vec<BackendSlot>,
     fanouts: HashMap<u64, Fanout>,
     next_fanout: u64,
-    drain: Option<DrainState>,
+    drain: Option<Instant>,
     stats: RouterStats,
     /// Shared with the standby prober thread (None when no standbys).
     prober: Option<(Arc<StandbyProberState>, std::thread::JoinHandle<()>)>,
+}
+
+/// What the router's metric families read, borrowed field by field so
+/// a scrape renders while the door holds the scrape connection.
+struct TierView<'a> {
+    backends: &'a [BackendSlot],
+    stats: &'a RouterStats,
+    clients: usize,
+    draining: bool,
+    prober: Option<&'a StandbyProberState>,
+}
+
+/// The [`TierView`] of a router.
+macro_rules! tier_view {
+    ($router:expr) => {
+        TierView {
+            backends: &$router.backends,
+            stats: &$router.stats,
+            clients: $router.clients.len(),
+            draining: $router.drain.is_some(),
+            prober: $router.prober.as_ref().map(|(state, _)| &**state),
+        }
+    };
+}
+
+impl<'a> TierView<'a> {
+    /// The latest standby probe readings (empty default when no
+    /// standbys are configured / no prober runs).
+    fn standby_probes(&self) -> Vec<StandbyProbe> {
+        match self.prober {
+            Some(state) => state.probes.lock().expect("prober probes").clone(),
+            None => vec![StandbyProbe::default(); self.backends.len()],
+        }
+    }
+
+    /// Replication lag of shard `idx`: primary `log_seq` minus the
+    /// standby's, when both sides have reported one.
+    fn repl_lag(&self, idx: usize, probes: &[StandbyProbe]) -> Option<u64> {
+        let primary = self.backends[idx].log_seq?;
+        let standby = probes.get(idx).and_then(|p| p.log_seq)?;
+        Some(primary.saturating_sub(standby))
+    }
+
+    /// The value of router family `i`, for shard `row` when the family
+    /// is per-shard. The table says how each value renders; this says
+    /// where it comes from.
+    fn metric(&self, i: usize, row: Option<usize>, probes: &[StandbyProbe]) -> Val<'a> {
+        let Some(s) = row else {
+            return match R::ALL[i] {
+                R::RouterInfo => Val::Str(self.backends.len().to_string().into()),
+                R::ClientsAccepted => Val::Num(self.stats.accepted),
+                R::ClientsActive => Val::Num(self.clients as u64),
+                R::Forwarded => Val::Num(self.stats.forwarded),
+                R::Refused => Val::Num(self.stats.refused),
+                R::InflightFailed => Val::Num(self.stats.inflight_failed),
+                R::Draining => Val::Bool(self.draining),
+                _ => Val::Absent,
+            };
+        };
+        let b = &self.backends[s];
+        let num = |v: Option<u64>| v.map_or(Val::Null, Val::Num);
+        match R::ALL[i] {
+            R::Addr => Val::Str(b.addr.as_str().into()),
+            R::Role => text(b.role.as_deref()),
+            R::Up => Val::Bool(b.conn.is_some()),
+            R::Healthy => Val::Bool(b.healthy),
+            R::Standby => text(b.standby.as_deref()),
+            R::Promoting => Val::Bool(b.promoting.is_some()),
+            R::FailedOver => Val::Bool(b.failed_over),
+            R::StandbyUp => Val::Bool(b.standby.is_some() && probes[s].up),
+            R::Routed => Val::Num(b.routed),
+            R::LogSeq => num(b.log_seq),
+            R::StandbyLogSeq => num(probes[s].log_seq),
+            R::ReplLag => num(self.repl_lag(s, probes)),
+            R::Rtt => Val::Brief(b.latency.snapshot()),
+            _ => Val::Absent,
+        }
+    }
+
+    /// The router's own Prometheus exposition: tier counters plus one
+    /// `{shard}` series per shard. Shard *engine* metrics are not
+    /// re-exported here — scrape each engine's own `--metrics-listen`
+    /// for those; this endpoint is the router's view of the tier.
+    fn prom(&self) -> String {
+        let probes = self.standby_probes();
+        let shards: Vec<String> = (0..self.backends.len()).map(|i| i.to_string()).collect();
+        let mut w = PromText::new();
+        write_prom(&mut w, ROUTER, "shard", &shards, |i, row| {
+            self.metric(i, row, &probes)
+        });
+        w.finish()
+    }
 }
 
 /// Returns the request line with a router-minted `"trace"` field
@@ -577,17 +654,13 @@ impl Router {
         metrics_listener: Option<TcpListener>,
         config: RouterConfig,
     ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let mut poller = Poller::new(config.backend)?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        if let Some(ml) = &metrics_listener {
-            ml.set_nonblocking(true)?;
-            poller.register(ml.as_raw_fd(), TOKEN_METRICS_LISTENER, Interest::READ)?;
-        }
+        let (door, wake_tx) = FrontDoor::open(
+            listener,
+            metrics_listener,
+            config.backend,
+            config.max_conns,
+            None,
+        )?;
         if config.handle_signals {
             signal::install_drain_handler(wake_tx.as_raw_fd());
         }
@@ -638,17 +711,12 @@ impl Router {
         Ok(Router {
             config,
             map,
-            poller,
-            listener: Some(listener),
-            metrics_listener,
-            wake_rx,
+            door,
             wake_tx,
             connect_rx,
             connect_tx,
             clients: HashMap::new(),
-            client_fds: HashMap::new(),
-            http_conns: HashMap::new(),
-            next_client: 1,
+            next_client: 0,
             backends,
             fanouts: HashMap::new(),
             next_fanout: 1,
@@ -675,31 +743,20 @@ impl Router {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let timeout = self.poll_timeout();
-            self.poller.wait(&mut events, Some(timeout))?;
-            let batch: Vec<Event> = events.clone();
-            // Clients can close mid-batch (error, eviction, settle),
-            // and an accept later in the same batch can reuse the
-            // freed fd — snapshot fd→client-id so a stale event for
-            // the old occupant is never applied to the new one.
-            let batch_ids: HashMap<RawFd, u64> =
-                self.clients.iter().map(|(&fd, c)| (fd, c.id)).collect();
-            for ev in batch {
+            self.door.poller.wait(&mut events, Some(timeout))?;
+            // A client closed mid-batch leaves stale events behind; its
+            // id is never reused, so they find no client and drop.
+            for &ev in &events {
                 match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_METRICS_LISTENER => self.accept_metrics_ready(),
-                    TOKEN_WAKE => self.drain_wake(),
+                    token::LISTENER => self.accept_ready(),
+                    t if t >= token::SCRAPE_BASE => {
+                        let tier = tier_view!(self);
+                        self.door.event(ev, tier.clients, || tier.prom());
+                    }
                     t if t >= TOKEN_BACKEND_BASE => {
                         self.backend_ready((t - TOKEN_BACKEND_BASE) as usize, ev)
                     }
-                    t => {
-                        let fd = t as RawFd;
-                        if self.http_conns.contains_key(&fd) {
-                            self.http_event(fd, ev);
-                        } else if self.clients.get(&fd).map(|c| c.id) == batch_ids.get(&fd).copied()
-                        {
-                            self.client_ready(fd, ev);
-                        }
-                    }
+                    id => self.client_ready(id, ev),
                 }
             }
             self.drain_connector_results();
@@ -711,17 +768,15 @@ impl Router {
             self.tick_reconnects();
             self.tick_probes();
             self.tick_failovers();
-            self.tick_http_idle();
-            if let Some(deadline) = self.drain.as_ref().map(|d| d.deadline) {
+            self.door.reap_scrapes();
+            if let Some(deadline) = self.drain {
                 // Settled clients were closed as they drained; what's
                 // left is either done or past the deadline.
                 if self.clients.is_empty() || Instant::now() >= deadline {
-                    for fd in self.clients.keys().copied().collect::<Vec<_>>() {
-                        self.close_client(fd);
+                    for id in self.clients.keys().copied().collect::<Vec<_>>() {
+                        self.close_client(id);
                     }
-                    for fd in self.http_conns.keys().copied().collect::<Vec<_>>() {
-                        self.close_http(fd);
-                    }
+                    self.door.close_scrapes();
                     return Ok(());
                 }
             }
@@ -733,8 +788,8 @@ impl Router {
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
         let mut timeout = MAX_POLL;
-        if let Some(d) = &self.drain {
-            timeout = timeout.min(d.deadline.saturating_duration_since(now));
+        if let Some(deadline) = self.drain {
+            timeout = timeout.min(deadline.saturating_duration_since(now));
         }
         for b in &self.backends {
             if b.conn.is_none() && !b.connecting {
@@ -787,170 +842,7 @@ impl Router {
         }
     }
 
-    // ----- scrape endpoint --------------------------------------------
-
-    /// Accepts pending scrape connections (shared cap with clients).
-    fn accept_metrics_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.metrics_listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.clients.len() + self.http_conns.len() >= self.config.max_conns {
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    self.http_conns.insert(fd, HttpConn::new(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn http_event(&mut self, fd: RawFd, ev: Event) {
-        // Rendered up front: the exposition is cheap, and the borrow
-        // can't overlap the connection map.
-        let body = self.router_prom();
-        let Some(conn) = self.http_conns.get_mut(&fd) else {
-            return;
-        };
-        if ev.readable && !conn.responded {
-            conn.read_ready(|| body);
-        } else if ev.hangup {
-            conn.failed = true;
-        }
-        if ev.writable || conn.responded {
-            conn.flush();
-        }
-        if conn.failed || conn.settled() {
-            self.close_http(fd);
-            return;
-        }
-        let want = Interest {
-            readable: !conn.responded,
-            writable: conn.buffered() > 0,
-        };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_http(fd);
-            }
-        }
-    }
-
-    fn close_http(&mut self, fd: RawFd) {
-        if self.http_conns.remove(&fd).is_some() {
-            let _ = self.poller.deregister(fd);
-        }
-    }
-
-    fn tick_http_idle(&mut self) {
-        if self.http_conns.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let expired: Vec<RawFd> = self
-            .http_conns
-            .iter()
-            .filter(|(_, c)| now.duration_since(c.last_activity) >= HTTP_IDLE)
-            .map(|(&fd, _)| fd)
-            .collect();
-        for fd in expired {
-            self.close_http(fd);
-        }
-    }
-
-    /// The latest standby probe readings (empty default when no
-    /// standbys are configured / no prober runs).
-    fn standby_probes(&self) -> Vec<StandbyProbe> {
-        match &self.prober {
-            Some((state, _)) => state.probes.lock().expect("prober probes").clone(),
-            None => vec![StandbyProbe::default(); self.backends.len()],
-        }
-    }
-
-    /// Replication lag of shard `idx`: primary `log_seq` minus the
-    /// standby's, when both sides have reported one.
-    fn repl_lag(&self, idx: usize, probes: &[StandbyProbe]) -> Option<u64> {
-        let primary = self.backends[idx].log_seq?;
-        let standby = probes.get(idx).and_then(|p| p.log_seq)?;
-        Some(primary.saturating_sub(standby))
-    }
-
-    /// The value of router family `i`, for shard `row` when the family
-    /// is per-shard. The table says how each value renders; this says
-    /// where it comes from.
-    fn metric(&self, i: usize, row: Option<usize>, probes: &[StandbyProbe]) -> Val<'_> {
-        let Some(s) = row else {
-            return match R::ALL[i] {
-                R::RouterInfo => Val::Str(self.backends.len().to_string().into()),
-                R::ClientsAccepted => Val::Num(self.stats.accepted),
-                R::ClientsActive => Val::Num(self.clients.len() as u64),
-                R::Forwarded => Val::Num(self.stats.forwarded),
-                R::Refused => Val::Num(self.stats.refused),
-                R::InflightFailed => Val::Num(self.stats.inflight_failed),
-                R::Draining => Val::Bool(self.drain.is_some()),
-                _ => Val::Absent,
-            };
-        };
-        let b = &self.backends[s];
-        let num = |v: Option<u64>| v.map_or(Val::Null, Val::Num);
-        match R::ALL[i] {
-            R::Addr => Val::Str(b.addr.as_str().into()),
-            R::Role => text(b.role.as_deref()),
-            R::Up => Val::Bool(b.conn.is_some()),
-            R::Healthy => Val::Bool(b.healthy),
-            R::Standby => text(b.standby.as_deref()),
-            R::Promoting => Val::Bool(b.promoting.is_some()),
-            R::FailedOver => Val::Bool(b.failed_over),
-            R::StandbyUp => Val::Bool(b.standby.is_some() && probes[s].up),
-            R::Routed => Val::Num(b.routed),
-            R::LogSeq => num(b.log_seq),
-            R::StandbyLogSeq => num(probes[s].log_seq),
-            R::ReplLag => num(self.repl_lag(s, probes)),
-            R::Rtt => Val::Brief(b.latency.snapshot()),
-            _ => Val::Absent,
-        }
-    }
-
-    /// The router's own Prometheus exposition: tier counters plus one
-    /// `{shard}` series per shard. Shard *engine* metrics are not
-    /// re-exported here — scrape each engine's own `--metrics-listen`
-    /// for those; this endpoint is the router's view of the tier.
-    fn router_prom(&self) -> String {
-        let probes = self.standby_probes();
-        let shards: Vec<String> = (0..self.backends.len()).map(|i| i.to_string()).collect();
-        let mut w = PromText::new();
-        write_prom(&mut w, ROUTER, "shard", &shards, |i, row| {
-            self.metric(i, row, &probes)
-        });
-        w.finish()
-    }
-
     // ----- wakeup + connectors ----------------------------------------
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
 
     /// Dials shard `idx` on a throwaway thread; the result arrives via
     /// the channel + wake pipe. The reactor never blocks in connect(2).
@@ -987,6 +879,7 @@ impl Router {
         let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
         if self
+            .door
             .poller
             .register(fd, TOKEN_BACKEND_BASE + idx as u64, Interest::READ)
             .is_err()
@@ -1219,7 +1112,7 @@ impl Router {
         let Some(mut conn) = self.backends[idx].conn.take() else {
             return;
         };
-        let _ = self.poller.deregister(conn.io.as_raw_fd());
+        let _ = self.door.poller.deregister(conn.io.as_raw_fd());
         self.backends[idx].healthy = false;
         let addr = self.backends[idx].addr.clone();
         for (_sent, pending) in conn.inflight.drain(..) {
@@ -1304,58 +1197,36 @@ impl Router {
             readable: true,
             writable: conn.io.buffered() > 0,
         };
-        if want != conn.interest {
-            let fd = conn.io.as_raw_fd();
-            if self
-                .poller
-                .modify(fd, TOKEN_BACKEND_BASE + idx as u64, want)
-                .is_ok()
-            {
-                conn.interest = want;
-            } else {
-                self.fail_backend(idx);
-            }
+        let (fd, token) = (conn.io.as_raw_fd(), TOKEN_BACKEND_BASE + idx as u64);
+        if !self.door.poller.update(fd, token, &mut conn.interest, want) {
+            self.fail_backend(idx);
         }
     }
 
     // ----- client side ------------------------------------------------
 
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if self.clients.len() >= self.config.max_conns {
-                        continue; // dropped: peer sees an immediate close
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.register(fd, fd as u64, Interest::READ).is_err() {
-                        continue;
-                    }
-                    let id = self.next_client;
-                    self.next_client += 1;
-                    self.stats.accepted += 1;
-                    self.clients
-                        .insert(fd, ClientConn::new(id, stream, self.config.max_frame));
-                    self.client_fds.insert(id, fd);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
+        let next = &mut self.next_client;
+        let clients = &mut self.clients;
+        let config = &self.config;
+        let report = self.door.accept(
+            clients.len(),
+            |_| {
+                *next += 1;
+                *next
+            },
+            |id, stream| {
+                let conn = ClientConn::new(stream, config.max_frame, config.auth_token.clone());
+                clients.insert(id, conn);
+            },
+        );
+        self.stats.accepted += report.accepted;
     }
 
-    fn client_ready(&mut self, fd: RawFd, ev: Event) {
+    fn client_ready(&mut self, client: u64, ev: Event) {
         let mut incoming = Vec::new();
         {
-            let Some(conn) = self.clients.get_mut(&fd) else {
+            let Some(conn) = self.clients.get_mut(&client) else {
                 return;
             };
             if ev.readable && !conn.io.eof && self.drain.is_none() {
@@ -1369,23 +1240,23 @@ impl Router {
         }
         for event in incoming {
             match event {
-                LineEvent::Line(line) => self.handle_client_line(fd, &line),
+                LineEvent::Line(line) => self.handle_client_line(client, &line),
                 LineEvent::Oversized => {
-                    if let Some(conn) = self.clients.get_mut(&fd) {
+                    if let Some(conn) = self.clients.get_mut(&client) {
                         conn.push_ready(frame_too_large_response(self.config.max_frame));
                     }
                 }
             }
         }
-        self.pump_client(fd);
+        self.pump_client(client);
     }
 
-    fn handle_client_line(&mut self, fd: RawFd, line: &str) {
+    fn handle_client_line(&mut self, client: u64, line: &str) {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return;
         }
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(conn) = self.clients.get_mut(&client) else {
             return;
         };
         if self.drain.is_some() {
@@ -1403,55 +1274,30 @@ impl Router {
                 return;
             }
         };
-        let id = req.get("id").cloned();
-        // Client-side auth gate, mirroring the engine Session's.
-        if let Some(token) = &self.config.auth_token {
-            if !conn.authed {
-                let is_hello = req.get("op").and_then(Value::as_str) == Some("hello");
-                if is_hello {
-                    let presented = req.get("token").and_then(Value::as_str).unwrap_or("");
-                    if token_eq(presented, token) {
-                        conn.authed = true;
-                        conn.push_ready(format!(
-                            "{{\"ok\":true{},\"op\":\"hello\",\"authenticated\":true,\"router\":true}}",
-                            id_echo(id.as_ref())
-                        ));
-                    } else {
-                        conn.push_ready(err_response(id.as_ref(), "hello: bad auth token"));
-                        self.stats.refused += 1;
-                    }
-                    return;
-                }
-                let presented = req.get("auth").and_then(Value::as_str);
-                if !presented.is_some_and(|p| token_eq(p, token)) {
-                    conn.push_ready(err_response(
-                        id.as_ref(),
-                        "authentication required: send {\"op\":\"hello\",\"token\":…} first",
-                    ));
-                    self.stats.refused += 1;
-                    return;
-                }
-                // Per-request auth: this request proceeds, session
-                // stays locked.
-            }
+        if let Some(answer) = conn.gate.check(&req) {
+            // Still locked after answering: a refusal, not a hello ack.
+            self.stats.refused += u64::from(conn.gate.locked());
+            conn.push_ready(answer);
+            return;
         }
+        let id = req.get("id").cloned();
         match route_of(&req) {
             RouteInfo::Tenant(tenant) => {
                 let shard = self.map.shard_of(&tenant);
                 let line = ensure_trace(line, &req);
-                self.forward(fd, shard, &line, id.as_ref());
+                self.forward(client, shard, &line, id.as_ref());
             }
             RouteInfo::TenantPair(a, b) => {
                 let (sa, sb) = (self.map.shard_of(&a), self.map.shard_of(&b));
                 if sa == sb {
                     let line = ensure_trace(line, &req);
-                    self.forward(fd, sa, &line, id.as_ref());
+                    self.forward(client, sa, &line, id.as_ref());
                 } else {
                     let msg = format!(
                         "unroutable dispute: tenants {a:?} (shard {sa}) and {b:?} \
                          (shard {sb}) live on different shards"
                     );
-                    let Some(conn) = self.clients.get_mut(&fd) else {
+                    let Some(conn) = self.clients.get_mut(&client) else {
                         return;
                     };
                     conn.push_ready(err_response(id.as_ref(), &msg));
@@ -1468,7 +1314,7 @@ impl Router {
                     Some("history") => FanoutKind::History,
                     _ => FanoutKind::Metrics,
                 };
-                self.start_fanout(fd, id.as_ref(), kind, line);
+                self.start_fanout(client, id.as_ref(), kind, line);
             }
             RouteInfo::Shutdown => {
                 // Tier shutdown: drain the router AND take the backends
@@ -1476,11 +1322,11 @@ impl Router {
                 // The fanout reserves the requester's response slot
                 // FIRST — start_drain closes settled clients, and the
                 // requester must survive to receive the ack.
-                self.start_fanout(fd, id.as_ref(), FanoutKind::Shutdown, line);
+                self.start_fanout(client, id.as_ref(), FanoutKind::Shutdown, line);
                 self.start_drain();
             }
             RouteInfo::Local => {
-                let Some(conn) = self.clients.get_mut(&fd) else {
+                let Some(conn) = self.clients.get_mut(&client) else {
                     return;
                 };
                 conn.push_ready(format!(
@@ -1490,7 +1336,7 @@ impl Router {
                 ));
             }
             RouteInfo::Unroutable(msg) => {
-                let Some(conn) = self.clients.get_mut(&fd) else {
+                let Some(conn) = self.clients.get_mut(&client) else {
                     return;
                 };
                 conn.push_ready(err_response(id.as_ref(), &msg));
@@ -1504,12 +1350,11 @@ impl Router {
     /// (released when the standby's promotion acks); a down shard with
     /// no failover in progress answers immediately with a protocol
     /// error — errors are scoped to the shard, never the tier.
-    fn forward(&mut self, fd: RawFd, shard: usize, line: &str, id: Option<&Value>) {
+    fn forward(&mut self, client: u64, shard: usize, line: &str, id: Option<&Value>) {
         let id_part = id_echo(id);
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(conn) = self.clients.get_mut(&client) else {
             return;
         };
-        let client = conn.id;
         let seq = conn.push_pending();
         if let Some(deadline) = self.backends[shard].promoting {
             if Instant::now() < deadline && self.backends[shard].parked.len() < MAX_PARKED {
@@ -1545,12 +1390,11 @@ impl Router {
         self.send_backend(shard, line, pending);
     }
 
-    fn start_fanout(&mut self, fd: RawFd, id: Option<&Value>, kind: FanoutKind, line: &str) {
+    fn start_fanout(&mut self, client: u64, id: Option<&Value>, kind: FanoutKind, line: &str) {
         let id_part = id_echo(id);
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(conn) = self.clients.get_mut(&client) else {
             return;
         };
-        let client = conn.id;
         let seq = conn.push_pending();
         let connected: Vec<usize> = (0..self.backends.len())
             .filter(|&i| self.backends[i].conn.is_some())
@@ -1700,7 +1544,8 @@ impl Router {
                         self.note_shard_metrics(i, &m);
                     }
                 }
-                let probes = self.standby_probes();
+                let tier = tier_view!(self);
+                let probes = tier.standby_probes();
                 let pieces: Vec<ShardMetricsPiece> = (0..self.backends.len())
                     .map(|i| ShardMetricsPiece {
                         index: i,
@@ -1710,12 +1555,12 @@ impl Router {
                     })
                     .collect();
                 let mut top = JsonObject::default();
-                top.families(ROUTER, false, |i| self.metric(i, None, &probes));
+                top.families(ROUTER, false, |i| tier.metric(i, None, &probes));
                 let shard_map: Vec<String> = (0..self.backends.len())
                     .map(|s| {
                         let mut row = JsonObject::default();
                         row.push("shard", s.to_string());
-                        row.families(ROUTER, true, |i| self.metric(i, Some(s), &probes));
+                        row.families(ROUTER, true, |i| tier.metric(i, Some(s), &probes));
                         row.render()
                     })
                     .collect();
@@ -1735,18 +1580,16 @@ impl Router {
     }
 
     fn resolve_client_slot(&mut self, client: u64, seq: usize, resp: String) {
-        let Some(&fd) = self.client_fds.get(&client) else {
+        let Some(conn) = self.clients.get_mut(&client) else {
             return; // client died before its response arrived
         };
-        if let Some(conn) = self.clients.get_mut(&fd) {
-            conn.resolve(seq, resp);
-        }
-        self.pump_client(fd);
+        conn.resolve(seq, resp);
+        self.pump_client(client);
     }
 
-    fn pump_client(&mut self, fd: RawFd) {
+    fn pump_client(&mut self, client: u64) {
         let close = {
-            let Some(conn) = self.clients.get_mut(&fd) else {
+            let Some(conn) = self.clients.get_mut(&client) else {
                 return;
             };
             conn.queue_ready();
@@ -1758,36 +1601,36 @@ impl Router {
                 || ((conn.io.eof || self.drain.is_some()) && conn.settled())
         };
         if close {
-            self.close_client(fd);
+            self.close_client(client);
         } else {
-            self.update_client_interest(fd);
+            self.update_client_interest(client);
         }
     }
 
-    fn update_client_interest(&mut self, fd: RawFd) {
+    fn update_client_interest(&mut self, client: u64) {
         let draining = self.drain.is_some();
-        let Some(conn) = self.clients.get_mut(&fd) else {
+        let Some(conn) = self.clients.get_mut(&client) else {
             return;
         };
         let want = Interest {
             readable: !conn.io.eof && !draining,
             writable: conn.io.buffered() > 0,
         };
-        if want != conn.interest {
-            if self.poller.modify(fd, fd as u64, want).is_ok() {
-                conn.interest = want;
-            } else {
-                self.close_client(fd);
-            }
+        let fd = conn.io.as_raw_fd();
+        if !self
+            .door
+            .poller
+            .update(fd, client, &mut conn.interest, want)
+        {
+            self.close_client(client);
         }
     }
 
-    fn close_client(&mut self, fd: RawFd) {
-        let Some(conn) = self.clients.remove(&fd) else {
+    fn close_client(&mut self, client: u64) {
+        let Some(conn) = self.clients.remove(&client) else {
             return;
         };
-        let _ = self.poller.deregister(fd);
-        self.client_fds.remove(&conn.id);
+        let _ = self.door.poller.deregister(conn.io.as_raw_fd());
         // Pending backend entries referencing this client stay in their
         // FIFOs (position is the correlation); their responses are
         // dropped at dispatch when the lookup fails.
@@ -1799,15 +1642,8 @@ impl Router {
         if self.drain.is_some() {
             return;
         }
-        self.drain = Some(DrainState {
-            deadline: Instant::now() + self.config.drain_timeout,
-        });
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        if let Some(ml) = self.metrics_listener.take() {
-            let _ = self.poller.deregister(ml.as_raw_fd());
-        }
+        self.drain = Some(Instant::now() + self.config.drain_timeout);
+        self.door.stop_accepting();
         // Parked requests can never complete during a drain (no
         // reconnects, no promotions run) — error them now so their
         // clients can settle and close instead of hitting the deadline.
@@ -1816,8 +1652,8 @@ impl Router {
                 self.flush_parked(idx, Some("router draining".to_string()));
             }
         }
-        for fd in self.clients.keys().copied().collect::<Vec<_>>() {
-            self.pump_client(fd);
+        for client in self.clients.keys().copied().collect::<Vec<_>>() {
+            self.pump_client(client);
         }
     }
 }
