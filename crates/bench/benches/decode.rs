@@ -1,8 +1,8 @@
 //! Criterion: request decoding — what a served detect costs before the
 //! detect itself runs. A 575-token detect line (the size the tier
 //! benchmark's pool averages, ~9.8 KB) through the full tree parse, the
-//! router's envelope scan, and a shard's whole plan: envelope, `counts`
-//! decoded into rows, and the histogram built from them.
+//! router's envelope scan, and a shard's whole plan: one scan of the
+//! envelope that decodes `counts` into indexed rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use freqywm_data::histogram::Histogram;

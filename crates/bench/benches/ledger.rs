@@ -111,7 +111,7 @@ fn bench_chain_verify(c: &mut Criterion) {
     for i in 0..4096u64 {
         ledger.register(i + 1, &format!("subject-{i}"), format!("m{i}").as_bytes());
     }
-    let entries = ledger.entries().to_vec();
+    let entries: Vec<_> = ledger.entries().cloned().collect();
     let mut g = c.benchmark_group("ledger/chain_verify");
     g.throughput(Throughput::Elements(entries.len() as u64));
     g.bench_function(format!("{}entries", entries.len()), |b| {

@@ -116,7 +116,7 @@ impl IncrementalWatermarker {
         }
         let mut positive = hist.entries().partition_point(|(_, c)| *c > 0);
         for (t, &c) in &next {
-            let was = hist.count(t).unwrap_or(0);
+            let was = hist.count(*t).unwrap_or(0);
             match (was > 0, c > 0) {
                 (true, false) => positive -= 1,
                 (false, true) => positive += 1,

@@ -11,7 +11,9 @@
 //! against `⌈s_ij/2⌉` to guarantee the Ranking Constraint.
 
 use crate::token::Token;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Movement allowance of one histogram entry. `upper == u64::MAX`
 /// encodes the unbounded allowance of the top-ranked token.
@@ -78,8 +80,13 @@ impl Histogram {
         &self.entries
     }
 
-    /// Frequency of `token`, if present.
-    pub fn count(&self, token: &Token) -> Option<u64> {
+    /// Frequency of `token`, if present; looked up by a `&Token` or by
+    /// its text as a `&str`.
+    pub fn count<Q>(&self, token: &Q) -> Option<u64>
+    where
+        Token: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.index.get(token).map(|&i| self.entries[i].1)
     }
 

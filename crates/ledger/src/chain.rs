@@ -64,11 +64,20 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
+/// Entries per chunk of a [`Ledger`]'s storage.
+const CHUNK: usize = 1024;
+
 /// The append-only ledger.
+///
+/// Entries are kept in chunks of [`CHUNK`], so an append never moves
+/// the chain. In one growing `Vec`, each doubling would copy every
+/// entry into a buffer twice the size and leave the old one behind in
+/// the heap: a server's resident memory would jump by the chain's size
+/// each time the entry count passed a power of two.
 #[derive(Debug, Clone)]
 pub struct Ledger {
     key: Vec<u8>,
-    entries: Vec<Entry>,
+    chunks: Vec<Vec<Entry>>,
 }
 
 impl Ledger {
@@ -76,26 +85,32 @@ impl Ledger {
     pub fn new(key: &[u8]) -> Self {
         Ledger {
             key: key.to_vec(),
-            entries: Vec::new(),
+            chunks: Vec::new(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.iter().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.chunks.is_empty()
     }
 
-    pub fn entries(&self) -> &[Entry] {
-        &self.entries
+    /// The entries, in chain order.
+    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.chunks.iter().flatten()
+    }
+
+    /// The newest entry.
+    pub fn last(&self) -> Option<&Entry> {
+        self.chunks.last().and_then(|chunk| chunk.last())
     }
 
     /// Hash of the chain head (all-zero for an empty ledger) — the
     /// value a recovered replica must reproduce.
     pub fn head_hash(&self) -> Digest {
-        self.entries.last().map(|e| e.hash()).unwrap_or([0u8; 32])
+        self.last().map(|e| e.hash()).unwrap_or([0u8; 32])
     }
 
     /// Rebuilds a ledger from previously persisted entries, verifying
@@ -103,12 +118,21 @@ impl Ledger {
     /// a snapshot or replayed log that fails here was tampered with or
     /// corrupted on disk.
     pub fn from_entries(key: &[u8], entries: Vec<Entry>) -> Result<Self, LedgerError> {
-        let ledger = Ledger {
-            key: key.to_vec(),
-            entries,
-        };
+        let mut ledger = Ledger::new(key);
+        entries.into_iter().for_each(|e| ledger.push(e));
         ledger.verify_chain()?;
         Ok(ledger)
+    }
+
+    fn push(&mut self, entry: Entry) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(entry),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(entry);
+                self.chunks.push(chunk);
+            }
+        }
     }
 
     /// Registers a fingerprint; returns the new entry's index.
@@ -118,7 +142,7 @@ impl Ledger {
     pub fn register(&mut self, timestamp: u64, subject: &str, secret_material: &[u8]) -> u64 {
         let prev_hash = self.head_hash();
         let mut entry = Entry {
-            index: self.entries.len() as u64,
+            index: self.len() as u64,
             timestamp,
             subject: subject.to_string(),
             fingerprint: sha256(secret_material),
@@ -127,7 +151,7 @@ impl Ledger {
         };
         entry.mac = hmac_sha256(&self.key, &entry.encode_unmacced());
         let idx = entry.index;
-        self.entries.push(entry);
+        self.push(entry);
         idx
     }
 
@@ -135,7 +159,7 @@ impl Ledger {
     /// hash linkage.
     pub fn verify_chain(&self) -> Result<(), LedgerError> {
         let mut prev = [0u8; 32];
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.entries().enumerate() {
             if e.index != i as u64 {
                 return Err(LedgerError::Corrupted {
                     index: i as u64,
@@ -164,7 +188,7 @@ impl Ledger {
     /// leak-tracing lookup ("whose watermark is on this copy?").
     pub fn find_fingerprint(&self, secret_material: &[u8]) -> Option<&Entry> {
         let fp = sha256(secret_material);
-        self.entries.iter().find(|e| digest_eq(&e.fingerprint, &fp))
+        self.entries().find(|e| digest_eq(&e.fingerprint, &fp))
     }
 
     /// Chronological comparison for dispute resolution: which of two
@@ -199,9 +223,18 @@ mod tests {
 
     #[test]
     fn append_and_verify() {
-        let l = ledger_with(10);
-        assert_eq!(l.len(), 10);
-        assert_eq!(l.verify_chain(), Ok(()));
+        // One chunk, and a chain across three.
+        for n in [10, 2 * CHUNK + 5] {
+            let l = ledger_with(n);
+            assert_eq!(l.len(), n);
+            assert_eq!(l.entries().count(), n);
+            assert_eq!(l.last().map(|e| e.index), Some(n as u64 - 1));
+            assert_eq!(l.verify_chain(), Ok(()));
+            let e = l
+                .find_fingerprint(format!("secret-{}", n - 1).as_bytes())
+                .expect("registered");
+            assert_eq!(e.index, n as u64 - 1);
+        }
     }
 
     #[test]
@@ -229,7 +262,7 @@ mod tests {
     #[test]
     fn tampering_with_subject_detected() {
         let mut l = ledger_with(4);
-        l.entries[2].subject = "mallory".into();
+        l.chunks[0][2].subject = "mallory".into();
         let err = l.verify_chain().unwrap_err();
         assert_eq!(
             err,
@@ -243,21 +276,21 @@ mod tests {
     #[test]
     fn tampering_with_timestamp_detected() {
         let mut l = ledger_with(4);
-        l.entries[1].timestamp = 1;
+        l.chunks[0][1].timestamp = 1;
         assert!(l.verify_chain().is_err());
     }
 
     #[test]
     fn reordering_detected() {
         let mut l = ledger_with(4);
-        l.entries.swap(1, 2);
+        l.chunks[0].swap(1, 2);
         assert!(l.verify_chain().is_err());
     }
 
     #[test]
     fn deletion_detected() {
         let mut l = ledger_with(4);
-        l.entries.remove(1);
+        l.chunks[0].remove(1);
         assert!(l.verify_chain().is_err());
     }
 
@@ -265,23 +298,24 @@ mod tests {
     fn recomputed_mac_with_wrong_key_detected() {
         // An attacker without the ledger key cannot re-MAC a forged entry.
         let mut l = ledger_with(3);
-        l.entries[1].subject = "mallory".into();
-        let forged_mac = hmac_sha256(b"wrong-key", &l.entries[1].encode_unmacced());
-        l.entries[1].mac = forged_mac;
+        l.chunks[0][1].subject = "mallory".into();
+        let forged_mac = hmac_sha256(b"wrong-key", &l.chunks[0][1].encode_unmacced());
+        l.chunks[0][1].mac = forged_mac;
         assert!(l.verify_chain().is_err());
     }
 
     #[test]
     fn from_entries_restores_and_verifies() {
         let l = ledger_with(6);
-        let restored = Ledger::from_entries(b"marketplace-ledger-key", l.entries().to_vec())
-            .expect("clean entries restore");
+        let restored =
+            Ledger::from_entries(b"marketplace-ledger-key", l.entries().cloned().collect())
+                .expect("clean entries restore");
         assert_eq!(restored.head_hash(), l.head_hash());
         assert_eq!(restored.len(), 6);
         // Wrong key: every MAC fails.
-        assert!(Ledger::from_entries(b"wrong-key", l.entries().to_vec()).is_err());
+        assert!(Ledger::from_entries(b"wrong-key", l.entries().cloned().collect()).is_err());
         // Tampered entry: rejected while loading.
-        let mut tampered = l.entries().to_vec();
+        let mut tampered: Vec<Entry> = l.entries().cloned().collect();
         tampered[3].timestamp += 1;
         assert!(Ledger::from_entries(b"marketplace-ledger-key", tampered).is_err());
     }
@@ -291,7 +325,7 @@ mod tests {
         let mut l = Ledger::new(b"k");
         assert_eq!(l.head_hash(), [0u8; 32]);
         l.register(1, "a", b"m");
-        assert_eq!(l.head_hash(), l.entries().last().unwrap().hash());
+        assert_eq!(l.head_hash(), l.last().unwrap().hash());
     }
 
     #[test]
@@ -299,7 +333,8 @@ mod tests {
         let l = ledger_with(1);
         let secret = b"secret-0";
         // The entry holds a hash, not the material.
-        assert_eq!(l.entries()[0].fingerprint, sha256(secret));
-        assert_ne!(&l.entries()[0].fingerprint[..], &secret[..]);
+        let first = l.entries().next().unwrap();
+        assert_eq!(first.fingerprint, sha256(secret));
+        assert_ne!(&first.fingerprint[..], &secret[..]);
     }
 }

@@ -18,7 +18,9 @@ fn hammer_no_lost_slots_and_monotonic_cursor() {
 
     // Readers: snapshot continuously; every span they see must decode
     // to one a writer actually produced, and the cursor never moves
-    // backwards between observations.
+    // backwards between observations. `stop` is read before each
+    // snapshot, so a reader that first runs after the writers finish
+    // still takes one snapshot, of the full ring.
     let readers: Vec<_> = (0..2)
         .map(|_| {
             let ring = Arc::clone(&ring);
@@ -26,7 +28,8 @@ fn hammer_no_lost_slots_and_monotonic_cursor() {
             std::thread::spawn(move || {
                 let mut last_cursor = 0u64;
                 let mut seen = 0usize;
-                while !stop.load(Ordering::Acquire) {
+                loop {
+                    let last = stop.load(Ordering::Acquire);
                     let c = ring.cursor();
                     assert!(
                         c >= last_cursor,
@@ -40,6 +43,9 @@ fn hammer_no_lost_slots_and_monotonic_cursor() {
                         assert!(w < WRITERS);
                         assert!((span.dur_us as usize) < SPANS_PER_WRITER);
                         seen += 1;
+                    }
+                    if last {
+                        break;
                     }
                 }
                 seen

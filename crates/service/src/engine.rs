@@ -1242,21 +1242,20 @@ fn run_payload(
                 .require_watermark(&tenant)?
                 .secrets
                 .clone();
-            // Request rows stream against the stored pairs; a histogram
-            // (or counted tokens) streams its entries the same way.
+            // The stored pairs look their tokens up in the request's row
+            // index, or in the histogram a token stream counts into.
             let sweep_started;
             let outcome = match data {
                 JobData::Rows(rows) => {
                     check_deadline(&cancel)?;
                     sweep_started = Instant::now();
-                    secrets.detect_rows(rows.iter(), &params)
+                    secrets.detect(|t| rows.get(t), &params)
                 }
                 data => {
                     let hist = materialize(shared, data, &cancel)?;
                     check_deadline(&cancel)?;
                     sweep_started = Instant::now();
-                    let rows = hist.entries().iter().map(|(t, c)| (t.as_str(), *c));
-                    secrets.detect_rows(rows, &params)
+                    secrets.detect(|t| hist.count(t), &params)
                 }
             };
             sweep_span(&tenant, JobKind::Detect, sweep_started);

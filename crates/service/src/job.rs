@@ -14,9 +14,9 @@ use std::time::Duration;
 pub type JobId = u64;
 
 /// Input data for embed/detect jobs: a pre-counted histogram, packed
-/// count rows (a detect request's `counts`, streamed by the worker
-/// without building a histogram), or a raw token stream (counted by
-/// the engine's sharded builder).
+/// and indexed count rows (a detect request's `counts`, in which the
+/// worker looks up the stored pairs without building a histogram), or
+/// a raw token stream (counted by the engine's sharded builder).
 #[derive(Debug, Clone)]
 pub enum JobData {
     Histogram(Histogram),

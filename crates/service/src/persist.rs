@@ -18,8 +18,8 @@
 //! registry (including the chain, which is the dispute evidence and is
 //! never discarded) is installed and the log reset, so replay work is
 //! O(snapshot + recent events), not O(history). The snapshot is
-//! streamed to storage a tenant at a time, so compaction holds no
-//! second copy of the registry.
+//! streamed to storage in pieces of a few KiB (the chain) or a tenant
+//! at a time, so compaction holds no second copy of the registry.
 
 use crate::error::{Result, ServiceError};
 use crate::quota::QuotaLimits;
@@ -289,8 +289,9 @@ fn encode_snapshot(next_seq: u64, clock: u64, registry: &KeyRegistry, key: &[u8]
     buf
 }
 
-/// [`encode_snapshot`], streamed into `out` a tenant at a time so no
-/// registry-sized buffer is built.
+/// [`encode_snapshot`], streamed into `out` in pieces of a few KiB
+/// (the chain) or a tenant at a time, so no registry-sized buffer is
+/// built.
 fn write_snapshot(
     next_seq: u64,
     clock: u64,
@@ -307,10 +308,14 @@ fn write_snapshot(
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(&mut buf, next_seq);
     put_u64(&mut buf, clock);
-    let entries = registry.ledger().entries();
-    put_u64(&mut buf, entries.len() as u64);
-    for e in entries {
+    let ledger = registry.ledger();
+    put_u64(&mut buf, ledger.len() as u64);
+    for e in ledger.entries() {
         put_bytes(&mut buf, &encode_entry(e));
+        if buf.len() >= 4096 {
+            emit(&buf)?;
+            buf.clear();
+        }
     }
     let tenants = registry.tenants_sorted();
     put_u64(&mut buf, tenants.len() as u64);

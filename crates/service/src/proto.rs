@@ -45,7 +45,7 @@ use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
@@ -58,8 +58,10 @@ pub mod json {
     //!
     //! One scanner serves every reader of request text: [`parse`] builds
     //! a whole tree, while [`super::Envelope`] builds only the top-level
-    //! fields and steps over the bulk arrays with `Parser::skip_value`,
-    //! which checks them exactly as [`parse`] would, error text included.
+    //! fields. The router's envelope steps over the bulk arrays with
+    //! `Parser::skip_value`, which checks them exactly as [`parse`]
+    //! would, error text included; a shard's decodes them into rows in
+    //! the same pass, through `Parser::decode_value`.
 
     use std::borrow::Cow;
 
@@ -167,9 +169,10 @@ pub mod json {
     /// The scanner behind [`parse`]. Its entry points build a [`Value`]
     /// ([`Parser::value`]), check a value without building anything
     /// ([`Parser::skip_value`]), or hand each object field / array item
-    /// to a callback ([`Parser::object`], [`Parser::array`]) so a caller
-    /// can decode straight into its own types. All of them accept and
-    /// refuse the same text with the same errors.
+    /// to a callback ([`Parser::object`], [`Parser::array`],
+    /// [`Parser::decode_value`]) so a caller can decode straight into
+    /// its own types. All of them accept and refuse the same text with
+    /// the same errors.
     pub(super) struct Parser<'a> {
         input: &'a str,
         bytes: &'a [u8],
@@ -437,6 +440,31 @@ pub mod json {
             }
         }
 
+        /// Decodes the value the parser stands on with `decode`, which
+        /// must check all it accepts as [`Parser::skip_value`] would.
+        /// A value `decode` refuses is scanned again by `skip_value`: a
+        /// syntax error in it is the outer error, and beats the refusal,
+        /// the inner one.
+        pub(super) fn decode_value<T>(
+            &mut self,
+            decode: impl FnOnce(&mut Self) -> Result<T, String>,
+        ) -> Result<Result<T, String>, String> {
+            let start = self.pos;
+            match decode(self) {
+                Ok(v) => Ok(Ok(v)),
+                Err(refusal) => {
+                    self.pos = start;
+                    self.skip_value()?;
+                    Ok(Err(refusal))
+                }
+            }
+        }
+
+        /// Bytes of input not yet scanned.
+        pub(super) fn remaining(&self) -> usize {
+            self.bytes.len() - self.pos
+        }
+
         /// Scans the characters a number may hold; returns where it
         /// started and its text, unchecked.
         pub(super) fn number_text(&mut self) -> (usize, &'a str) {
@@ -486,39 +514,51 @@ pub fn id_echo(id: Option<&Value>) -> String {
 
 /// A request line decoded for routing and planning. Every top-level
 /// field is a [`Value`] except the bulk arrays (`counts`, `tokens`,
-/// `updates`): those are checked for syntax and kept as slices of the
-/// line. A shard decodes the slices straight into rows when it plans
-/// the job; the router never decodes them.
-pub struct Envelope<'a> {
+/// `updates`). The router's envelope ([`Envelope::parse`]) only checks
+/// those for syntax. A shard's ([`Envelope::decode`]) decodes them into
+/// their rows in the same scan, keeping the first faulty row's error
+/// for [`plan`] to report only if the op needs that array.
+pub struct Envelope {
     /// The non-bulk fields, in request order, as a [`Value::Obj`].
     fields: Value,
-    counts: Option<&'a str>,
-    tokens: Option<&'a str>,
-    updates: Option<&'a str>,
+    counts: Option<Result<CountRows, String>>,
+    tokens: Option<Result<Vec<Token>, String>>,
+    updates: Option<Result<Vec<(Token, i64)>, String>>,
 }
 
-impl<'a> Envelope<'a> {
-    /// Accepts and refuses exactly the lines [`json::parse`] does, with
-    /// the same error text. A repeated key keeps its first value, as
-    /// [`Value::get`] does; a top-level value that is not an object
-    /// has no fields.
-    pub fn parse(line: &'a str) -> Result<Self, String> {
+impl Envelope {
+    /// The router's envelope: the top-level fields, with the bulk
+    /// arrays checked for syntax and dropped. Accepts and refuses
+    /// exactly the lines [`json::parse`] does, with the same error
+    /// text. A repeated key keeps its first value, as [`Value::get`]
+    /// does; a top-level value that is not an object has no fields.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        Envelope::scan(line, false)
+    }
+
+    /// A shard's envelope: [`Envelope::parse`], with the bulk arrays
+    /// decoded while their syntax is checked, so each byte of the line
+    /// is scanned once. A syntax error anywhere in the line is still
+    /// the error returned here, and beats every decode error.
+    pub fn decode(line: &str) -> Result<Self, String> {
+        Envelope::scan(line, true)
+    }
+
+    fn scan(line: &str, decode: bool) -> Result<Self, String> {
         let mut p = json::Parser::new(line);
         let mut fields = Vec::new();
         let (mut counts, mut tokens, mut updates) = (None, None, None);
         if p.peek()? == b'{' {
             p.object(|p, key| {
-                let bulk = match &*key {
-                    "counts" => &mut counts,
-                    "tokens" => &mut tokens,
-                    "updates" => &mut updates,
-                    _ => {
-                        fields.push((key.into_owned(), p.value()?));
-                        return Ok(());
+                match &*key {
+                    "counts" if decode && counts.is_none() => counts = Some(decode_counts(p)?),
+                    "tokens" if decode && tokens.is_none() => tokens = Some(decode_tokens(p)?),
+                    "updates" if decode && updates.is_none() => updates = Some(decode_updates(p)?),
+                    "counts" | "tokens" | "updates" => {
+                        p.skip_value()?;
                     }
-                };
-                let raw = p.skip_value()?;
-                bulk.get_or_insert(raw);
+                    _ => fields.push((key.into_owned(), p.value()?)),
+                }
                 Ok(())
             })?;
         } else {
@@ -603,73 +643,86 @@ fn delta_of(text: &str) -> Option<i64> {
     small_int(text).or_else(|| Value::Num(text.parse().ok()?).as_i64())
 }
 
-/// A parser over a checked bulk slice, refusing anything but an array.
-fn bulk_array<'a>(raw: &'a str, field: &str) -> Result<json::Parser<'a>, String> {
-    let mut p = json::Parser::new(raw);
+/// Scans the bulk array `field` the parser stands on, handing each
+/// row to `row` until one is refused. The refused row is scanned again
+/// for syntax only, and so is every row after it. The outer error is a
+/// syntax error anywhere in the array; the inner one is the refusal of
+/// the first faulty row, or of a value that is not an array.
+fn bulk_rows<'a>(
+    p: &mut json::Parser<'a>,
+    field: &str,
+    mut row: impl FnMut(&mut json::Parser<'a>) -> Result<(), String>,
+) -> Result<Result<(), String>, String> {
     if p.peek()? != b'[' {
-        return Err(format!("{field} must be an array"));
+        p.skip_value()?;
+        return Ok(Err(format!("{field} must be an array")));
     }
-    Ok(p)
+    let mut refusal = None;
+    p.array(|p| {
+        if refusal.is_none() {
+            refusal = p.decode_value(&mut row)?.err();
+        } else {
+            p.skip_value()?;
+        }
+        Ok(())
+    })?;
+    Ok(refusal.map_or(Ok(()), Err))
 }
 
-/// Decodes a checked `counts` slice into packed rows, for embed and
-/// detect alike.
-fn decode_counts(raw: &str) -> Result<CountRows, String> {
-    let mut p = bulk_array(raw, "counts")?;
-    let mut rows = CountRows::with_capacity(raw.len());
-    let decoded = p.array(|p| {
+/// Decodes a `counts` array into packed rows, for embed and detect
+/// alike. A repeated token is refused as its row is pushed: two rows of
+/// one token would corrupt a histogram's rank invariants.
+fn decode_counts(p: &mut json::Parser<'_>) -> Result<Result<CountRows, String>, String> {
+    let mut rows = CountRows::with_capacity(p.remaining());
+    let decoded = bulk_rows(p, "counts", |p| {
         let (token, count) = token_row(p, "counts entries must be [token, count]")?;
         let c = count
             .and_then(count_of)
             .ok_or("count must be a non-negative integer")?;
-        rows.push(&token, c);
+        if !rows.push(&token, c) {
+            return Err(format!("duplicate token {token:?} in counts"));
+        }
         Ok(())
-    });
-    // A duplicate token would put two rows into the histogram and
-    // corrupt its rank invariants. Rows decode in order up to the first
-    // malformed one, so whichever fault comes first in the array wins.
-    let mut seen = HashSet::with_capacity(rows.len());
-    if let Some((token, _)) = rows.iter().find(|(t, _)| !seen.insert(*t)) {
-        return Err(format!("duplicate token {token:?} in counts"));
-    }
-    decoded.map(|()| rows)
+    })?;
+    Ok(decoded.map(|()| rows))
 }
 
-/// Decodes a checked `updates` slice into `(token, delta)` rows.
-fn decode_updates(raw: &str) -> Result<Vec<(Token, i64)>, String> {
-    let mut p = bulk_array(raw, "updates")?;
+/// Decodes an `updates` array into `(token, delta)` rows.
+fn decode_updates(p: &mut json::Parser<'_>) -> Result<Result<Vec<(Token, i64)>, String>, String> {
     let mut rows = Vec::new();
-    p.array(|p| {
+    let decoded = bulk_rows(p, "updates", |p| {
         let (token, n) = token_row(p, "updates entries must be [token, delta]")?;
         let d = n.and_then(delta_of).ok_or("delta must be an integer")?;
         rows.push((Token::new(token), d));
         Ok(())
     })?;
-    Ok(rows)
+    Ok(decoded.map(|()| rows))
 }
 
-/// Decodes a checked `tokens` slice.
-fn decode_tokens(raw: &str) -> Result<Vec<Token>, String> {
-    let mut p = bulk_array(raw, "tokens")?;
+/// Decodes a `tokens` array.
+fn decode_tokens(p: &mut json::Parser<'_>) -> Result<Result<Vec<Token>, String>, String> {
     let mut tokens = Vec::new();
-    p.array(|p| {
+    let decoded = bulk_rows(p, "tokens", |p| {
         if p.peek()? != b'"' {
             return Err("tokens entries must be strings".to_string());
         }
         tokens.push(Token::new(p.string()?));
         Ok(())
     })?;
-    Ok(tokens)
+    Ok(decoded.map(|()| tokens))
 }
 
-fn parse_data(env: &Envelope<'_>) -> Result<JobData, String> {
-    if let Some(raw) = env.counts {
-        return Ok(JobData::Rows(decode_counts(raw)?));
+/// The decoded `counts`, else the decoded `tokens`, of an embed or
+/// detect request.
+fn job_data(
+    counts: Option<Result<CountRows, String>>,
+    tokens: Option<Result<Vec<Token>, String>>,
+) -> Result<JobData, String> {
+    match (counts, tokens) {
+        (Some(rows), _) => rows.map(JobData::Rows),
+        (None, Some(tokens)) => tokens.map(JobData::Tokens),
+        (None, None) => Err("request needs \"counts\" or \"tokens\"".to_string()),
     }
-    if let Some(raw) = env.tokens {
-        return Ok(JobData::Tokens(decode_tokens(raw)?));
-    }
-    Err("request needs \"counts\" or \"tokens\"".to_string())
 }
 
 fn req_str<'a>(req: &'a Value, key: &str) -> Result<&'a str, String> {
@@ -811,15 +864,15 @@ pub enum Planned {
 
 /// Parses one request line into its echoed id and execution plan.
 pub fn plan(line: &str) -> (Option<Value>, Result<Planned, String>) {
-    match Envelope::parse(line) {
+    match Envelope::decode(line) {
         Ok(env) => plan_envelope(env),
         Err(e) => (None, Err(format!("bad json: {e}"))),
     }
 }
 
-/// [`plan`] over an already-parsed request (the auth gate parses
+/// [`plan`] over an already-decoded request (the auth gate decodes
 /// before planning).
-fn plan_envelope(env: Envelope<'_>) -> (Option<Value>, Result<Planned, String>) {
+fn plan_envelope(env: Envelope) -> (Option<Value>, Result<Planned, String>) {
     let id = env.get("id").cloned();
     let planned = plan_request(env);
     (id, planned)
@@ -831,12 +884,12 @@ pub fn request_id(line: &str) -> Option<Value> {
     Envelope::parse(line).ok()?.get("id").cloned()
 }
 
-fn plan_request(env: Envelope<'_>) -> Result<Planned, String> {
+fn plan_request(env: Envelope) -> Result<Planned, String> {
     match req_str(env.fields(), "op")? {
         "register" | "dispute" | "quota" | "metrics" | "history" | "trace" | "hello"
         | "replicate" | "promote" => Ok(Planned::Op(env.fields)),
         "shutdown" => Ok(Planned::Shutdown),
-        "embed" | "detect" | "maintain" => plan_job(&env),
+        "embed" | "detect" | "maintain" => plan_job(env),
         other => Err(format!("unknown op {other:?}")),
     }
 }
@@ -864,7 +917,7 @@ pub enum RouteInfo {
 /// Classifies a parsed request for routing. Mirrors [`plan`]'s op table
 /// — an op added there must be classified here, or the router will
 /// refuse it before a shard ever sees it.
-pub fn route_of(req: &Envelope<'_>) -> RouteInfo {
+pub fn route_of(req: &Envelope) -> RouteInfo {
     let Some(op) = req.get("op").and_then(Value::as_str) else {
         return RouteInfo::Unroutable("missing string field \"op\"".to_string());
     };
@@ -897,15 +950,20 @@ pub fn route_of(req: &Envelope<'_>) -> RouteInfo {
     }
 }
 
-fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
-    let req = env.fields();
+fn plan_job(env: Envelope) -> Result<Planned, String> {
+    let Envelope {
+        fields: ref req,
+        counts,
+        tokens,
+        updates,
+    } = env;
     let op = req_str(req, "op")?;
     match op {
         "embed" => {
             let tenant = req_str(req, "tenant")?.to_string();
             // Embed sweeps a full histogram: build it at plan time, so
             // the worker runs only `WM_Generate`.
-            let data = match parse_data(env)? {
+            let data = match job_data(counts, tokens)? {
                 JobData::Rows(rows) => JobData::Histogram(rows.to_histogram()),
                 data => data,
             };
@@ -934,7 +992,7 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
         }
         "detect" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let data = parse_data(env)?;
+            let data = job_data(counts, tokens)?;
             let mut params = DetectionParams::default();
             if let Some(t) = opt_u64(req, "t")? {
                 params = params.with_t(t);
@@ -963,7 +1021,7 @@ fn plan_job(env: &Envelope<'_>) -> Result<Planned, String> {
         }
         "maintain" => {
             let tenant = req_str(req, "tenant")?.to_string();
-            let updates = decode_updates(env.updates.ok_or("missing \"updates\"")?)?;
+            let updates = updates.ok_or("missing \"updates\"")??;
             let replenish = opt_bool(req, "replenish")?.unwrap_or(false);
             let mut spec = JobSpec::new(JobPayload::Maintain {
                 tenant,
@@ -1493,7 +1551,7 @@ impl AuthGate {
 
     /// `None` admits `req`. `Some` is the answer in its place: the
     /// hello ack if `req` unlocked the gate, else a refusal.
-    pub fn check(&mut self, req: &Envelope<'_>) -> Option<String> {
+    pub fn check(&mut self, req: &Envelope) -> Option<String> {
         let token = self.token.as_deref().filter(|_| !self.authed)?;
         let id = req.get("id");
         if req.get("op").and_then(Value::as_str) == Some("hello") {
@@ -1552,7 +1610,7 @@ impl Session {
             return;
         }
         if self.gate.locked() {
-            match Envelope::parse(line) {
+            match Envelope::decode(line) {
                 Err(e) => {
                     self.slots
                         .push_back(Slot::Ready(err_response(None, &format!("bad json: {e}"))));
@@ -1566,7 +1624,7 @@ impl Session {
     }
 
     /// One request on a locked session, through the [`AuthGate`].
-    fn push_locked(&mut self, engine: &Engine, req: Envelope<'_>, started: Instant) {
+    fn push_locked(&mut self, engine: &Engine, req: Envelope, started: Instant) {
         // Every request handled on a locked session pays an auth check;
         // record it as its own span so auth overhead is visible in
         // traces separately from parse/run time.
@@ -2107,6 +2165,53 @@ mod tests {
         );
         assert!(r.contains("duplicate token"), "{r}");
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_counts_line_near_the_frame_cap_plans_and_its_repeated_first_token_is_refused() {
+        // 50 000 distinct tokens sharing a long prefix, in one line
+        // just under the 1 MiB frame cap.
+        let rows = 50_000;
+        let prefix = "q".repeat(7);
+        let counts: Vec<String> = (0..rows)
+            .map(|i| format!("[\"{prefix}{i:05}\",{}]", i % 10))
+            .collect();
+        let line = |counts: &[String]| {
+            format!(
+                r#"{{"op":"detect","tenant":"t","counts":[{}]}}"#,
+                counts.join(",")
+            )
+        };
+        let big = line(&counts);
+        assert!(
+            big.len() > DEFAULT_MAX_FRAME * 9 / 10,
+            "{} bytes",
+            big.len()
+        );
+        assert!(big.len() < DEFAULT_MAX_FRAME, "{} bytes", big.len());
+        match plan(&big).1 {
+            Ok(Planned::Job(spec)) => match spec.payload {
+                JobPayload::Detect {
+                    data: JobData::Rows(planned),
+                    ..
+                } => {
+                    assert_eq!(planned.len(), rows);
+                    assert_eq!(planned.get(&format!("{prefix}49999")), Some(9));
+                    assert_eq!(planned.get(&prefix), None);
+                }
+                other => panic!("not a detect of rows: {other:?}"),
+            },
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("not a job"),
+        }
+        let mut repeated = counts;
+        repeated.push(format!("[\"{prefix}00000\",3]"));
+        let repeated = line(&repeated);
+        assert!(repeated.len() < DEFAULT_MAX_FRAME);
+        assert_eq!(
+            plan(&repeated).1.err(),
+            Some(format!("duplicate token \"{prefix}00000\" in counts"))
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@ use freqywm_data::token::Token;
 use freqywm_ledger::codec::{put_str, put_u64, CodecError, Reader};
 use freqywm_ledger::Ledger;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// Appends `v` as LEB128: seven bits per byte, low bits first, the
 /// top bit set on every byte but the last.
@@ -63,10 +64,15 @@ impl<'a> Cursor<'a> {
     }
 
     fn token(&mut self) -> &'a str {
+        std::str::from_utf8(self.token_bytes()).expect("stored tokens are UTF-8")
+    }
+
+    /// The next token's bytes, not checked as UTF-8.
+    fn token_bytes(&mut self) -> &'a [u8] {
         let len = usize::try_from(self.varint()).expect("stored token length fits usize");
         let (token, rest) = self.bytes.split_at(len);
         self.bytes = rest;
-        std::str::from_utf8(token).expect("stored tokens are UTF-8")
+        token
     }
 }
 
@@ -77,32 +83,110 @@ fn rows(bytes: &[u8]) -> impl Iterator<Item = (&str, u64)> {
     std::iter::from_fn(move || (!cur.is_empty()).then(|| (cur.token(), cur.varint())))
 }
 
-/// `(token, count)` rows packed into one buffer in the order they were
-/// pushed: per row the token's LEB128 length, its bytes, and the
-/// LEB128 count. A request's `counts` decode into this: one allocation,
-/// where a [`Histogram`] makes one per token, keeps a second copy of
-/// each in its index and sorts. Rows hand out `&str` borrowed from the
-/// buffer, so tokens are stored whole.
+/// `(token, count)` rows with distinct tokens, packed into one buffer
+/// in the order they were pushed: per row the token's LEB128 length,
+/// its bytes, and the LEB128 count. A request's `counts` decode into
+/// this: one buffer and one index, where a [`Histogram`] makes one
+/// allocation per token, keeps a second copy of each in its index and
+/// sorts. Rows hand out `&str` borrowed from the buffer, so tokens are
+/// stored whole.
+///
+/// The index is an open-addressed table built as rows are pushed: per
+/// slot the low 32 bits of the token's hash and one plus the byte
+/// offset of its row (0 marks an empty slot). A push hashes its token
+/// once, which both refuses a repeated token and makes the row findable
+/// by [`CountRows::get`]. Tokens come from the network, so the hash is
+/// keyed ([`RandomState`]): a client cannot pick tokens that collide.
 #[derive(Clone)]
 pub struct CountRows {
     bytes: Vec<u8>,
+    slots: Vec<(u32, u32)>,
     len: usize,
+    hasher: RandomState,
 }
 
 impl CountRows {
-    /// Empty rows with room for `bytes` bytes of encoding.
+    /// Empty rows with room for `bytes` bytes of encoding, and an index
+    /// that holds a row per 16 of them before it grows: a `counts` row
+    /// of a short token takes at least eight bytes of request text, and
+    /// each growth copies the whole index.
     pub fn with_capacity(bytes: usize) -> Self {
         CountRows {
             bytes: Vec::with_capacity(bytes),
+            slots: vec![(0, 0); (bytes / 8).next_power_of_two().max(16)],
             len: 0,
+            hasher: RandomState::new(),
         }
     }
 
-    /// Appends one row.
-    pub fn push(&mut self, token: &str, count: u64) {
+    /// Appends one row, unless `token` already has one: then nothing
+    /// changes and the result is `false`.
+    ///
+    /// Panics once the rows pass 4 GiB of encoding, far beyond any
+    /// request frame.
+    #[must_use]
+    pub fn push(&mut self, token: &str, count: u64) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = self.hasher.hash_one(token) as u32;
+        let Err(slot) = self.probe(token, hash) else {
+            return false;
+        };
+        let at = u32::try_from(self.bytes.len() + 1).expect("count rows stay under 4 GiB");
+        self.slots[slot] = (hash, at);
         put_token(&mut self.bytes, token);
         put_varint(&mut self.bytes, count);
         self.len += 1;
+        true
+    }
+
+    /// The count of `token`'s row, if it has one.
+    pub fn get(&self, token: &str) -> Option<u64> {
+        let hash = self.hasher.hash_one(token) as u32;
+        let slot = self.probe(token, hash).ok()?;
+        let mut row = self.row_at(self.slots[slot].1);
+        row.token_bytes();
+        Some(row.varint())
+    }
+
+    /// The slot holding `token`'s row (`Ok`), or the empty slot where
+    /// its row belongs (`Err`). Linear probing; the table is at most
+    /// half full, so a probe ends.
+    fn probe(&self, token: &str, hash: u32) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                (_, 0) => return Err(slot),
+                (h, at) if h == hash && self.row_at(at).token_bytes() == token.as_bytes() => {
+                    return Ok(slot)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// A cursor on the row a slot's `at` names.
+    fn row_at(&self, at: u32) -> Cursor<'_> {
+        Cursor {
+            bytes: &self.bytes[at as usize - 1..],
+        }
+    }
+
+    /// Doubles the table, re-placing each row by its stored hash bits:
+    /// no token is hashed twice.
+    fn grow(&mut self) {
+        let size = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); size]);
+        let mask = size - 1;
+        for (hash, at) in old.into_iter().filter(|&(_, at)| at != 0) {
+            let mut slot = hash as usize & mask;
+            while self.slots[slot].1 != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = (hash, at);
+        }
     }
 
     /// The rows, in push order.
@@ -119,7 +203,7 @@ impl CountRows {
         self.len == 0
     }
 
-    /// The rows as a histogram (a repeated token makes two entries).
+    /// The rows as a histogram.
     pub fn to_histogram(&self) -> Histogram {
         let mut rows = Vec::with_capacity(self.len);
         rows.extend(self.iter().map(|(t, c)| (Token::new(t), c)));
@@ -364,8 +448,7 @@ impl StoredSecrets {
         }
     }
 
-    /// Decodes the pair tokens; detect borrows its slot map's keys
-    /// from the result.
+    /// Decodes the pair tokens; detect looks each of them up.
     fn tokens(&self) -> PairTokens {
         let mut cur = Cursor { bytes: &self.pairs };
         let n = 2 * usize::try_from(cur.varint()).expect("stored pair count fits usize");
@@ -412,36 +495,22 @@ impl StoredSecrets {
         )
     }
 
-    /// `WM_Detect` verdict totals over suspect rows, streamed once: a
-    /// map from each stored token, borrowed from one decoded buffer, to
-    /// a slot keeps the count of every row that names one, and only
-    /// the pairs with both counts are hashed. A repeated token keeps
-    /// its last row's count.
-    pub fn detect_rows<'r>(
+    /// `WM_Detect` verdict totals over suspect data that `count_of`
+    /// looks tokens up in: a request's [`CountRows::get`] or a
+    /// [`Histogram::count`]. The stored tokens decode into one buffer,
+    /// each pair looks up its first token and, when that is present,
+    /// its second, and only the pairs with both counts are hashed. The
+    /// cost follows the stored pairs, not the suspect data.
+    pub fn detect(
         &self,
-        rows: impl IntoIterator<Item = (&'r str, u64)>,
+        count_of: impl Fn(&str) -> Option<u64>,
         params: &DetectionParams,
     ) -> DetectTotals {
-        let n = self.len();
-        let mut slots: HashMap<&str, usize> = HashMap::with_capacity(2 * n);
-        let mut pairs = Vec::with_capacity(n);
         let tokens = self.tokens();
-        for (a, b) in tokens.pairs() {
-            let mut slot = |t| {
-                let next = slots.len();
-                *slots.entry(t).or_insert(next)
-            };
-            pairs.push(((a.as_bytes(), b.as_bytes()), (slot(a), slot(b))));
-        }
-        let mut counts = vec![None; slots.len()];
-        for (token, count) in rows {
-            if let Some(&slot) = slots.get(token) {
-                counts[slot] = Some(count);
-            }
-        }
-        let pairs = pairs
-            .into_iter()
-            .map(|(pair, (a, b))| (pair, counts[a].zip(counts[b])));
+        let pairs = tokens.pairs().map(|(a, b)| {
+            let counts = count_of(a).and_then(|fa| Some((fa, count_of(b)?)));
+            ((a.as_bytes(), b.as_bytes()), counts)
+        });
         verify_pairs(&self.secret, self.z, pairs, params, |_| {})
     }
 
@@ -1055,10 +1124,19 @@ mod tests {
         assert!(StoredSecrets::new(&lists[1]) != other);
     }
 
+    /// Rows with distinct tokens, packed.
+    fn packed(rows: &[(String, u64)]) -> CountRows {
+        let mut packed = CountRows::with_capacity(0);
+        for (t, c) in rows {
+            assert!(packed.push(t, *c), "{t:?} pushed twice");
+        }
+        packed
+    }
+
     #[test]
     fn detect_rows_match_the_library() {
         use freqywm_core::detect::detect_histogram;
-        // "b" sits in two pairs; "e" and "z" are absent from the rows.
+        // "b" sits in two pairs.
         let list = SecretList::new(
             [("a", "b"), ("b", "c"), ("d", "e"), ("f", "z")]
                 .iter()
@@ -1068,50 +1146,133 @@ mod tests {
             1031,
         );
         let stored = StoredSecrets::new(&list);
-        let rows = [
+        let rows = |spec: &[(&str, u64)]| -> Vec<(String, u64)> {
+            spec.iter().map(|(t, c)| (t.to_string(), *c)).collect()
+        };
+        let outside = |n: u64| -> Vec<(String, u64)> {
+            (0..n)
+                .map(|i| (format!("x{i}"), (i * 7919) % 1000))
+                .collect()
+        };
+        let every = rows(&[
             ("c", 40),
-            ("x", 7),
             ("b", 911),
+            ("z", 5),
             ("a", 3),
+            ("e", 77),
             ("d", 0),
             ("f", 12),
+        ]);
+        let mut crowd = outside(5_000);
+        for (k, row) in every.iter().enumerate() {
+            crowd.insert(k * 700, row.clone());
+        }
+        // (request, present pairs): no stored token, some, every one,
+        // every one among many tokens outside the watermark, nothing.
+        let requests = [
+            (outside(50), 0),
+            (
+                [
+                    rows(&[("c", 40), ("x", 7), ("b", 911), ("a", 3), ("d", 0)]),
+                    outside(3),
+                ]
+                .concat(),
+                2,
+            ),
+            (every.clone(), 4),
+            (crowd, 4),
+            (Vec::new(), 0),
         ];
-        let mut packed = CountRows::with_capacity(0);
-        rows.iter().for_each(|(t, c)| packed.push(t, *c));
-        assert_eq!(packed.len(), rows.len());
-        let hist = packed.to_histogram();
-        for scale in [None, Some(0.5), Some(3.7)] {
-            for t in [0, 10, 500] {
-                let params = DetectionParams {
-                    t,
-                    k: 2,
-                    scale,
-                    ..DetectionParams::default()
-                };
-                let want = detect_histogram(&hist, &list, &params);
-                let want = (
-                    want.accepted,
-                    want.accepted_pairs,
-                    want.present_pairs,
-                    want.total_pairs,
-                );
-                let entries = hist.entries().iter().map(|(t, c)| (t.as_str(), *c));
-                for got in [
-                    stored.detect_rows(packed.iter(), &params),
-                    stored.detect_rows(entries, &params),
-                ] {
-                    assert_eq!(
-                        (
-                            got.accepted,
-                            got.accepted_pairs,
-                            got.present_pairs,
-                            got.total_pairs
-                        ),
-                        want,
-                        "t={t}, scale {scale:?}"
+        for (request, present) in &requests {
+            let packed = packed(request);
+            let hist = packed.to_histogram();
+            for scale in [None, Some(0.5), Some(3.7)] {
+                for t in [0, 10, 500] {
+                    let params = DetectionParams {
+                        t,
+                        k: 2,
+                        scale,
+                        ..DetectionParams::default()
+                    };
+                    let want = detect_histogram(&hist, &list, &params);
+                    let want = (
+                        want.accepted,
+                        want.accepted_pairs,
+                        want.present_pairs,
+                        want.total_pairs,
                     );
+                    // The `counts` path looks up the request's rows;
+                    // the `tokens` path looks up the counted histogram.
+                    for got in [
+                        stored.detect(|t| packed.get(t), &params),
+                        stored.detect(|t| hist.count(t), &params),
+                    ] {
+                        assert_eq!(
+                            (
+                                got.accepted,
+                                got.accepted_pairs,
+                                got.present_pairs,
+                                got.total_pairs
+                            ),
+                            want,
+                            "{} rows, t={t}, scale {scale:?}",
+                            request.len()
+                        );
+                    }
+                    assert_eq!(want.2, *present, "{} rows", request.len());
                 }
-                assert_eq!(want.2, 2);
+            }
+        }
+    }
+
+    #[test]
+    fn row_index_answers_like_a_hash_map() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1d3e);
+        // Tokens that differ only in their last byte (é and è share
+        // their lead byte), prefixes of each other, the empty token,
+        // and multi-byte ones.
+        let stem = "shared-stem-".repeat(4);
+        let mut pool: Vec<String> = ["", "e", "é", "è", "中", "中文", "🦀", "🦁", " "]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        pool.extend((b'!'..=b'~').map(|b| format!("{stem}{}", b as char)));
+        pool.extend(["é", "è", ""].iter().map(|t| format!("{stem}{t}")));
+        pool.extend((0..3_000).map(|i| format!("{stem}{i}")));
+        for round in 0..24 {
+            let mut rows = CountRows::with_capacity(0);
+            let mut reference = HashMap::new();
+            let mut order = Vec::new();
+            let keep = rng.gen_range(0.0..1.0);
+            for _ in 0..rng.gen_range(0..2 * pool.len()) {
+                let token = &pool[rng.gen_range(0..pool.len())];
+                if !rng.gen_bool(keep) {
+                    continue;
+                }
+                let count = match rng.gen_range(0..4) {
+                    0 => u64::MAX,
+                    1 => 0,
+                    _ => rng.gen(),
+                };
+                let fresh = !reference.contains_key(token.as_str());
+                assert_eq!(rows.push(token, count), fresh, "round {round}: {token:?}");
+                if fresh {
+                    reference.insert(token.as_str(), count);
+                    order.push((token.as_str(), count));
+                }
+            }
+            assert_eq!(rows.len(), reference.len());
+            assert_eq!(rows.iter().collect::<Vec<_>>(), order, "push order");
+            for token in &pool {
+                assert_eq!(
+                    rows.get(token),
+                    reference.get(token.as_str()).copied(),
+                    "round {round}: {token:?}"
+                );
+            }
+            for absent in ["shared-stem-", "x", "ée", "🦀🦀"] {
+                assert_eq!(rows.get(absent), None);
             }
         }
     }

@@ -83,7 +83,10 @@ proptest! {
 
         // Identical chain: same head hash, same entries, verified.
         prop_assert_eq!(recovered.ledger().head_hash(), live.ledger().head_hash());
-        prop_assert_eq!(recovered.ledger().entries(), live.ledger().entries());
+        prop_assert_eq!(
+            recovered.ledger().entries().collect::<Vec<_>>(),
+            live.ledger().entries().collect::<Vec<_>>()
+        );
         prop_assert!(recovered.ledger().verify_chain().is_ok());
         prop_assert_eq!(recovered.clock_floor(), live.clock_floor());
 

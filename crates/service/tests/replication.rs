@@ -271,12 +271,7 @@ fn promote_flips_follower_to_writable_primary() {
         .unwrap();
     {
         let registry = engine.registry();
-        let timestamps: Vec<u64> = registry
-            .ledger()
-            .entries()
-            .iter()
-            .map(|e| e.timestamp)
-            .collect();
+        let timestamps: Vec<u64> = registry.ledger().entries().map(|e| e.timestamp).collect();
         assert!(
             timestamps.windows(2).all(|w| w[0] < w[1]),
             "timestamps must stay strictly increasing across promotion: {timestamps:?}"

@@ -604,7 +604,7 @@ impl<'a> TierView<'a> {
 /// request is correlatable across the tier (client → router → shard).
 /// Client-supplied ids are forwarded verbatim — the insert is textual
 /// (right after the opening brace), never a reparse/rewrite.
-fn ensure_trace(line: &str, req: &Envelope<'_>) -> String {
+fn ensure_trace(line: &str, req: &Envelope) -> String {
     if req.get("trace").and_then(Value::as_str).is_some() {
         return line.to_string();
     }

@@ -157,7 +157,7 @@ proptest! {
         // Rebuild with one mutated entry by re-registering into a fresh
         // ledger is not possible from outside; mutate via the public
         // clone + entries accessor instead.
-        let entries = broken.entries().to_vec();
+        let entries: Vec<_> = broken.entries().cloned().collect();
         let mut tampered = freqywm_ledger::Ledger::new(b"prop-ledger");
         for (i, e) in entries.iter().enumerate() {
             let (ts, subject, material) = if i == victim {
@@ -176,7 +176,6 @@ proptest! {
         // …but its fingerprints diverge from the original chain's.
         let changed = ledger
             .entries()
-            .iter()
             .zip(tampered.entries())
             .any(|(a, b)| a.hash() != b.hash());
         prop_assert!(changed);
