@@ -59,32 +59,33 @@ fn run_load(workers: usize) -> LoadStats {
 
     // Phase 2: the measured detect wave.
     let params = DetectionParams::default().with_t(0).with_k(1);
-    let (ids, secs) = timed(|| {
-        let mut ids = Vec::with_capacity(TENANTS * ROUNDS);
+    let (jobs, secs) = timed(|| {
+        let mut tickets = Vec::with_capacity(TENANTS * ROUNDS);
         for _ in 0..ROUNDS {
             for (tenant, hist) in &watermarked {
-                let id = engine
+                let ticket = engine
                     .submit(JobSpec::new(JobPayload::Detect {
                         tenant: tenant.clone(),
                         data: JobData::Histogram(hist.clone()),
                         params,
                     }))
                     .expect("submit");
-                ids.push(id);
+                tickets.push(ticket);
             }
         }
-        for id in &ids {
-            let JobState::Completed(JobOutput::Detect(d)) = engine.wait(*id) else {
+        let jobs = tickets.len();
+        for ticket in tickets {
+            let JobState::Completed(JobOutput::Detect(d)) = ticket.wait() else {
                 panic!("detect failed");
             };
             assert!(d.outcome.accepted, "watermarked copy must verify");
         }
-        ids
+        jobs
     });
 
     let m = engine.metrics();
     let stats = LoadStats {
-        jobs_per_sec: ids.len() as f64 / secs,
+        jobs_per_sec: jobs as f64 / secs,
         mean_us: m.latency.mean_micros(),
         p50_us: m.latency.quantile_upper_micros(0.50),
         p95_us: m.latency.quantile_upper_micros(0.95),

@@ -19,10 +19,16 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, max_frame: usize, auth_token: Option<String>) -> Self {
+    /// `wake` is the session's wake-up (see [`Session::with_wake`]).
+    pub fn new(
+        stream: TcpStream,
+        max_frame: usize,
+        auth_token: Option<String>,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> Self {
         Conn {
             io: LineStream::new(stream, max_frame),
-            session: Session::with_auth(auth_token),
+            session: Session::with_auth(auth_token).with_wake(wake),
             last_activity: Instant::now(),
             interest: Interest::READ,
         }

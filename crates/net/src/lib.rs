@@ -25,11 +25,12 @@
 //! an input frame-size cap (an oversized request costs one error
 //! response, not the connection), write backpressure with slow-client
 //! eviction, idle timeouts, and graceful drain on the `shutdown` op
-//! (stop accepting, flush in-flight responses, then close). Job
-//! completions travel from the worker pool back to the reactor via the
-//! engine's completion hook and a wakeup pipe, so the event loop never
-//! blocks on a job. Connection gauges land in the engine's
-//! `MetricsSnapshot` (`net.*`) and surface through the `metrics` op.
+//! (stop accepting, flush in-flight responses, then close). A worker
+//! delivers each finished job to its connection's session inbox and
+//! wakes the reactor with that connection's fd over a wakeup pipe, so
+//! the event loop never blocks on a job. Connection gauges land in the
+//! engine's `MetricsSnapshot` (`net.*`) and surface through the
+//! `metrics` op.
 //!
 //! The reactor is unix-only; on other platforms [`serve_listener`]
 //! returns [`std::io::ErrorKind::Unsupported`] and the stdin/stdout

@@ -9,10 +9,12 @@
 //!    scrapes and drains the wakeup pipe; protocol connections read
 //!    request frames (feeding each connection's [`Session`], which
 //!    submits jobs non-blockingly) and flush writable sockets;
-//! 2. completion intake — the engine's completion hook pushed finished
-//!    job ids and a wakeup byte from the worker threads; route each id
-//!    to its connection's session (responses stay in request order);
-//! 3. post-processing of touched connections — queue ready responses,
+//! 2. result intake — a worker that finished a job delivered it to its
+//!    connection's session inbox, then queued that connection on the
+//!    woken list and wrote a wakeup byte; every woken connection joins
+//!    the touched ones;
+//! 3. post-processing of touched connections — collect delivered
+//!    results (responses stay in request order), queue ready responses,
 //!    flush, apply backpressure (evict a reader whose unread output
 //!    exceeds the cap), register interest changes, close what's done;
 //! 4. idle reaping and drain progression.
@@ -28,17 +30,17 @@ use crate::conn::Conn;
 use crate::front::{token, FrontDoor, Report};
 use crate::poller::{Event, Interest};
 use freqywm_service::metrics::M;
-use freqywm_service::{Engine, JobId};
-use std::collections::{HashMap, HashSet};
+use freqywm_service::Engine;
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::TcpListener;
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serves the engine's JSON-lines protocol on `listener` until a
-/// `shutdown` op completes its graceful drain. Installs the engine's
-/// completion hook for the duration (one serving front-end per engine).
+/// `shutdown` op completes its graceful drain.
 ///
 /// The reactor itself is single-threaded and never blocks on a job:
 /// total thread cost of a deployment is this thread plus the engine's
@@ -58,10 +60,23 @@ pub fn serve_listener_with_metrics(
     metrics_listener: Option<TcpListener>,
     config: NetConfig,
 ) -> io::Result<()> {
-    let mut reactor = Reactor::new(engine, listener, metrics_listener, config)?;
-    let result = reactor.run();
-    engine.clear_completion_hook();
-    result
+    Reactor::new(engine, listener, metrics_listener, config)?.run()
+}
+
+/// Connections whose sessions hold delivered results, and the write end
+/// of the door's wake pair. Shared by every connection's wake-up.
+struct Woken {
+    fds: Mutex<Vec<RawFd>>,
+    pipe: UnixStream,
+}
+
+impl Woken {
+    fn wake(&self, fd: RawFd) {
+        self.fds.lock().expect("woken list poisoned").push(fd);
+        // One pending byte is enough to wake the reactor; a full pipe
+        // means a wakeup is already guaranteed.
+        let _ = (&self.pipe).write(&[1]);
+    }
 }
 
 enum CloseKind {
@@ -79,18 +94,11 @@ struct Reactor<'a> {
     engine: &'a Engine,
     config: NetConfig,
     door: FrontDoor,
-    completed: Arc<Mutex<Vec<JobId>>>,
-    /// Protocol connections, registered under their fd.
+    woken: Arc<Woken>,
+    /// Protocol connections, registered under their fd. A job of a
+    /// closed connection still wakes its fd, but delivered to the
+    /// closed session's inbox: a reused fd costs a pass, not a result.
     conns: HashMap<RawFd, Conn>,
-    /// In-flight job → owning connection.
-    jobs: HashMap<JobId, RawFd>,
-    /// Jobs whose connection died before they finished; their results
-    /// are consumed and dropped on completion so the engine's result
-    /// table stays flat.
-    orphaned: HashSet<JobId>,
-    /// Completions seen before their submit was registered (same-loop
-    /// race); retried next iteration.
-    unmatched: Vec<JobId>,
     /// Drain deadline once a shutdown op was answered.
     draining: Option<Instant>,
 }
@@ -109,26 +117,15 @@ impl<'a> Reactor<'a> {
             config.max_conns,
             config.idle_timeout,
         )?;
-        let completed = Arc::new(Mutex::new(Vec::new()));
-        let hook_completed = Arc::clone(&completed);
-        engine.set_completion_hook(move |id| {
-            hook_completed
-                .lock()
-                .expect("completion list poisoned")
-                .push(id);
-            // One pending byte is enough to wake the reactor; a full
-            // pipe means a wakeup is already guaranteed.
-            let _ = (&wake_tx).write(&[1]);
-        });
         Ok(Reactor {
             engine,
             config,
             door,
-            completed,
+            woken: Arc::new(Woken {
+                fds: Mutex::default(),
+                pipe: wake_tx,
+            }),
             conns: HashMap::new(),
-            jobs: HashMap::new(),
-            orphaned: HashSet::new(),
-            unmatched: Vec::new(),
             draining: None,
         })
     }
@@ -172,35 +169,10 @@ impl<'a> Reactor<'a> {
                     }
                 }
             }
-            // Route job completions before post-processing, so a
-            // response completed while we were reading is flushed in
-            // the same iteration.
-            let done: Vec<JobId> = {
-                let mut list = std::mem::take(&mut self.unmatched);
-                list.append(&mut self.completed.lock().expect("completion list poisoned"));
-                list
-            };
-            for id in done {
-                match self.jobs.remove(&id) {
-                    Some(fd) => {
-                        if let Some(conn) = self.conns.get_mut(&fd) {
-                            conn.session.on_job_done(self.engine, id);
-                            touched.push(fd);
-                        } else {
-                            let _ = self.engine.try_take(id);
-                        }
-                    }
-                    None => {
-                        if self.orphaned.remove(&id) {
-                            let _ = self.engine.try_take(id);
-                        } else {
-                            // Completed before its submit was recorded
-                            // below; deliver next iteration.
-                            self.unmatched.push(id);
-                        }
-                    }
-                }
-            }
+            // Woken connections join the touched ones, so a result
+            // delivered while we were reading is flushed in the same
+            // iteration.
+            touched.append(&mut self.woken.fds.lock().expect("woken list poisoned"));
             touched.sort_unstable();
             touched.dedup();
             for &fd in &touched {
@@ -227,12 +199,16 @@ impl<'a> Reactor<'a> {
     fn accept_ready(&mut self) {
         let conns = &mut self.conns;
         let config = &self.config;
+        let woken = &self.woken;
         let report = self.door.accept(
             conns.len(),
             |stream| stream.as_raw_fd() as u64,
             |fd, stream| {
-                let conn = Conn::new(stream, config.max_frame, config.auth_token.clone());
-                conns.insert(fd as RawFd, conn);
+                let fd = fd as RawFd;
+                let woken = Arc::clone(woken);
+                let wake = move || woken.wake(fd);
+                let conn = Conn::new(stream, config.max_frame, config.auth_token.clone(), wake);
+                conns.insert(fd, conn);
             },
         );
         self.record(report);
@@ -250,9 +226,10 @@ impl<'a> Reactor<'a> {
         (0..report.closed).for_each(|_| counters.conn_closed());
     }
 
-    /// Settles a connection's bookkeeping after any activity: records
-    /// new jobs, reacts to a shutdown op, moves responses out, applies
-    /// backpressure and lifecycle policy, updates poller interest.
+    /// Settles a connection's bookkeeping after any activity: collects
+    /// delivered results, reacts to a shutdown op, moves responses out,
+    /// applies backpressure and lifecycle policy, updates poller
+    /// interest.
     fn post_process(&mut self, fd: RawFd) {
         let mut close: Option<CloseKind> = None;
         let mut shutdown_requested = false;
@@ -260,9 +237,7 @@ impl<'a> Reactor<'a> {
             let Some(conn) = self.conns.get_mut(&fd) else {
                 return;
             };
-            for id in conn.session.take_new_jobs() {
-                self.jobs.insert(id, fd);
-            }
+            conn.session.collect(self.engine);
             if conn.session.wants_shutdown() {
                 shutdown_requested = true;
             }
@@ -306,17 +281,10 @@ impl<'a> Reactor<'a> {
     }
 
     fn close_conn(&mut self, fd: RawFd, kind: CloseKind) {
-        let Some(mut conn) = self.conns.remove(&fd) else {
+        let Some(conn) = self.conns.remove(&fd) else {
             return;
         };
         let _ = self.door.poller.deregister(fd);
-        for id in conn.session.take_new_jobs() {
-            self.orphaned.insert(id);
-        }
-        for id in conn.session.pending_job_ids() {
-            self.jobs.remove(&id);
-            self.orphaned.insert(id);
-        }
         let counters = self.engine.counters();
         match kind {
             CloseKind::SlowEvicted => counters.bump(M::NetEvictedSlow),
@@ -324,7 +292,8 @@ impl<'a> Reactor<'a> {
             CloseKind::Done | CloseKind::Error => {}
         }
         counters.conn_closed();
-        // Dropping `conn` closes the socket.
+        // Closes the socket, after the poller let go of it.
+        drop(conn);
     }
 
     /// Stops accepting, closes the listener and freezes request input;
@@ -360,12 +329,6 @@ impl<'a> Reactor<'a> {
     /// idle expiry. `None` (block until I/O) when neither applies — a
     /// fleet of idle connections costs zero wakeups.
     fn poll_timeout(&self) -> Option<Duration> {
-        if !self.unmatched.is_empty() {
-            // A completion raced its own submit registration (its wake
-            // byte may already be consumed): deliver it next iteration,
-            // never block on it.
-            return Some(Duration::ZERO);
-        }
         let now = Instant::now();
         let mut timeout: Option<Duration> = None;
         if let Some(deadline) = self.draining {

@@ -4,8 +4,13 @@
 //! slow reader is evicted without stalling anyone else.
 #![cfg(unix)]
 
+use freqywm_core::params::GenerationParams;
+use freqywm_crypto::prf::Secret;
+use freqywm_data::histogram::Histogram;
+use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
 use freqywm_net::{serve_listener, Backend, NetConfig};
 use freqywm_service::engine::{Engine, EngineConfig};
+use freqywm_service::job::{JobData, JobPayload, JobSpec, JobState};
 use freqywm_service::metrics::M;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -555,5 +560,169 @@ fn thousand_idle_connections_bounded_threads() {
         assert_eq!(conn.read(&mut buf).unwrap_or(0), 0);
     }
     assert_eq!(engine.metrics()[M::NetActive], 0);
+    engine.shutdown();
+}
+
+/// CPU ticks (user + system) one thread of this process has used, from
+/// `/proc/self/task/<tid>/stat`.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ticks(tid: &str) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+    // After the parenthesised command name comes field 3 (state);
+    // utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+/// A job the reactor did not submit (`Engine::run` from another thread)
+/// reaches no connection, so the reactor has nothing to deliver and
+/// goes back to sleep. Only the reactor thread is measured: the other
+/// tests of this binary run beside it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_foreign_engine_job_leaves_the_reactor_asleep() {
+    let engine = Arc::new(Engine::start(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    }));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let (tid_tx, tid_rx) = std::sync::mpsc::channel();
+    let server_engine = Arc::clone(&engine);
+    let server = std::thread::spawn(move || {
+        // `/proc/thread-self` links to `<pid>/task/<tid>`.
+        let me = std::fs::read_link("/proc/thread-self").unwrap();
+        let tid = me.file_name().unwrap().to_string_lossy().into_owned();
+        tid_tx.send(tid).unwrap();
+        serve_listener(&server_engine, listener, NetConfig::default())
+    });
+    let reactor = tid_rx.recv().unwrap();
+    let mut c = Client::connect(addr);
+    register(&mut c, "own");
+
+    engine
+        .register_tenant("foreign", Secret::from_label("foreign"))
+        .unwrap();
+    let state = engine.run(JobSpec::new(JobPayload::Embed {
+        tenant: "foreign".into(),
+        data: JobData::Histogram(Histogram::from_counts(power_law_counts(&PowerLawConfig {
+            distinct_tokens: 100,
+            sample_size: 50_000,
+            alpha: 0.6,
+        }))),
+        params: GenerationParams::default().with_z(101),
+    }));
+    assert!(matches!(state, JobState::Completed(_)), "{state:?}");
+
+    std::thread::sleep(Duration::from_millis(100));
+    let before = thread_cpu_ticks(&reactor);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = thread_cpu_ticks(&reactor) - before;
+    assert!(
+        spent < 20,
+        "the reactor burned {spent} ticks in the idle second after a foreign job"
+    );
+
+    assert!(c.request(r#"{"op":"metrics"}"#).contains("\"ok\":true"));
+    let ack = c.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    c.expect_eof();
+    server.join().unwrap().unwrap();
+    engine.shutdown();
+}
+
+/// A connection that closes with detects in flight takes their results
+/// with it: the next connection, most likely on the same fd, receives
+/// its own responses and nothing else.
+#[test]
+fn results_of_a_closed_connection_never_reach_the_next_one() {
+    let (engine, addr, server) = start_server(
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        NetConfig::default(),
+    );
+    let mut owner = Client::connect(addr);
+    register(&mut owner, "gone");
+    embed(&mut owner, "gone");
+    let detects = |tag: &str, n: usize| -> String {
+        (0..n)
+            .map(|i| {
+                format!(
+                    "{{\"op\":\"detect\",\"tenant\":\"gone\",\"t\":2,\"k\":1,\"id\":\"{tag}{i}\",\"counts\":{}}}\n",
+                    counts_json(80)
+                )
+            })
+            .collect()
+    };
+
+    // Embeds submitted straight to the engine hold its one worker, so
+    // the socket's detects queue behind them.
+    let blockers: Vec<_> = (0..2)
+        .map(|i| {
+            let tenant = format!("blocker-{i}");
+            engine
+                .register_tenant(&tenant, Secret::from_label(&tenant))
+                .unwrap();
+            engine
+                .submit(JobSpec::new(JobPayload::Embed {
+                    tenant,
+                    data: JobData::Histogram(Histogram::from_counts(power_law_counts(
+                        &PowerLawConfig {
+                            distinct_tokens: 600,
+                            sample_size: 600_000,
+                            alpha: 0.5,
+                        },
+                    ))),
+                    params: GenerationParams::default().with_z(101),
+                }))
+                .unwrap()
+        })
+        .collect();
+
+    // An answer left unread makes the close a reset, which the server
+    // sees at once, with the pipelined detects still queued.
+    let mut gone = Client::connect(addr);
+    gone.send(r#"{"op":"metrics"}"#);
+    gone.writer.peek(&mut [0u8; 1]).unwrap();
+    let submitted = engine.metrics()[M::Submitted];
+    gone.writer.write_all(detects("a", 50).as_bytes()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while engine.metrics()[M::Submitted] < submitted + 50 {
+        assert!(
+            Instant::now() < deadline,
+            "the detects were never submitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(gone);
+    while engine.metrics()[M::NetActive] > 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the server kept a reset connection"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut next = Client::connect(addr);
+    let mut mine = detects("b", 3);
+    mine.push_str("{\"op\":\"metrics\",\"id\":\"b3\"}\n");
+    next.writer.write_all(mine.as_bytes()).unwrap();
+    for i in 0..4 {
+        let resp = next.recv();
+        assert!(resp.contains(&format!("\"id\":\"b{i}\"")), "{resp}");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+    for blocker in blockers {
+        assert!(matches!(blocker.wait(), JobState::Completed(_)));
+    }
+    let ack = next.request(r#"{"op":"shutdown"}"#);
+    assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+    next.expect_eof();
+    owner.expect_eof();
+    server.join().unwrap().unwrap();
     engine.shutdown();
 }

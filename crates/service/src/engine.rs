@@ -32,8 +32,8 @@
 
 use crate::error::{Result, ServiceError};
 use crate::job::{
-    DetectOutcome, EmbedOutcome, JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState,
-    MaintainOutcome,
+    DetectOutcome, EmbedOutcome, JobData, JobKind, JobOutput, JobPayload, JobSink, JobSpec,
+    JobState, MaintainOutcome, Ticket,
 };
 use crate::metrics::{HistorySample, Metrics, MetricsSnapshot, M};
 use crate::persist::DurableRegistry;
@@ -48,7 +48,7 @@ use freqywm_crypto::prf::Secret;
 use freqywm_data::histogram::Histogram;
 use freqywm_obs::history::HistoryRing;
 use freqywm_obs::{OpKind, Span, SpanRing, Stage, TraceFilter};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -171,11 +171,7 @@ const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
 
-/// Callback fired once per job as it reaches a terminal state.
-type CompletionHook = Arc<dyn Fn(JobId) + Send + Sync>;
-
 struct QueuedJob {
-    id: JobId,
     payload: JobPayload,
     deadline: Instant,
     /// Trace id threaded from the protocol request (or minted at
@@ -184,14 +180,14 @@ struct QueuedJob {
     /// When the job entered the queue; dequeue − enqueue feeds the
     /// queue-wait histogram and span.
     enqueued: Instant,
+    /// Where the job's end goes.
+    sink: JobSink,
 }
 
 struct Shared {
     config: EngineConfig,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
-    jobs: Mutex<HashMap<JobId, JobState>>,
-    jobs_cv: Condvar,
     registry: RwLock<DurableRegistry>,
     metrics: Metrics,
     /// Logical clock for registration ordering (strictly monotonic, so
@@ -201,10 +197,6 @@ struct Shared {
     /// True while this engine is a read-only replica; flipped off by
     /// [`Engine::promote`]. Checked on every mutation path.
     follower: AtomicBool,
-    /// Optional completion notification hook (see
-    /// [`Engine::set_completion_hook`]). Fired outside every engine
-    /// lock, after the terminal state is observable.
-    completion_hook: RwLock<Option<CompletionHook>>,
     /// Stage-span ring shared by workers and whatever front-end serves
     /// this engine. Recording is lock-free and never blocks.
     obs: Arc<SpanRing>,
@@ -298,7 +290,6 @@ pub struct Engine {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     sampler: Mutex<Option<std::thread::JoinHandle<()>>>,
-    next_id: AtomicU64,
 }
 
 impl Engine {
@@ -333,12 +324,9 @@ impl Engine {
             config,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
-            jobs_cv: Condvar::new(),
             metrics: Metrics::default(),
             clock: AtomicU64::new(clock_start),
             state: AtomicU8::new(STATE_RUNNING),
-            completion_hook: RwLock::new(None),
         });
         // Restore persisted quota state (explicit limits + the last
         // consumed-window checkpoints) so a restart does not reset an
@@ -350,6 +338,7 @@ impl Engine {
             let shared = Arc::clone(&shared);
             workers.push(std::thread::spawn(move || worker_loop(shared)));
         }
+        record_history(&shared);
         let sampler = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || sampler_loop(shared))
@@ -358,7 +347,6 @@ impl Engine {
             shared,
             workers: Mutex::new(workers),
             sampler: Mutex::new(Some(sampler)),
-            next_id: AtomicU64::new(1),
         })
     }
 
@@ -554,26 +542,22 @@ impl Engine {
         Ok(report)
     }
 
-    /// Enqueues a job. Non-blocking: rejects when full or draining.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId> {
+    /// Enqueues a job whose end goes to a [`Ticket`]. Non-blocking:
+    /// rejects when full or draining.
+    pub fn submit(&self, spec: JobSpec) -> Result<Ticket> {
+        let (ticket, sink) = Ticket::new();
+        self.submit_to(spec, sink)?;
+        Ok(ticket)
+    }
+
+    /// Enqueues a job whose end goes to `sink`, which the engine calls
+    /// exactly once if this returns `Ok` and never if it returns `Err`.
+    /// Non-blocking: rejects when full or draining.
+    pub(crate) fn submit_to(&self, spec: JobSpec, sink: JobSink) -> Result<()> {
         let timeout = spec.timeout.unwrap_or(self.shared.config.default_timeout);
         let trace = spec.trace.unwrap_or_else(freqywm_obs::next_trace_id);
         let tenant = spec.payload.tenant().to_string();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Record the job as Queued BEFORE it becomes poppable: a fast
-        // worker may reach a terminal state the instant the queue lock
-        // drops, and that write must never be overwritten by this one.
-        self.shared
-            .jobs
-            .lock()
-            .expect("jobs lock poisoned")
-            .insert(id, JobState::Queued);
         let reject = |err: ServiceError| {
-            self.shared
-                .jobs
-                .lock()
-                .expect("jobs lock poisoned")
-                .remove(&id);
             self.shared.metrics.bump(M::Rejected);
             self.shared
                 .metrics
@@ -598,11 +582,6 @@ impl Engine {
             checkpoint_quota(&self.shared, &tenant, used, now_ms);
         }
         if let Some((kind, retry_after_ms)) = outcome.refused {
-            self.shared
-                .jobs
-                .lock()
-                .expect("jobs lock poisoned")
-                .remove(&id);
             self.shared.metrics.quota_refused(&tenant);
             return Err(ServiceError::QuotaExhausted {
                 kind,
@@ -631,11 +610,11 @@ impl Engine {
                 });
             }
             queue.push_back(QueuedJob {
-                id,
                 payload: spec.payload,
                 deadline: Instant::now() + timeout,
                 trace,
                 enqueued: Instant::now(),
+                sink,
             });
         }
         self.shared.metrics.bump(M::Submitted);
@@ -643,58 +622,7 @@ impl Engine {
             .metrics
             .tenant_add(&tenant, M::TenantAdmitted, 1);
         self.shared.queue_cv.notify_one();
-        Ok(id)
-    }
-
-    /// Current state of a job (clone), if the id is known.
-    pub fn status(&self, id: JobId) -> Option<JobState> {
-        self.shared
-            .jobs
-            .lock()
-            .expect("jobs lock poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Non-blocking [`Engine::wait`]: consumes and returns the result
-    /// iff the job already reached a terminal state, `None` otherwise
-    /// (still queued/running, or already taken). Event-driven
-    /// front-ends pair this with [`Engine::set_completion_hook`] so
-    /// nothing ever blocks on a job.
-    pub fn try_take(&self, id: JobId) -> Option<JobState> {
-        let mut jobs = self.shared.jobs.lock().expect("jobs lock poisoned");
-        match jobs.get(&id) {
-            Some(state) if state.is_terminal() => jobs.remove(&id),
-            _ => None,
-        }
-    }
-
-    /// Installs a hook fired once per job when it reaches a terminal
-    /// state (completed, failed, timed out or cancelled). One hook per
-    /// engine — installing replaces the previous one; only one serving
-    /// front-end drives an engine at a time.
-    ///
-    /// The hook runs on the worker thread that finished the job (or the
-    /// caller of [`Engine::shutdown_now`] for cancellations), with no
-    /// engine lock held. It must be cheap and must not call back into
-    /// blocking engine APIs; writing a byte to a wakeup pipe is the
-    /// intended use.
-    pub fn set_completion_hook<F: Fn(JobId) + Send + Sync + 'static>(&self, hook: F) {
-        *self
-            .shared
-            .completion_hook
-            .write()
-            .expect("hook lock poisoned") = Some(Arc::new(hook));
-    }
-
-    /// Removes the completion hook. In-flight invocations on worker
-    /// threads may still run; new completions no longer notify.
-    pub fn clear_completion_hook(&self) {
-        *self
-            .shared
-            .completion_hook
-            .write()
-            .expect("hook lock poisoned") = None;
+        Ok(())
     }
 
     /// The engine's live counters. Whatever front-end serves the engine
@@ -717,36 +645,10 @@ impl Engine {
         self.shared.obs.query(filter)
     }
 
-    /// Blocks until the job reaches a terminal state, removes it from
-    /// the result table, and returns it.
-    ///
-    /// Each result is delivered exactly once — a second `wait` on the
-    /// same id reports an unknown job. Consuming here keeps a
-    /// long-running engine's memory flat: results of jobs nobody waits
-    /// on are the only ones retained (and are dropped with the engine).
-    pub fn wait(&self, id: JobId) -> JobState {
-        let mut jobs = self.shared.jobs.lock().expect("jobs lock poisoned");
-        loop {
-            match jobs.get(&id) {
-                None => {
-                    return JobState::Failed(ServiceError::BadRequest(format!(
-                        "unknown job id {id}"
-                    )))
-                }
-                Some(state) if state.is_terminal() => {
-                    return jobs.remove(&id).expect("entry checked above");
-                }
-                Some(_) => {
-                    jobs = self.shared.jobs_cv.wait(jobs).expect("jobs lock poisoned");
-                }
-            }
-        }
-    }
-
-    /// Submit + wait.
+    /// Submit, then block until the job ends.
     pub fn run(&self, spec: JobSpec) -> JobState {
         match self.submit(spec) {
-            Ok(id) => self.wait(id),
+            Ok(ticket) => ticket.wait(),
             Err(e) => JobState::Failed(e),
         }
     }
@@ -861,23 +763,14 @@ impl Engine {
     /// finish, workers join.
     pub fn shutdown_now(&self) {
         self.shared.state.store(STATE_DRAINING, Ordering::SeqCst);
-        let cancelled: Vec<JobId> = {
+        let cancelled: Vec<QueuedJob> = {
             let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
-            queue.drain(..).map(|j| j.id).collect()
+            queue.drain(..).collect()
         };
-        if !cancelled.is_empty() {
-            {
-                let mut jobs = self.shared.jobs.lock().expect("jobs lock poisoned");
-                for &id in &cancelled {
-                    jobs.insert(id, JobState::Cancelled);
-                    self.shared.metrics.bump(M::Cancelled);
-                }
-                self.shared.jobs_cv.notify_all();
-            }
-            // Cancellation is terminal too — notify outside the lock.
-            for id in cancelled {
-                fire_completion_hook(&self.shared, id);
-            }
+        // Sinks run outside the queue lock.
+        for job in cancelled {
+            self.shared.metrics.bump(M::Cancelled);
+            (job.sink)(JobState::Cancelled);
         }
         self.shutdown();
     }
@@ -944,19 +837,24 @@ fn gauges(shared: &Shared) -> [(M, u64); 3] {
     ]
 }
 
-/// Retention sampler: pushes one [`HistorySample`] into the history
-/// ring every `retain_interval_ms` (first sample immediately, so the
-/// ring is never empty), until shutdown flips the stop flag.
+/// Pushes one [`HistorySample`] of the current counters into the
+/// history ring.
+fn record_history(shared: &Shared) {
+    let sample = shared.metrics.history_sample(&gauges(shared));
+    shared
+        .history
+        .lock()
+        .expect("history lock poisoned")
+        .push(freqywm_obs::now_us() / 1000, sample);
+}
+
+/// Retention sampler: after the first sample, which [`Engine::open`]
+/// takes itself so the ring is never empty, pushes one every
+/// `retain_interval_ms` until shutdown flips the stop flag.
 fn sampler_loop(shared: Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.retain_interval_ms.max(10));
+    let (lock, cv) = &shared.sampler_stop;
     loop {
-        let sample = shared.metrics.history_sample(&gauges(&shared));
-        shared
-            .history
-            .lock()
-            .expect("history lock poisoned")
-            .push(freqywm_obs::now_us() / 1000, sample);
-        let (lock, cv) = &shared.sampler_stop;
         let mut stop = lock.lock().expect("sampler stop poisoned");
         let deadline = Instant::now() + interval;
         while !*stop {
@@ -970,6 +868,8 @@ fn sampler_loop(shared: Arc<Shared>) {
         if *stop {
             return;
         }
+        drop(stop);
+        record_history(&shared);
     }
 }
 
@@ -988,11 +888,11 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
         let QueuedJob {
-            id,
             payload,
             deadline,
             trace,
             enqueued,
+            sink,
         } = job;
         // Queue wait is its own histogram + span: a slow request caused
         // by a saturated queue must not masquerade as a slow sweep.
@@ -1010,14 +910,9 @@ fn worker_loop(shared: Arc<Shared>) {
         ));
         if Instant::now() > deadline {
             shared.metrics.bump(M::TimedOut);
-            finish(
-                &shared,
-                id,
-                JobState::Failed(ServiceError::DeadlineExceeded),
-            );
+            sink(JobState::Failed(ServiceError::DeadlineExceeded));
             continue;
         }
-        set_state(&shared, id, JobState::Running);
         let started = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_payload(&shared, payload, deadline, &trace)
@@ -1073,7 +968,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 JobState::Failed(ServiceError::Internal(msg))
             }
         };
-        finish(&shared, id, state);
+        sink(state);
     }
 }
 
@@ -1112,35 +1007,6 @@ fn emit_slow_log(
         (wait + run).as_millis(),
         shard,
     );
-}
-
-fn set_state(shared: &Shared, id: JobId, state: JobState) {
-    shared
-        .jobs
-        .lock()
-        .expect("jobs lock poisoned")
-        .insert(id, state);
-}
-
-fn finish(shared: &Shared, id: JobId, state: JobState) {
-    set_state(shared, id, state);
-    shared.jobs_cv.notify_all();
-    fire_completion_hook(shared, id);
-}
-
-/// Runs the completion hook (if any) with no lock held: the terminal
-/// state is already observable via `status`/`try_take`/`wait` when the
-/// hook fires, so a front-end reacting to the notification always finds
-/// the result.
-fn fire_completion_hook(shared: &Shared, id: JobId) {
-    let hook = shared
-        .completion_hook
-        .read()
-        .expect("hook lock poisoned")
-        .clone();
-    if let Some(hook) = hook {
-        hook(id);
-    }
 }
 
 /// `Err(WrongShard)` when a shard gate is configured and disowns the

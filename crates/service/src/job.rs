@@ -8,10 +8,8 @@ use freqywm_core::incremental::MaintenanceReport;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Engine-assigned job identifier.
-pub type JobId = u64;
 
 /// Input data for embed/detect jobs: a pre-counted histogram, packed
 /// and indexed count rows (a detect request's `counts`, in which the
@@ -146,18 +144,46 @@ pub struct MaintainOutcome {
     pub ledger_index: u64,
 }
 
-/// Lifecycle of a submitted job.
+/// How a submitted job ended: completed, failed (a deadline counts),
+/// or cancelled by an immediate shutdown before it ran.
 #[derive(Debug, Clone)]
 pub enum JobState {
-    Queued,
-    Running,
     Completed(JobOutput),
     Failed(ServiceError),
     Cancelled,
 }
 
-impl JobState {
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
+/// Where a job's [`JobState`] goes. The engine queues it with the job
+/// and calls it exactly once: on the worker that finished the job, or
+/// on the thread whose immediate shutdown cancelled it, with no engine
+/// lock held. It must not block.
+pub(crate) type JobSink = Box<dyn FnOnce(JobState) + Send>;
+
+/// A one-job sink: what [`crate::Engine::submit`] hands back, to block
+/// on until the job ends.
+#[derive(Debug)]
+pub struct Ticket(Arc<(Mutex<Option<JobState>>, Condvar)>);
+
+impl Ticket {
+    /// A ticket and the sink that fills it.
+    pub(crate) fn new() -> (Ticket, JobSink) {
+        let slot = Arc::new((Mutex::new(None), Condvar::new()));
+        let fill = Arc::clone(&slot);
+        let sink = Box::new(move |state| {
+            *fill.0.lock().expect("ticket lock poisoned") = Some(state);
+            fill.1.notify_one();
+        });
+        (Ticket(slot), sink)
+    }
+
+    /// Blocks until the job ends and returns how it ended.
+    pub fn wait(self) -> JobState {
+        let (lock, ended) = &*self.0;
+        let state = lock.lock().expect("ticket lock poisoned");
+        ended
+            .wait_while(state, |state| state.is_none())
+            .expect("ticket lock poisoned")
+            .take()
+            .expect("woken with the job's end")
     }
 }

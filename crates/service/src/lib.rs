@@ -50,8 +50,8 @@ pub use engine::{DisputeOutcome, Engine, EngineConfig, PromoteReport, ShardGate}
 pub use error::ServiceError;
 pub use freqywm_obs::{OpKind, Span, SpanRing, Stage, TraceFilter};
 pub use job::{
-    DetectOutcome, EmbedOutcome, JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState,
-    MaintainOutcome,
+    DetectOutcome, EmbedOutcome, JobData, JobKind, JobOutput, JobPayload, JobSpec, JobState,
+    MaintainOutcome, Ticket,
 };
 pub use metrics::{aggregate_shard_metrics, Metrics, MetricsSnapshot, ShardMetricsPiece, M};
 pub use persist::{DurableRegistry, RecoveryReport, RegistryEvent, ReplicaBatch};

@@ -37,7 +37,7 @@
 use crate::engine::Engine;
 use crate::error::ServiceError;
 use crate::framing::{LineEvent, LineFramer};
-use crate::job::{JobData, JobId, JobKind, JobOutput, JobPayload, JobSpec, JobState};
+use crate::job::{JobData, JobKind, JobOutput, JobPayload, JobSpec, JobState};
 use crate::metrics::M;
 use crate::registry::CountRows;
 use freqywm_core::params::{DetectionParams, GenerationParams};
@@ -45,8 +45,9 @@ use freqywm_crypto::prf::Secret;
 use freqywm_data::token::Token;
 use freqywm_obs::{OpKind, Span, Stage, TraceFilter};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, Write};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default input frame-size cap shared by the pipe and socket
@@ -849,7 +850,6 @@ pub fn render_job_state(state: JobState, id: Option<&Value>) -> String {
         }
         JobState::Failed(e) => err_response(id, &e.to_string()),
         JobState::Cancelled => err_response(id, "job cancelled"),
-        JobState::Queued | JobState::Running => err_response(id, "internal: job not terminal"),
     }
 }
 
@@ -1494,11 +1494,11 @@ enum Slot {
 ///   pipelined `embed` → `detect` always detects against the new
 ///   watermark.
 ///
-/// The driving transport must deliver [`Session::on_job_done`] for
-/// every id surfaced by [`Session::take_new_jobs`] (wired to
-/// [`Engine::set_completion_hook`]), and may call
-/// [`Session::drain_blocking`] to settle everything synchronously (EOF
-/// on a pipe, forced server drain).
+/// Each job the session submits delivers its end to the session's own
+/// inbox and then calls the transport's wake-up (see
+/// [`Session::with_wake`]); the transport answers it with
+/// [`Session::collect`]. [`Session::drain_blocking`] settles everything
+/// synchronously instead (a batch file).
 #[derive(Default)]
 pub struct Session {
     /// Responses not yet taken, in request order; absolute sequence of
@@ -1508,12 +1508,38 @@ pub struct Session {
     /// Requests planned but not yet launched, each pointing at its
     /// reserved slot.
     deferred: VecDeque<(usize, Option<Value>, Planned)>,
-    /// In-flight jobs: id → (slot seq, is-mutating).
-    pending: HashMap<JobId, (usize, bool)>,
-    pending_mutations: usize,
-    new_jobs: Vec<JobId>,
+    /// Jobs submitted whose end has not been collected yet.
+    in_flight: usize,
+    /// The job in flight is an embed or maintain, which never runs
+    /// beside another job.
+    mutating: bool,
+    inbox: Arc<Inbox>,
+    /// The inbox's buffer, swapped out to collect it.
+    collected: Vec<(usize, JobState)>,
     shutdown: bool,
     gate: AuthGate,
+}
+
+/// Where a session's jobs deliver: each job's `(slot seq, end)`, then
+/// the transport's wake-up.
+#[derive(Default)]
+struct Inbox {
+    results: Mutex<Vec<(usize, JobState)>>,
+    arrived: Condvar,
+    wake: Option<Box<dyn Fn() + Send + Sync>>,
+}
+
+impl Inbox {
+    fn deliver(&self, seq: usize, state: JobState) {
+        self.results
+            .lock()
+            .expect("inbox lock poisoned")
+            .push((seq, state));
+        self.arrived.notify_one();
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+    }
 }
 
 /// Constant-time auth-token comparison (leaks length only).
@@ -1589,6 +1615,18 @@ impl Session {
             gate: AuthGate::new(auth_token, ""),
             ..Session::default()
         }
+    }
+
+    /// This session with `wake` called on the worker thread after each
+    /// of its jobs delivers to the inbox: the transport's cue to
+    /// [`Session::collect`]. `wake` must not block. Set it before the
+    /// first request.
+    pub fn with_wake(mut self, wake: impl Fn() + Send + Sync + 'static) -> Self {
+        self.inbox = Arc::new(Inbox {
+            wake: Some(Box::new(wake)),
+            ..Inbox::default()
+        });
+        self
     }
 
     /// Feeds one request line. Blank lines and `#` comments are
@@ -1674,23 +1712,23 @@ impl Session {
         self.slots.push_back(Slot::Ready(response));
     }
 
-    /// Notifies the session that a job completed. Returns `false` when
-    /// the id is not one of this session's in-flight jobs.
-    pub fn on_job_done(&mut self, engine: &Engine, id: JobId) -> bool {
-        let Some((seq, mutating)) = self.pending.remove(&id) else {
-            return false;
-        };
-        if mutating {
-            self.pending_mutations -= 1;
+    /// Moves the ends its jobs delivered into their response slots and
+    /// launches the requests they held back.
+    pub fn collect(&mut self, engine: &Engine) {
+        let mut collected = std::mem::take(&mut self.collected);
+        std::mem::swap(
+            &mut collected,
+            &mut *self.inbox.results.lock().expect("inbox lock poisoned"),
+        );
+        for (seq, state) in collected.drain(..) {
+            self.in_flight -= 1;
+            self.resolve(engine, seq, state);
         }
-        let state = engine.try_take(id).unwrap_or_else(|| {
-            JobState::Failed(ServiceError::Internal(format!(
-                "job {id} signalled completion but its result is gone"
-            )))
-        });
-        self.resolve(engine, seq, state);
+        self.collected = collected;
+        if self.in_flight == 0 {
+            self.mutating = false;
+        }
         self.launch(engine);
-        true
     }
 
     /// Takes the maximal run of in-order ready responses.
@@ -1706,18 +1744,6 @@ impl Session {
         out
     }
 
-    /// Job ids submitted since the last call — the transport maps these
-    /// back to this session for completion routing.
-    pub fn take_new_jobs(&mut self) -> Vec<JobId> {
-        std::mem::take(&mut self.new_jobs)
-    }
-
-    /// Ids of this session's in-flight jobs (for cleanup when a
-    /// connection dies with work outstanding).
-    pub fn pending_job_ids(&self) -> Vec<JobId> {
-        self.pending.keys().copied().collect()
-    }
-
     /// True once a `shutdown` op has been answered.
     pub fn wants_shutdown(&self) -> bool {
         self.shutdown
@@ -1725,7 +1751,7 @@ impl Session {
 
     /// No jobs in flight and no deferred requests.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.deferred.is_empty()
+        self.in_flight == 0 && self.deferred.is_empty()
     }
 
     /// Idle *and* every response has been taken — nothing left to do.
@@ -1735,23 +1761,23 @@ impl Session {
 
     /// Synchronously settles the session: waits for every in-flight
     /// job, launching deferred requests as their barriers clear, until
-    /// nothing is pending. This is the graceful-drain path for pipe EOF
-    /// and forced server shutdown — no in-flight response is dropped.
+    /// nothing is pending: how [`run_batch`] settles its file, with no
+    /// in-flight response dropped.
     pub fn drain_blocking(&mut self, engine: &Engine) {
         loop {
-            self.launch(engine);
-            let Some(&id) = self.pending.keys().next() else {
-                if self.deferred.is_empty() || self.shutdown {
-                    return;
-                }
-                continue;
-            };
-            let (seq, mutating) = self.pending.remove(&id).expect("key taken from map");
-            if mutating {
-                self.pending_mutations -= 1;
+            // With nothing in flight, every deferred request launches
+            // (or is refused behind a shutdown).
+            self.collect(engine);
+            if self.in_flight == 0 {
+                return;
             }
-            let state = engine.wait(id);
-            self.resolve(engine, seq, state);
+            let results = self.inbox.results.lock().expect("inbox lock poisoned");
+            drop(
+                self.inbox
+                    .arrived
+                    .wait_while(results, |r| r.is_empty())
+                    .expect("inbox lock poisoned"),
+            );
         }
     }
 
@@ -1787,11 +1813,10 @@ impl Session {
         while !self.shutdown {
             let launchable = match self.deferred.front() {
                 None => break,
-                Some((_, _, Planned::Job(spec))) => match spec.payload.kind() {
-                    JobKind::Detect => self.pending_mutations == 0,
-                    JobKind::Embed | JobKind::Maintain => self.pending.is_empty(),
-                },
-                Some((_, _, Planned::Op(_) | Planned::Shutdown)) => self.pending.is_empty(),
+                Some((_, _, Planned::Job(spec))) if spec.payload.kind() == JobKind::Detect => {
+                    !self.mutating
+                }
+                Some(_) => self.in_flight == 0,
             };
             if !launchable {
                 break;
@@ -1799,14 +1824,13 @@ impl Session {
             let (seq, id, planned) = self.deferred.pop_front().expect("front checked above");
             match planned {
                 Planned::Job(spec) => {
-                    let mutating = !matches!(spec.payload.kind(), JobKind::Detect);
-                    match engine.submit(spec) {
-                        Ok(job_id) => {
-                            self.pending.insert(job_id, (seq, mutating));
-                            if mutating {
-                                self.pending_mutations += 1;
-                            }
-                            self.new_jobs.push(job_id);
+                    let mutating = spec.payload.kind() != JobKind::Detect;
+                    let inbox = Arc::clone(&self.inbox);
+                    let sink = Box::new(move |state| inbox.deliver(seq, state));
+                    match engine.submit_to(spec, sink) {
+                        Ok(()) => {
+                            self.in_flight += 1;
+                            self.mutating |= mutating;
                         }
                         Err(e) => self.resolve(engine, seq, JobState::Failed(e)),
                     }
@@ -1842,7 +1866,8 @@ impl Session {
 enum ServeEvent {
     Input(LineEvent),
     Eof,
-    JobDone(JobId),
+    /// A job delivered to the session's inbox.
+    Wake,
 }
 
 /// Frames `reader` into lines capped at `max_frame` bytes and hands each
@@ -1884,9 +1909,8 @@ fn read_frames<R: BufRead>(
 /// request order as they complete (not once per input line), and EOF
 /// takes the graceful-drain path — every in-flight and deferred request
 /// still produces its response before `serve` returns. The reader runs
-/// on a helper thread so completions can be written while the transport
-/// is idle; the engine's completion hook is used for wakeups and is
-/// released on return.
+/// on a helper thread, and the session's wake-up shares its channel, so
+/// results are written while the input is idle.
 pub fn serve<R, W>(
     engine: &Engine,
     mut reader: R,
@@ -1899,10 +1923,7 @@ where
     W: Write,
 {
     let (tx, rx) = std::sync::mpsc::channel::<ServeEvent>();
-    let hook_tx = tx.clone();
-    engine.set_completion_hook(move |id| {
-        let _ = hook_tx.send(ServeEvent::JobDone(id));
-    });
+    let wake_tx = tx.clone();
     std::thread::spawn(move || {
         read_frames(&mut reader, max_frame, |e| {
             tx.send(ServeEvent::Input(e)).is_ok()
@@ -1910,37 +1931,31 @@ where
         let _ = tx.send(ServeEvent::Eof);
     });
 
-    let mut session = Session::with_auth(auth_token);
+    let mut session = Session::with_auth(auth_token).with_wake(move || {
+        let _ = wake_tx.send(ServeEvent::Wake);
+    });
     let mut eof = false;
-    let result = (|| -> std::io::Result<()> {
-        loop {
-            let ready = session.take_ready();
-            if !ready.is_empty() {
-                for resp in ready {
-                    writeln!(writer, "{resp}")?;
-                }
-                writer.flush()?;
+    loop {
+        let ready = session.take_ready();
+        if !ready.is_empty() {
+            for resp in ready {
+                writeln!(writer, "{resp}")?;
             }
-            if session.wants_shutdown() || (eof && session.is_settled()) {
-                return Ok(());
-            }
-            // Job ids need no routing map here: one session owns them all.
-            session.take_new_jobs();
-            match rx.recv() {
-                Err(_) => return Ok(()),
-                Ok(ServeEvent::Input(LineEvent::Line(line))) => session.push_line(engine, &line),
-                Ok(ServeEvent::Input(LineEvent::Oversized)) => {
-                    session.push_transport_error(frame_too_large_response(max_frame))
-                }
-                Ok(ServeEvent::Eof) => eof = true,
-                Ok(ServeEvent::JobDone(id)) => {
-                    session.on_job_done(engine, id);
-                }
-            }
+            writer.flush()?;
         }
-    })();
-    engine.clear_completion_hook();
-    result
+        if session.wants_shutdown() || (eof && session.is_settled()) {
+            return Ok(());
+        }
+        match rx.recv() {
+            Err(_) => return Ok(()),
+            Ok(ServeEvent::Input(LineEvent::Line(line))) => session.push_line(engine, &line),
+            Ok(ServeEvent::Input(LineEvent::Oversized)) => {
+                session.push_transport_error(frame_too_large_response(max_frame))
+            }
+            Ok(ServeEvent::Eof) => eof = true,
+            Ok(ServeEvent::Wake) => session.collect(engine),
+        }
+    }
 }
 
 /// Runs a file of requests through one [`Session`], under the pipe and
@@ -1967,8 +1982,6 @@ pub fn run_batch(engine: &Engine, lines: &[String]) -> Vec<String> {
             let planned = planned.map_err(|e| format!("line {}: {e}", lineno + 1));
             session.push_planned(engine, id, planned, started);
         }
-        // Job ids need no routing map here: one session owns them all.
-        session.take_new_jobs();
         if !session.deferred.is_empty() {
             // A barrier waits on in-flight jobs: settle them before
             // reading on, so the file is not planned ahead into memory.
@@ -2569,7 +2582,7 @@ mod tests {
                 ),
             );
         }
-        assert_eq!(session.take_new_jobs().len(), 1, "only the embed launched");
+        assert_eq!(engine.metrics()[M::Submitted], 1, "only the embed launched");
         assert!(session.take_ready().is_empty(), "nothing terminal yet");
         assert!(!session.is_idle());
         session.drain_blocking(&engine);
@@ -2657,6 +2670,40 @@ mod tests {
         ));
         assert!(matches!(route(r#"{"op":"fly"}"#), RouteInfo::Unroutable(_)));
         assert!(matches!(route(r#"{"x":1}"#), RouteInfo::Unroutable(_)));
+
+        // The two op tables mirror each other: over every op `plan`
+        // accepts, and one it does not, `route_of` calls an op unknown
+        // exactly when `plan` does.
+        let unknown = |e: &str| e.starts_with("unknown op");
+        for op in [
+            "register",
+            "dispute",
+            "quota",
+            "metrics",
+            "history",
+            "trace",
+            "hello",
+            "replicate",
+            "promote",
+            "shutdown",
+            "embed",
+            "detect",
+            "maintain",
+            "fly",
+        ] {
+            let line = format!(r#"{{"op":"{op}"}}"#);
+            let planned = plan(&line).1;
+            let routed = route(&line);
+            let plan_unknown = matches!(&planned, Err(e) if unknown(e));
+            let route_unknown = matches!(&routed, RouteInfo::Unroutable(e) if unknown(e));
+            assert_eq!(
+                plan_unknown,
+                route_unknown,
+                "{op}: plan {:?}, route {routed:?}",
+                planned.as_ref().err()
+            );
+            assert_eq!(plan_unknown, op == "fly", "{op}: {:?}", planned.err());
+        }
     }
 
     #[test]

@@ -95,20 +95,20 @@ fn detects_are_correct_for_concurrent_tenants_after_recovery() {
 
     // First post-recovery wave, all tenants concurrently, one own-copy
     // detection each.
-    let mut ids = Vec::new();
+    let mut tickets = Vec::new();
     for i in 0..TENANTS {
         let tenant = format!("tenant-{i}");
-        let id = engine
+        let ticket = engine
             .submit(JobSpec::new(JobPayload::Detect {
                 tenant: tenant.clone(),
                 data: JobData::Histogram(marked[i].clone()),
                 params: DetectionParams::default().with_t(0).with_k(pair_counts[i]),
             }))
             .unwrap();
-        ids.push((id, tenant));
+        tickets.push((ticket, tenant));
     }
-    for (id, tenant) in ids {
-        let JobState::Completed(JobOutput::Detect(d)) = engine.wait(id) else {
+    for (ticket, tenant) in tickets {
+        let JobState::Completed(JobOutput::Detect(d)) = ticket.wait() else {
             panic!("post-recovery detect lost for {tenant}");
         };
         assert!(

@@ -1,9 +1,9 @@
 //! The served detect against the library.
 //!
-//! A `detect` request's `counts` decode into packed rows that the
-//! worker streams against the tenant's stored pairs; `tokens` are
-//! counted first and their histogram streamed the same way. Either
-//! way the response's verdict totals must equal [`detect_histogram`]
+//! A `detect` request's `counts` decode into packed rows with a keyed
+//! row index, and the worker looks each stored pair's tokens up in
+//! that index; `tokens` are counted first and the stored tokens looked
+//! up in their histogram. Either way the response's verdict totals must equal [`detect_histogram`]
 //! on the same data, for every request shape: marked, unmarked
 //! control, a 25% subsample, and marked with stored tokens removed or
 //! unknown tokens added; with and without `scale`; and with tokens

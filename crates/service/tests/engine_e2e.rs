@@ -153,8 +153,8 @@ fn concurrent_detects_over_distinct_tenants() {
     // Submit all detects at once: every tenant checks its own copy AND
     // its right neighbour's copy (which must NOT fully verify under its
     // secret — per-tenant isolation).
-    let mut own_ids = Vec::new();
-    let mut cross_ids = Vec::new();
+    let mut own_tickets = Vec::new();
+    let mut cross_tickets = Vec::new();
     for (i, (tenant, wm)) in marked.iter().enumerate() {
         let pairs = engine
             .registry()
@@ -163,7 +163,7 @@ fn concurrent_detects_over_distinct_tenants() {
             .secrets
             .len();
         let strict = DetectionParams::default().with_t(0).with_k(pairs);
-        own_ids.push((
+        own_tickets.push((
             engine
                 .submit(JobSpec::new(JobPayload::Detect {
                     tenant: tenant.clone(),
@@ -174,7 +174,7 @@ fn concurrent_detects_over_distinct_tenants() {
             pairs,
         ));
         let neighbour = &marked[(i + 1) % TENANTS].1;
-        cross_ids.push(
+        cross_tickets.push(
             engine
                 .submit(JobSpec::new(JobPayload::Detect {
                     tenant: tenant.clone(),
@@ -185,8 +185,8 @@ fn concurrent_detects_over_distinct_tenants() {
         );
     }
 
-    for (id, pairs) in own_ids {
-        let JobState::Completed(JobOutput::Detect(d)) = engine.wait(id) else {
+    for (ticket, pairs) in own_tickets {
+        let JobState::Completed(JobOutput::Detect(d)) = ticket.wait() else {
             panic!("own-copy detect did not complete");
         };
         assert!(
@@ -196,8 +196,8 @@ fn concurrent_detects_over_distinct_tenants() {
         );
         assert_eq!(d.outcome.accepted_pairs, pairs);
     }
-    for id in cross_ids {
-        let JobState::Completed(JobOutput::Detect(d)) = engine.wait(id) else {
+    for ticket in cross_tickets {
+        let JobState::Completed(JobOutput::Detect(d)) = ticket.wait() else {
             panic!("cross-copy detect did not complete");
         };
         assert!(
@@ -375,18 +375,18 @@ fn thread_storm_loses_no_jobs() {
             let mut verdicts = Vec::with_capacity(PER_THREAD);
             for i in 0..PER_THREAD {
                 let (tenant, wm) = &marked[(s + i) % TENANTS];
-                let id = engine
+                let ticket = engine
                     .submit(JobSpec::new(JobPayload::Detect {
                         tenant: tenant.clone(),
                         data: JobData::Histogram(wm.clone()),
                         params: DetectionParams::default().with_t(0).with_k(1),
                     }))
                     .expect("queue sized for the storm");
-                verdicts.push(id);
+                verdicts.push(ticket);
             }
             // Wait for own jobs; all must complete and accept.
-            for id in verdicts {
-                match engine.wait(id) {
+            for ticket in verdicts {
+                match ticket.wait() {
                     JobState::Completed(JobOutput::Detect(d)) => {
                         assert!(d.outcome.accepted, "{}", d.tenant);
                     }
@@ -410,8 +410,7 @@ fn thread_storm_loses_no_jobs() {
     engine.shutdown();
 }
 
-/// `wait` delivers each result exactly once and prunes the result
-/// table (a long-running engine's memory stays flat).
+/// A ticket's `wait` delivers the job's result.
 #[test]
 fn wait_consumes_results() {
     let engine = Engine::start(EngineConfig {
@@ -421,7 +420,7 @@ fn wait_consumes_results() {
     engine
         .register_tenant("acme", Secret::from_label("consume-e2e"))
         .unwrap();
-    let id = engine
+    let ticket = engine
         .submit(JobSpec::new(JobPayload::Embed {
             tenant: "acme".into(),
             data: JobData::Histogram(zipf_hist(0.6, 100, 100_000)),
@@ -429,13 +428,9 @@ fn wait_consumes_results() {
         }))
         .unwrap();
     assert!(matches!(
-        engine.wait(id),
+        ticket.wait(),
         JobState::Completed(JobOutput::Embed(_))
     ));
-    // Consumed: a second wait reports the id as unknown, and the
-    // status table no longer holds it.
-    assert!(matches!(engine.wait(id), JobState::Failed(_)));
-    assert!(engine.status(id).is_none());
     engine.shutdown();
 }
 
@@ -466,10 +461,10 @@ fn backpressure_deadlines_and_graceful_shutdown() {
     let first = engine.submit(embed_spec()).unwrap();
     // Wait for the worker to pick it up so the queue is empty again.
     for _ in 0..1_000 {
-        match engine.status(first) {
-            Some(JobState::Queued) => std::thread::sleep(Duration::from_millis(1)),
-            _ => break,
+        if engine.metrics()[M::QueueDepth] == 0 {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
     // …a zero-deadline detect sits in the queue long past its deadline…
     let expired = engine
@@ -498,12 +493,13 @@ fn backpressure_deadlines_and_graceful_shutdown() {
     // Graceful shutdown processes everything still queued.
     engine.shutdown();
     assert!(matches!(
-        engine.wait(first),
+        first.wait(),
         JobState::Completed(JobOutput::Embed(_))
     ));
-    assert!(engine.wait(queued).is_terminal());
+    // `wait` returns only once the job has ended.
+    queued.wait();
     assert!(matches!(
-        engine.wait(expired),
+        expired.wait(),
         JobState::Failed(ServiceError::DeadlineExceeded)
     ));
     // After shutdown, new submits are refused.
