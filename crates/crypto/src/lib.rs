@@ -5,7 +5,7 @@
 //! high-entropy secret (λ-bit). None of the whitelisted dependencies
 //! provide a hash function, so this crate implements:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104),
 //! * [`prf`] — the FreqyWM pair PRF `s_ij` plus a deterministic
 //!   keystream used to derive reproducible randomness from a secret,

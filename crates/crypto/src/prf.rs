@@ -14,7 +14,7 @@
 //! composition of [`inner_digest`] (`H(R || tk_j)`, per token) and
 //! [`outer_modulus`] (per pair), which sweeps over many pairs call
 //! separately. Two batched forms hash many messages per call, sixteen
-//! at a time on AVX-512 (see [`crate::sha256`]), and reduce each state
+//! at a time on AVX-512 (see [`mod@crate::sha256`]), and reduce each state
 //! with a modulus precomputed for the call: [`outer_moduli`] for one
 //! sweep row, and [`pair_moduli`] for a list of pairs (detect's stored
 //! pairs and maintenance's).

@@ -11,7 +11,7 @@
 //! Messages of at most [`ONE_BLOCK_MAX`] bytes — every pair-PRF message
 //! whose token is 23 bytes or shorter — fit one padded block and take
 //! [`sha256_one_block`], which skips the streaming buffer entirely. A
-//! batch of such messages ([`one_block_states`]: a pair-PRF sweep row,
+//! batch of such messages (`one_block_states`: a pair-PRF sweep row,
 //! or the inner and outer hashes of detect's stored pairs) checks CPU
 //! features once and picks one of three backends: sixteen messages at
 //! a time in the 32-bit lanes of AVX-512 registers (Gueron & Krasnov,

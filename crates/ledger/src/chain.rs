@@ -69,7 +69,7 @@ const CHUNK: usize = 1024;
 
 /// The append-only ledger.
 ///
-/// Entries are kept in chunks of [`CHUNK`], so an append never moves
+/// Entries are kept in chunks of 1 024, so an append never moves
 /// the chain. In one growing `Vec`, each doubling would copy every
 /// entry into a buffer twice the size and leave the old one behind in
 /// the heap: a server's resident memory would jump by the chain's size

@@ -100,7 +100,7 @@ impl LineStream {
         }
     }
 
-    /// Reads up to [`READ_BUDGET`] bytes, handing each completed frame
+    /// Reads up to 64 KiB (`READ_BUDGET`), handing each completed frame
     /// to `sink`, and returns the bytes read. Never blocks; stops at
     /// `WouldBlock`, EOF or the budget (leftover input re-reports
     /// readable — level-triggered). At EOF an unterminated tail is

@@ -24,135 +24,92 @@ pub mod prom;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Pipeline stage a span measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// JSON parse + request planning.
-    Parse,
-    /// Auth-token check.
-    Auth,
-    /// Enqueue → dequeue wait in the engine's bounded queue.
-    QueueWait,
-    /// Worker execution of the job payload.
-    Run,
-    /// The PRF-sweep / histogram-build portion of `Run`.
-    PrfSweep,
-    /// Job completion → response line handed to the transport.
-    Respond,
+/// Declares a fieldless enum beside its one name table: each variant is
+/// listed once, with the name every rendering and lookup reads. A
+/// variant's discriminant is its place in the list, which is how the
+/// ring stores it.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$vmeta:meta])* $var:ident = $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $var,)+
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$var,)+];
+            const NAMES: &'static [&'static str] = &[$($name,)+];
+
+            pub const fn as_str(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+
+            /// The variant whose name is `name`.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                let i = Self::NAMES.iter().position(|n| *n == name)?;
+                Some(Self::ALL[i])
+            }
+
+            fn from_u8(v: u8) -> Option<$ty> {
+                Self::ALL.get(usize::from(v)).copied()
+            }
+        }
+    };
 }
 
-impl Stage {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::Parse => "parse",
-            Stage::Auth => "auth",
-            Stage::QueueWait => "queue_wait",
-            Stage::Run => "run",
-            Stage::PrfSweep => "prf_sweep",
-            Stage::Respond => "respond",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Stage> {
-        Some(match v {
-            0 => Stage::Parse,
-            1 => Stage::Auth,
-            2 => Stage::QueueWait,
-            3 => Stage::Run,
-            4 => Stage::PrfSweep,
-            5 => Stage::Respond,
-            _ => return None,
-        })
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            Stage::Parse => 0,
-            Stage::Auth => 1,
-            Stage::QueueWait => 2,
-            Stage::Run => 3,
-            Stage::PrfSweep => 4,
-            Stage::Respond => 5,
-        }
+named_enum! {
+    /// Pipeline stage a span measures.
+    pub enum Stage {
+        /// JSON parse + request planning.
+        Parse = "parse",
+        /// Auth-token check.
+        Auth = "auth",
+        /// Enqueue → dequeue wait in the engine's bounded queue.
+        QueueWait = "queue_wait",
+        /// Worker execution of the job payload.
+        Run = "run",
+        /// The PRF-sweep / histogram-build portion of `Run`.
+        PrfSweep = "prf_sweep",
+        /// Job completion → response line handed to the transport.
+        Respond = "respond",
     }
 }
 
-/// Protocol operation a span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    Embed,
-    Detect,
-    Maintain,
-    Register,
-    Dispute,
-    Metrics,
-    Hello,
-    Trace,
-    History,
-    Other,
+named_enum! {
+    /// The protocol's op set, declared once: every wire op a request
+    /// line may name, and `Other` for a line that names none. Planning,
+    /// routing, quotas and span labels all match on it, so an op added
+    /// here without a plan, a route or a label fails to compile.
+    pub enum OpKind {
+        Register = "register",
+        Embed = "embed",
+        Detect = "detect",
+        Maintain = "maintain",
+        Dispute = "dispute",
+        Quota = "quota",
+        Metrics = "metrics",
+        History = "history",
+        Trace = "trace",
+        Hello = "hello",
+        Replicate = "replicate",
+        Promote = "promote",
+        Shutdown = "shutdown",
+        /// No valid op: missing, not a string, or not a wire op name.
+        Other = "other",
+    }
 }
 
 impl OpKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OpKind::Embed => "embed",
-            OpKind::Detect => "detect",
-            OpKind::Maintain => "maintain",
-            OpKind::Register => "register",
-            OpKind::Dispute => "dispute",
-            OpKind::Metrics => "metrics",
-            OpKind::Hello => "hello",
-            OpKind::Trace => "trace",
-            OpKind::History => "history",
-            OpKind::Other => "other",
-        }
-    }
-
-    /// Classify a protocol `op` string; anything unknown is `Other`.
-    pub fn from_op(op: &str) -> OpKind {
-        match op {
-            "embed" => OpKind::Embed,
-            "detect" => OpKind::Detect,
-            "maintain" => OpKind::Maintain,
-            "register" => OpKind::Register,
-            "dispute" => OpKind::Dispute,
-            "metrics" => OpKind::Metrics,
-            "hello" => OpKind::Hello,
-            "trace" => OpKind::Trace,
-            "history" => OpKind::History,
-            _ => OpKind::Other,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<OpKind> {
-        Some(match v {
-            0 => OpKind::Embed,
-            1 => OpKind::Detect,
-            2 => OpKind::Maintain,
-            3 => OpKind::Register,
-            4 => OpKind::Dispute,
-            5 => OpKind::Metrics,
-            6 => OpKind::Hello,
-            7 => OpKind::Trace,
-            8 => OpKind::Other,
-            9 => OpKind::History,
-            _ => return None,
-        })
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            OpKind::Embed => 0,
-            OpKind::Detect => 1,
-            OpKind::Maintain => 2,
-            OpKind::Register => 3,
-            OpKind::Dispute => 4,
-            OpKind::Metrics => 5,
-            OpKind::Hello => 6,
-            OpKind::Trace => 7,
-            OpKind::Other => 8,
-            OpKind::History => 9,
-        }
+    /// The op a request's `op` string names; `Other` for anything else,
+    /// `"other"` included (it is a span label, not a wire op).
+    pub fn from_wire(op: &str) -> OpKind {
+        OpKind::from_name(op).unwrap_or(OpKind::Other)
     }
 }
 
@@ -279,8 +236,8 @@ impl SpanRing {
         let trace_len = pack_bytes(&mut trace_w, &span.trace, TRACE_BYTES);
         let mut tenant_w = [0u64; TENANT_WORDS];
         let tenant_len = pack_bytes(&mut tenant_w, &span.tenant, TENANT_BYTES);
-        let meta = (span.op.as_u8() as u64)
-            | ((span.stage.as_u8() as u64) << 8)
+        let meta = (span.op as u64)
+            | ((span.stage as u64) << 8)
             | ((trace_len as u64) << 16)
             | ((tenant_len as u64) << 24);
 
@@ -535,31 +492,19 @@ mod tests {
 
     #[test]
     fn stage_and_op_strings_roundtrip() {
-        for s in [
-            Stage::Parse,
-            Stage::Auth,
-            Stage::QueueWait,
-            Stage::Run,
-            Stage::PrfSweep,
-            Stage::Respond,
-        ] {
-            assert_eq!(Stage::from_u8(s.as_u8()), Some(s));
+        for &s in Stage::ALL {
+            assert_eq!(Stage::from_u8(s as u8), Some(s));
+            assert_eq!(Stage::from_name(s.as_str()), Some(s));
         }
-        for o in [
-            OpKind::Embed,
-            OpKind::Detect,
-            OpKind::Maintain,
-            OpKind::Register,
-            OpKind::Dispute,
-            OpKind::Metrics,
-            OpKind::Hello,
-            OpKind::Trace,
-            OpKind::History,
-            OpKind::Other,
-        ] {
-            assert_eq!(OpKind::from_u8(o.as_u8()), Some(o));
-            assert_eq!(OpKind::from_op(o.as_str()), o);
+        assert_eq!(Stage::from_u8(Stage::ALL.len() as u8), None);
+        for &o in OpKind::ALL {
+            assert_eq!(OpKind::from_u8(o as u8), Some(o));
+            assert_eq!(OpKind::from_name(o.as_str()), Some(o));
+            assert_eq!(OpKind::from_wire(o.as_str()), o);
         }
-        assert_eq!(OpKind::from_op("shutdown"), OpKind::Other);
+        assert_eq!(OpKind::from_u8(OpKind::ALL.len() as u8), None);
+        assert_eq!(OpKind::from_name("fly"), None);
+        assert_eq!(OpKind::from_wire("fly"), OpKind::Other);
+        assert_eq!(OpKind::from_wire("Embed"), OpKind::Other);
     }
 }

@@ -898,7 +898,7 @@ fn worker_loop(shared: Arc<Shared>) {
         // by a saturated queue must not masquerade as a slow sweep.
         let wait = enqueued.elapsed();
         let kind = payload.kind();
-        let op = op_kind(kind);
+        let op = kind.op();
         let tenant = payload.tenant().to_string();
         shared.metrics.queue_wait.record(wait);
         shared.obs.record(&Span::ending_now(
@@ -969,14 +969,6 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
         sink(state);
-    }
-}
-
-fn op_kind(kind: JobKind) -> OpKind {
-    match kind {
-        JobKind::Embed => OpKind::Embed,
-        JobKind::Detect => OpKind::Detect,
-        JobKind::Maintain => OpKind::Maintain,
     }
 }
 
@@ -1057,7 +1049,7 @@ fn run_payload(
         shared.obs.record(&Span::ending_now(
             trace,
             tenant,
-            op_kind(kind),
+            kind.op(),
             Stage::PrfSweep,
             started.elapsed().as_micros() as u64,
         ));

@@ -80,7 +80,7 @@ impl fmt::Display for ServiceError {
                 write!(
                     f,
                     "quota exhausted: {} budget spent for this window (retry after {} ms)",
-                    crate::quota::class_name(*kind),
+                    kind.op().as_str(),
                     retry_after_ms
                 )
             }

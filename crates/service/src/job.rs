@@ -8,6 +8,7 @@ use freqywm_core::incremental::MaintenanceReport;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_data::histogram::Histogram;
 use freqywm_data::token::Token;
+use freqywm_obs::OpKind;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -72,6 +73,18 @@ pub enum JobKind {
     Embed,
     Detect,
     Maintain,
+}
+
+impl JobKind {
+    /// The wire op that runs this kind of job: its span label, and the
+    /// name of its quota class.
+    pub fn op(self) -> OpKind {
+        match self {
+            JobKind::Embed => OpKind::Embed,
+            JobKind::Detect => OpKind::Detect,
+            JobKind::Maintain => OpKind::Maintain,
+        }
+    }
 }
 
 /// A payload plus per-job policy.

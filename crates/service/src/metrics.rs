@@ -9,6 +9,7 @@ use freqywm_obs::family::{counter, gauge, histogram, info, write_prom, JsonObjec
 pub use freqywm_obs::family::{LatencyHistogram, LatencySnapshot};
 use freqywm_obs::history::{counter_delta, rate_per_sec};
 use freqywm_obs::prom::PromText;
+use freqywm_obs::OpKind;
 use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,12 +45,12 @@ freqywm_obs::families! {
         QuotaRefused => counter("quota_refused", "freqywm_quota_refused_total",
             "Jobs refused at admission by the per-tenant quota tier.")
             .in_history("quota_refused").in_totals(),
-        EmbedJobs => counter("embed_jobs", "freqywm_ops_total", OPS).labelled("op", "embed")
-            .in_history("embed_jobs").in_totals(),
-        DetectJobs => counter("detect_jobs", "freqywm_ops_total", OPS).labelled("op", "detect")
-            .in_history("detect_jobs").in_totals(),
+        EmbedJobs => counter("embed_jobs", "freqywm_ops_total", OPS)
+            .labelled("op", OpKind::Embed.as_str()).in_history("embed_jobs").in_totals(),
+        DetectJobs => counter("detect_jobs", "freqywm_ops_total", OPS)
+            .labelled("op", OpKind::Detect.as_str()).in_history("detect_jobs").in_totals(),
         MaintainJobs => counter("maintain_jobs", "freqywm_ops_total", OPS)
-            .labelled("op", "maintain").in_history("maintain_jobs").in_totals(),
+            .labelled("op", OpKind::Maintain.as_str()).in_history("maintain_jobs").in_totals(),
         Disputes => counter("disputes", "freqywm_disputes_total",
             "Ownership disputes arbitrated.").in_totals(),
         SlowLogSuppressed => counter("slow_log_suppressed", "freqywm_slow_log_suppressed_total",
@@ -83,11 +84,11 @@ freqywm_obs::families! {
         NetBytesOut => counter("net.bytes_out", "freqywm_net_bytes_out_total",
             "Bytes written to clients.").in_history("bytes_out").in_totals(),
         TenantEmbed => counter("embed", "freqywm_tenant_ops_total", TENANT_OPS)
-            .labelled("op", "embed").per_row(),
+            .labelled("op", OpKind::Embed.as_str()).per_row(),
         TenantDetect => counter("detect", "freqywm_tenant_ops_total", TENANT_OPS)
-            .labelled("op", "detect").per_row(),
+            .labelled("op", OpKind::Detect.as_str()).per_row(),
         TenantMaintain => counter("maintain", "freqywm_tenant_ops_total", TENANT_OPS)
-            .labelled("op", "maintain").per_row(),
+            .labelled("op", OpKind::Maintain.as_str()).per_row(),
         TenantRejected => counter("rejected", "freqywm_tenant_rejected_total",
             "Rejected jobs by tenant.").per_row(),
         TenantAdmitted => counter("admitted", "freqywm_tenant_admitted_total",

@@ -878,7 +878,7 @@ impl DurableRegistry {
     /// Applies one sealed event received from a primary: verifies the
     /// MAC, checks the sequence number, durably appends the identical
     /// record to the local log, then applies it in memory — the same
-    /// write-ahead discipline as [`Self::commit`], so a replica killed
+    /// write-ahead discipline as a primary's commit, so a replica killed
     /// at any byte boundary recovers exactly like a primary.
     ///
     /// Returns `false` (and changes nothing) for an event the replica

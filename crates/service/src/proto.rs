@@ -522,6 +522,9 @@ pub fn id_echo(id: Option<&Value>) -> String {
 pub struct Envelope {
     /// The non-bulk fields, in request order, as a [`Value::Obj`].
     fields: Value,
+    /// The op the `op` field names, resolved once as the line is read:
+    /// `Other` when it names none.
+    op: OpKind,
     counts: Option<Result<CountRows, String>>,
     tokens: Option<Result<Vec<Token>, String>>,
     updates: Option<Result<Vec<(Token, i64)>, String>>,
@@ -566,8 +569,13 @@ impl Envelope {
             p.skip_value()?;
         }
         p.finish()?;
+        let fields = Value::Obj(fields);
         Ok(Envelope {
-            fields: Value::Obj(fields),
+            op: fields
+                .get("op")
+                .and_then(Value::as_str)
+                .map_or(OpKind::Other, OpKind::from_wire),
+            fields,
             counts,
             tokens,
             updates,
@@ -582,6 +590,14 @@ impl Envelope {
     /// Every non-bulk top-level field, as a [`Value::Obj`].
     pub fn fields(&self) -> &Value {
         &self.fields
+    }
+
+    /// The refusal of a line whose op is `Other`.
+    fn op_refusal(&self) -> String {
+        match self.get("op").and_then(Value::as_str) {
+            Some(op) => format!("unknown op {op:?}"),
+            None => "missing string field \"op\"".to_string(),
+        }
     }
 }
 
@@ -736,10 +752,10 @@ fn req_str<'a>(req: &'a Value, key: &str) -> Result<&'a str, String> {
 /// it accepts what is there, and otherwise the error `"<key> must be
 /// <must_be>"` — a mistyped or out-of-range field is refused, never
 /// replaced by its default.
-fn opt_field<T>(
-    req: &Value,
+fn opt_field<'a, T>(
+    req: &'a Value,
     key: &str,
-    read: impl FnOnce(&Value) -> Option<T>,
+    read: impl FnOnce(&'a Value) -> Option<T>,
     must_be: &str,
 ) -> Result<Option<T>, String> {
     req.get(key)
@@ -757,14 +773,9 @@ fn opt_bool(req: &Value, key: &str) -> Result<Option<bool>, String> {
     opt_field(req, key, Value::as_bool, "true or false")
 }
 
-fn job_timeout(req: &Value) -> Option<Duration> {
-    req.get("timeout_ms")
-        .and_then(Value::as_u64)
-        .map(Duration::from_millis)
-}
-
-fn job_trace(req: &Value) -> Option<String> {
-    req.get("trace").and_then(Value::as_str).map(str::to_string)
+/// [`opt_field`] for a string.
+fn opt_str<'a>(req: &'a Value, key: &str) -> Result<Option<&'a str>, String> {
+    opt_field(req, key, Value::as_str, "a string")
 }
 
 /// Renders a terminal [`JobState`] as the protocol response line.
@@ -844,7 +855,7 @@ pub fn render_job_state(state: JobState, id: Option<&Value>) -> String {
                 ),
                 id_part,
                 escape(&e.to_string()),
-                crate::quota::class_name(kind),
+                kind.op().as_str(),
                 retry_after_ms,
             )
         }
@@ -854,12 +865,23 @@ pub fn render_job_state(state: JobState, id: Option<&Value>) -> String {
 }
 
 /// A parsed request: a job to schedule on the pool, a synchronous op
-/// executed via [`execute_op`], or shutdown. Parsing never touches the
-/// engine, so the transport controls *when* ordered ops run.
+/// run by [`run_op`], or shutdown. Parsing never touches the engine, so
+/// the transport controls *when* ordered ops run.
 pub enum Planned {
-    Op(Value),
+    Op(OpCall),
     Job(JobSpec),
     Shutdown,
+}
+
+/// Runs one synchronous op: its response line, or its refusal.
+type OpFn = fn(&Engine, &Value) -> Result<String, String>;
+
+/// A planned synchronous op: the request's fields and the handler its
+/// op named.
+pub struct OpCall {
+    op: OpKind,
+    run: OpFn,
+    req: Value,
 }
 
 /// Parses one request line into its echoed id and execution plan.
@@ -885,13 +907,27 @@ pub fn request_id(line: &str) -> Option<Value> {
 }
 
 fn plan_request(env: Envelope) -> Result<Planned, String> {
-    match req_str(env.fields(), "op")? {
-        "register" | "dispute" | "quota" | "metrics" | "history" | "trace" | "hello"
-        | "replicate" | "promote" => Ok(Planned::Op(env.fields)),
-        "shutdown" => Ok(Planned::Shutdown),
-        "embed" | "detect" | "maintain" => plan_job(env),
-        other => Err(format!("unknown op {other:?}")),
-    }
+    let run: OpFn = match env.op {
+        OpKind::Register => register,
+        OpKind::Dispute => dispute,
+        OpKind::Quota => quota,
+        OpKind::Metrics => metrics,
+        OpKind::History => history,
+        OpKind::Trace => trace,
+        OpKind::Hello => hello,
+        OpKind::Replicate => replicate,
+        OpKind::Promote => promote,
+        OpKind::Embed => return plan_job(env, JobKind::Embed),
+        OpKind::Detect => return plan_job(env, JobKind::Detect),
+        OpKind::Maintain => return plan_job(env, JobKind::Maintain),
+        OpKind::Shutdown => return Ok(Planned::Shutdown),
+        OpKind::Other => return Err(env.op_refusal()),
+    };
+    Ok(Planned::Op(OpCall {
+        op: env.op,
+        run,
+        req: env.fields,
+    }))
 }
 
 /// Where a request must execute, extracted without touching the engine
@@ -903,64 +939,76 @@ pub enum RouteInfo {
     /// Keyed by two tenant ids (`dispute`): routable only when both
     /// hash to the same shard.
     TenantPair(String, String),
-    /// Tenant-agnostic read (`metrics`, `history`, `trace`): fan out
-    /// to every shard and merge.
-    Broadcast,
-    /// `shutdown`: fan out, then drain the tier.
-    Shutdown,
+    /// Tenant-agnostic: fan out to every shard and merge the answers.
+    Broadcast(FanoutKind),
     /// Handled by whatever tier received it (`hello`).
     Local,
     /// Cannot be routed; answer with this protocol error.
     Unroutable(String),
 }
 
-/// Classifies a parsed request for routing. Mirrors [`plan`]'s op table
-/// — an op added there must be classified here, or the router will
-/// refuse it before a shard ever sees it.
+/// The tenant-agnostic ops, which the router sends to every live shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FanoutKind {
+    /// Sends a canonical `metrics` probe and merges the tier's view.
+    Metrics,
+    /// Forwards the client's line (it carries `last`) and returns one
+    /// series per shard.
+    History,
+    /// Forwards the client's line (it carries the filters) and merges
+    /// the spans into one timeline.
+    Trace,
+    /// Sends `shutdown`, then drains the tier.
+    Shutdown,
+}
+
+/// Classifies a parsed request for routing.
 pub fn route_of(req: &Envelope) -> RouteInfo {
-    let Some(op) = req.get("op").and_then(Value::as_str) else {
-        return RouteInfo::Unroutable("missing string field \"op\"".to_string());
-    };
     let tenant_field = |key: &str| -> Result<String, RouteInfo> {
         req.get(key)
             .and_then(Value::as_str)
             .map(str::to_string)
             .ok_or_else(|| RouteInfo::Unroutable(format!("missing string field {key:?}")))
     };
-    match op {
-        "register" | "embed" | "detect" | "maintain" | "quota" => match tenant_field("tenant") {
-            Ok(t) => RouteInfo::Tenant(t),
-            Err(e) => e,
-        },
-        "dispute" => match (tenant_field("a"), tenant_field("b")) {
+    match req.op {
+        OpKind::Register | OpKind::Embed | OpKind::Detect | OpKind::Maintain | OpKind::Quota => {
+            match tenant_field("tenant") {
+                Ok(t) => RouteInfo::Tenant(t),
+                Err(e) => e,
+            }
+        }
+        OpKind::Dispute => match (tenant_field("a"), tenant_field("b")) {
             (Ok(a), Ok(b)) => RouteInfo::TenantPair(a, b),
             (Err(e), _) | (_, Err(e)) => e,
         },
-        "metrics" | "history" | "trace" => RouteInfo::Broadcast,
-        "shutdown" => RouteInfo::Shutdown,
-        "hello" => RouteInfo::Local,
+        OpKind::Metrics => RouteInfo::Broadcast(FanoutKind::Metrics),
+        OpKind::History => RouteInfo::Broadcast(FanoutKind::History),
+        OpKind::Trace => RouteInfo::Broadcast(FanoutKind::Trace),
+        OpKind::Shutdown => RouteInfo::Broadcast(FanoutKind::Shutdown),
+        OpKind::Hello => RouteInfo::Local,
         // Replication management addresses one specific engine, not a
         // tenant hash: followers dial their primary directly, and the
         // router issues `promote` itself during failover. A client
         // sending these through the router is confused — refuse.
-        "replicate" | "promote" => RouteInfo::Unroutable(format!(
-            "op {op:?} is shard-direct: send it to an engine address, not the router"
+        op @ (OpKind::Replicate | OpKind::Promote) => RouteInfo::Unroutable(format!(
+            "op {:?} is shard-direct: send it to an engine address, not the router",
+            op.as_str()
         )),
-        other => RouteInfo::Unroutable(format!("unknown op {other:?}")),
+        OpKind::Other => RouteInfo::Unroutable(req.op_refusal()),
     }
 }
 
-fn plan_job(env: Envelope) -> Result<Planned, String> {
+fn plan_job(env: Envelope, kind: JobKind) -> Result<Planned, String> {
     let Envelope {
         fields: ref req,
         counts,
         tokens,
         updates,
+        ..
     } = env;
-    let op = req_str(req, "op")?;
-    match op {
-        "embed" => {
-            let tenant = req_str(req, "tenant")?.to_string();
+    let tenant = req_str(req, "tenant")?.to_string();
+    let payload = match kind {
+        JobKind::Embed => {
             // Embed sweeps a full histogram: build it at plan time, so
             // the worker runs only `WM_Generate`.
             let data = match job_data(counts, tokens)? {
@@ -977,21 +1025,13 @@ fn plan_job(env: Envelope) -> Result<Planned, String> {
             if let Some(x) = opt_bool(req, "exclude_free_pairs")? {
                 params = params.with_exclude_free_pairs(x);
             }
-            let mut spec = JobSpec::new(JobPayload::Embed {
+            JobPayload::Embed {
                 tenant,
                 data,
                 params,
-            });
-            if let Some(t) = job_timeout(req) {
-                spec = spec.with_timeout(t);
             }
-            if let Some(t) = job_trace(req) {
-                spec = spec.with_trace(t);
-            }
-            Ok(Planned::Job(spec))
         }
-        "detect" => {
-            let tenant = req_str(req, "tenant")?.to_string();
+        JobKind::Detect => {
             let data = job_data(counts, tokens)?;
             let mut params = DetectionParams::default();
             if let Some(t) = opt_u64(req, "t")? {
@@ -1006,314 +1046,310 @@ fn plan_job(env: Envelope) -> Result<Planned, String> {
             if let Some(s) = opt_field(req, "scale", scale, "a positive finite number")? {
                 params = params.with_scale(s);
             }
-            let mut spec = JobSpec::new(JobPayload::Detect {
+            JobPayload::Detect {
                 tenant,
                 data,
                 params,
-            });
-            if let Some(t) = job_timeout(req) {
-                spec = spec.with_timeout(t);
             }
-            if let Some(t) = job_trace(req) {
-                spec = spec.with_trace(t);
-            }
-            Ok(Planned::Job(spec))
         }
-        "maintain" => {
-            let tenant = req_str(req, "tenant")?.to_string();
-            let updates = updates.ok_or("missing \"updates\"")??;
-            let replenish = opt_bool(req, "replenish")?.unwrap_or(false);
-            let mut spec = JobSpec::new(JobPayload::Maintain {
-                tenant,
-                updates,
-                replenish,
-            });
-            if let Some(t) = job_trace(req) {
-                spec = spec.with_trace(t);
-            }
-            Ok(Planned::Job(spec))
+        JobKind::Maintain => JobPayload::Maintain {
+            tenant,
+            updates: updates.ok_or("missing \"updates\"")??,
+            replenish: opt_bool(req, "replenish")?.unwrap_or(false),
+        },
+    };
+    let mut spec = JobSpec::new(payload);
+    // A maintain takes no `timeout_ms`: it runs under the engine's
+    // default deadline.
+    if kind != JobKind::Maintain {
+        if let Some(ms) = opt_u64(req, "timeout_ms")? {
+            spec = spec.with_timeout(Duration::from_millis(ms));
         }
-        other => Err(format!("not a job op: {other:?}")),
     }
+    if let Some(t) = opt_str(req, "trace")? {
+        spec = spec.with_trace(t);
+    }
+    Ok(Planned::Job(spec))
 }
 
-/// Executes a synchronous (non-job) op: `register`, `dispute`,
-/// `metrics`.
-fn execute_op(engine: &Engine, req: &Value) -> Result<String, String> {
-    let op = req_str(req, "op")?;
-    match op {
-        "register" => {
-            let tenant = req_str(req, "tenant")?;
-            let secret = if let Some(hex) = req.get("secret").and_then(Value::as_str) {
-                Secret::from_hex(hex).ok_or("secret must be 64 hex chars")?
-            } else if let Some(label) = req.get("secret_label").and_then(Value::as_str) {
-                // Deterministic; for tests and demos only.
-                Secret::from_label(label)
-            } else {
-                Secret::generate(&mut rand::rngs::OsRng)
-            };
-            let index = engine
-                .register_tenant(tenant, secret)
-                .map_err(|e| e.to_string())?;
-            Ok(format!(
-                "{{\"ok\":true,\"op\":\"register\",\"tenant\":\"{}\",\"ledger_index\":{}}}",
-                escape(tenant),
-                index
-            ))
-        }
-        "dispute" => {
-            let a = req_str(req, "a")?;
-            let b = req_str(req, "b")?;
-            let mut params = DetectionParams::default();
-            if let Some(t) = opt_u64(req, "t")? {
-                params = params.with_t(t);
-            }
-            let fraction = |v: &Value| v.as_f64().filter(|q| (0.0..=1.0).contains(q));
-            let quorum =
-                opt_field(req, "quorum", fraction, "a number from 0 to 1")?.unwrap_or(0.25);
-            // Quorum: fraction of the smaller claimant's pair count.
-            {
-                let registry = engine.registry();
-                let pa = registry
-                    .require_watermark(a)
-                    .map_err(|e| e.to_string())?
-                    .secrets
-                    .len();
-                let pb = registry
-                    .require_watermark(b)
-                    .map_err(|e| e.to_string())?
-                    .secrets
-                    .len();
-                let k = ((pa.min(pb) as f64) * quorum).ceil().max(1.0) as usize;
-                params = params.with_k(k);
-            }
-            let outcome = engine.dispute(a, b, &params).map_err(|e| e.to_string())?;
-            let verdict = match outcome.ruling.verdict {
-                freqywm_core::judge::Verdict::FirstParty => "first_party",
-                freqywm_core::judge::Verdict::SecondParty => "second_party",
-                freqywm_core::judge::Verdict::Inconclusive => "inconclusive",
-            };
-            Ok(format!(
-                concat!(
-                    "{{\"ok\":true,\"op\":\"dispute\",\"a\":\"{}\",\"b\":\"{}\",",
-                    "\"protocol_verdict\":\"{}\",\"winner\":\"{}\",",
-                    "\"decisive_protocol\":{},\"a_on_b_accepted\":{},",
-                    "\"b_on_a_accepted\":{}}}"
-                ),
-                escape(a),
-                escape(b),
-                verdict,
-                escape(&outcome.winner),
-                outcome.decisive_protocol,
-                outcome.ruling.a_on_b.accepted,
-                outcome.ruling.b_on_a.accepted,
-            ))
-        }
-        // Per-tenant budget tier: read or set the sliding-window quota.
-        // Carrying any of `embed`/`detect`/`maintain`/`window_ms` makes
-        // it a set (write path: primary only, persisted and replicated
-        // through the registry log); absent classes mean "unlimited".
-        // A bare `{"op":"quota","tenant":…}` is a read and works on
-        // followers too. Either way the response reports the effective
-        // budgets, current window consumption and admission counters.
-        "quota" => {
-            let tenant = req_str(req, "tenant")?;
-            let class = |key: &str| req.get(key).and_then(Value::as_u64);
-            let window_ms = req.get("window_ms").and_then(Value::as_u64);
-            let setting = window_ms.is_some()
-                || ["embed", "detect", "maintain"]
-                    .iter()
-                    .any(|k| class(k).is_some());
-            if setting {
-                let limits = crate::quota::QuotaLimits {
-                    embed: class("embed").unwrap_or(crate::quota::UNLIMITED),
-                    detect: class("detect").unwrap_or(crate::quota::UNLIMITED),
-                    maintain: class("maintain").unwrap_or(crate::quota::UNLIMITED),
-                };
-                engine
-                    .set_quota(tenant, limits, window_ms)
-                    .map_err(|e| e.to_string())?;
-            }
-            let status = engine.quota_status(tenant).map_err(|e| e.to_string())?;
-            let budget = |v: u64| {
-                if v == crate::quota::UNLIMITED {
-                    "null".to_string()
-                } else {
-                    v.to_string()
-                }
-            };
-            let (admitted, refused) = engine
-                .metrics()
-                .per_tenant
-                .iter()
-                .find(|r| r.tenant == tenant)
-                .map(|r| (r.ops[M::TenantAdmitted], r.ops[M::TenantQuotaRefused]))
-                .unwrap_or((0, 0));
-            Ok(format!(
-                concat!(
-                    "{{\"ok\":true,\"op\":\"quota\",\"tenant\":\"{}\",\"set\":{},",
-                    "\"source\":\"{}\",\"window_ms\":{},",
-                    "\"budgets\":{{\"embed\":{},\"detect\":{},\"maintain\":{}}},",
-                    "\"used\":{{\"embed\":{},\"detect\":{},\"maintain\":{}}},",
-                    "\"admitted\":{},\"refused\":{}}}"
-                ),
-                escape(tenant),
-                setting,
-                if status.explicit {
-                    "explicit"
-                } else {
-                    "default"
-                },
-                status.window_ms,
-                budget(status.limits.embed),
-                budget(status.limits.detect),
-                budget(status.limits.maintain),
-                status.used[0],
-                status.used[1],
-                status.used[2],
-                admitted,
-                refused,
-            ))
-        }
-        "metrics" => Ok(format!(
-            "{{\"ok\":true,\"op\":\"metrics\",\"metrics\":{}}}",
-            engine.metrics().to_json()
-        )),
-        // Retained metrics snapshots from the sampler ring, plus a
-        // fresh `now` sample and window rates between the oldest
-        // retained sample and now. `last` trims to the newest N
-        // samples; the window always spans what is returned.
-        "history" => {
-            let report = engine.history();
-            let mut samples: &[(u64, crate::metrics::HistorySample)] = &report.samples;
-            if let Some(n) = req.get("last").and_then(Value::as_u64) {
-                let n = (n as usize).max(1);
-                if samples.len() > n {
-                    samples = &samples[samples.len() - n..];
-                }
-            }
-            let oldest = samples.first().unwrap_or(&report.now);
-            let rates = crate::metrics::history_rates_json(
-                (oldest.0, &oldest.1),
-                (report.now.0, &report.now.1),
-            );
-            let shard = engine
-                .shard_label()
-                .map(|s| format!("\"shard\":\"{}\",", escape(s)))
-                .unwrap_or_default();
-            Ok(format!(
-                concat!(
-                    "{{\"ok\":true,\"op\":\"history\",{}",
-                    "\"retain\":{{\"capacity\":{},\"interval_ms\":{}}},",
-                    "\"count\":{},\"samples\":[{}],\"now\":{},\"rates\":{}}}"
-                ),
-                shard,
-                report.capacity,
-                report.interval_ms,
-                samples.len(),
-                samples
-                    .iter()
-                    .map(|(t, s)| s.to_json(*t))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                report.now.1.to_json(report.now.0),
-                rates,
-            ))
-        }
-        // Recent stage spans from the engine's ring, filtered by trace
-        // id / tenant / op / minimum duration. A filter that matches
-        // nothing (e.g. an unknown tenant) is an empty result, not an
-        // error — the ring is a window, not an index.
-        "trace" => {
-            let mut filter = TraceFilter::default();
-            if let Some(t) = req.get("trace").and_then(Value::as_str) {
-                filter.trace = Some(t.to_string());
-            }
-            if let Some(t) = req.get("tenant").and_then(Value::as_str) {
-                filter.tenant = Some(t.to_string());
-            }
-            if let Some(o) = req.get("for_op").and_then(Value::as_str) {
-                filter.op = Some(OpKind::from_op(o));
-            }
-            if let Some(us) = req.get("min_us").and_then(Value::as_u64) {
-                filter.min_dur_us = us;
-            }
-            if let Some(ms) = req.get("min_ms").and_then(Value::as_f64) {
-                filter.min_dur_us = (ms * 1e3) as u64;
-            }
-            if let Some(n) = req.get("limit").and_then(Value::as_u64) {
-                filter.limit = (n as usize).max(1);
-            }
-            let spans = engine.trace_query(&filter);
-            let shard = engine
-                .shard_label()
-                .map(|s| format!("\"shard\":\"{}\",", escape(s)))
-                .unwrap_or_default();
-            Ok(format!(
-                "{{\"ok\":true,\"op\":\"trace\",{}\"count\":{},\"spans\":[{}]}}",
-                shard,
-                spans.len(),
-                spans.iter().map(span_json).collect::<Vec<_>>().join(","),
-            ))
-        }
-        // Replication stream (see `crate::replica`): sealed log events
-        // from `from_seq` as hex strings, or a full snapshot when the
-        // primary compacted past that point. Followers answer too, so
-        // either side of a pair can be audited or chained from.
-        "replicate" => {
-            let from_seq = req.get("from_seq").and_then(Value::as_u64).unwrap_or(0);
-            let batch = engine.replicate(from_seq).map_err(|e| e.to_string())?;
-            let events: Vec<String> = batch
-                .events
-                .iter()
-                .map(|ev| format!("\"{}\"", freqywm_crypto::hex::encode(ev)))
-                .collect();
-            let snapshot = batch
-                .snapshot
-                .as_ref()
-                .map(|s| format!(",\"snapshot\":\"{}\"", freqywm_crypto::hex::encode(s)))
-                .unwrap_or_default();
-            Ok(format!(
-                concat!(
-                    "{{\"ok\":true,\"op\":\"replicate\",\"from_seq\":{},",
-                    "\"next_seq\":{},\"head\":\"{}\",\"events\":[{}]{}}}"
-                ),
-                batch.from_seq,
-                batch.next_seq,
-                freqywm_crypto::hex::encode(&batch.head),
-                events.join(","),
-                snapshot,
-            ))
-        }
-        // Failover: flip a follower into a full primary after its
-        // replicated chain re-proves itself. Idempotent — promoting a
-        // primary reports its current head (`was_follower: false`).
-        "promote" => {
-            let report = engine.promote().map_err(|e| e.to_string())?;
-            Ok(format!(
-                concat!(
-                    "{{\"ok\":true,\"op\":\"promote\",\"was_follower\":{},",
-                    "\"entries\":{},\"seq\":{},\"head\":\"{}\"}}"
-                ),
-                report.was_follower,
-                report.entries,
-                report.next_seq,
-                freqywm_crypto::hex::encode(&report.head),
-            ))
-        }
-        // Connection handshake / liveness probe. With an auth token
-        // configured the Session consumes `hello` itself (it carries
-        // the token); an open session answers here so clients can probe
-        // either way — and learn which shard they reached.
-        "hello" => {
-            let shard = engine
-                .shard_label()
-                .map(|s| format!(",\"shard\":\"{}\"", escape(s)))
-                .unwrap_or_default();
-            Ok(format!("{{\"ok\":true,\"op\":\"hello\"{shard}}}"))
-        }
-        other => Err(format!("not a synchronous op: {other:?}")),
+fn register(engine: &Engine, req: &Value) -> Result<String, String> {
+    let tenant = req_str(req, "tenant")?;
+    let hex = |v: &Value| v.as_str().and_then(Secret::from_hex);
+    let secret = opt_field(req, "secret", hex, "64 hex chars")?;
+    let label = opt_str(req, "secret_label")?;
+    let secret = match (secret, label) {
+        (Some(secret), _) => secret,
+        // Deterministic; for tests and demos only.
+        (None, Some(label)) => Secret::from_label(label),
+        (None, None) => Secret::generate(&mut rand::rngs::OsRng),
+    };
+    let index = engine
+        .register_tenant(tenant, secret)
+        .map_err(|e| e.to_string())?;
+    Ok(format!(
+        "{{\"ok\":true,\"op\":\"register\",\"tenant\":\"{}\",\"ledger_index\":{}}}",
+        escape(tenant),
+        index
+    ))
+}
+
+fn dispute(engine: &Engine, req: &Value) -> Result<String, String> {
+    let a = req_str(req, "a")?;
+    let b = req_str(req, "b")?;
+    let mut params = DetectionParams::default();
+    if let Some(t) = opt_u64(req, "t")? {
+        params = params.with_t(t);
     }
+    let fraction = |v: &Value| v.as_f64().filter(|q| (0.0..=1.0).contains(q));
+    let quorum = opt_field(req, "quorum", fraction, "a number from 0 to 1")?.unwrap_or(0.25);
+    // Quorum: fraction of the smaller claimant's pair count.
+    {
+        let registry = engine.registry();
+        let pa = registry
+            .require_watermark(a)
+            .map_err(|e| e.to_string())?
+            .secrets
+            .len();
+        let pb = registry
+            .require_watermark(b)
+            .map_err(|e| e.to_string())?
+            .secrets
+            .len();
+        let k = ((pa.min(pb) as f64) * quorum).ceil().max(1.0) as usize;
+        params = params.with_k(k);
+    }
+    let outcome = engine.dispute(a, b, &params).map_err(|e| e.to_string())?;
+    let verdict = match outcome.ruling.verdict {
+        freqywm_core::judge::Verdict::FirstParty => "first_party",
+        freqywm_core::judge::Verdict::SecondParty => "second_party",
+        freqywm_core::judge::Verdict::Inconclusive => "inconclusive",
+    };
+    Ok(format!(
+        concat!(
+            "{{\"ok\":true,\"op\":\"dispute\",\"a\":\"{}\",\"b\":\"{}\",",
+            "\"protocol_verdict\":\"{}\",\"winner\":\"{}\",",
+            "\"decisive_protocol\":{},\"a_on_b_accepted\":{},",
+            "\"b_on_a_accepted\":{}}}"
+        ),
+        escape(a),
+        escape(b),
+        verdict,
+        escape(&outcome.winner),
+        outcome.decisive_protocol,
+        outcome.ruling.a_on_b.accepted,
+        outcome.ruling.b_on_a.accepted,
+    ))
+}
+
+/// Per-tenant budget tier: read or set the sliding-window quota.
+/// Carrying any of `embed`/`detect`/`maintain`/`window_ms` makes it a
+/// set (write path: primary only, persisted and replicated through the
+/// registry log); absent classes mean "unlimited". A bare
+/// `{"op":"quota","tenant":…}` is a read and works on followers too.
+/// Either way the response reports the effective budgets, current
+/// window consumption and admission counters.
+fn quota(engine: &Engine, req: &Value) -> Result<String, String> {
+    use crate::quota::{QuotaLimits, UNLIMITED};
+    let tenant = req_str(req, "tenant")?;
+    let embed = opt_u64(req, "embed")?;
+    let detect = opt_u64(req, "detect")?;
+    let maintain = opt_u64(req, "maintain")?;
+    let window_ms = opt_u64(req, "window_ms")?;
+    let setting = [embed, detect, maintain, window_ms]
+        .iter()
+        .any(Option::is_some);
+    if setting {
+        let limits = QuotaLimits {
+            embed: embed.unwrap_or(UNLIMITED),
+            detect: detect.unwrap_or(UNLIMITED),
+            maintain: maintain.unwrap_or(UNLIMITED),
+        };
+        engine
+            .set_quota(tenant, limits, window_ms)
+            .map_err(|e| e.to_string())?;
+    }
+    let status = engine.quota_status(tenant).map_err(|e| e.to_string())?;
+    let budget = |v: u64| {
+        if v == UNLIMITED {
+            "null".to_string()
+        } else {
+            v.to_string()
+        }
+    };
+    let (admitted, refused) = engine
+        .metrics()
+        .per_tenant
+        .iter()
+        .find(|r| r.tenant == tenant)
+        .map(|r| (r.ops[M::TenantAdmitted], r.ops[M::TenantQuotaRefused]))
+        .unwrap_or((0, 0));
+    Ok(format!(
+        concat!(
+            "{{\"ok\":true,\"op\":\"quota\",\"tenant\":\"{}\",\"set\":{},",
+            "\"source\":\"{}\",\"window_ms\":{},",
+            "\"budgets\":{{\"embed\":{},\"detect\":{},\"maintain\":{}}},",
+            "\"used\":{{\"embed\":{},\"detect\":{},\"maintain\":{}}},",
+            "\"admitted\":{},\"refused\":{}}}"
+        ),
+        escape(tenant),
+        setting,
+        if status.explicit {
+            "explicit"
+        } else {
+            "default"
+        },
+        status.window_ms,
+        budget(status.limits.embed),
+        budget(status.limits.detect),
+        budget(status.limits.maintain),
+        status.used[0],
+        status.used[1],
+        status.used[2],
+        admitted,
+        refused,
+    ))
+}
+
+fn metrics(engine: &Engine, _req: &Value) -> Result<String, String> {
+    Ok(format!(
+        "{{\"ok\":true,\"op\":\"metrics\",\"metrics\":{}}}",
+        engine.metrics().to_json()
+    ))
+}
+
+/// The `"shard":"…",` member a shard's answer leads with, if labelled.
+fn shard_member(engine: &Engine) -> String {
+    engine
+        .shard_label()
+        .map(|s| format!("\"shard\":\"{}\",", escape(s)))
+        .unwrap_or_default()
+}
+
+/// Retained metrics snapshots from the sampler ring, plus a fresh `now`
+/// sample and window rates between the oldest retained sample and now.
+/// `last` trims to the newest N samples; the window always spans what
+/// is returned.
+fn history(engine: &Engine, req: &Value) -> Result<String, String> {
+    let last = opt_u64(req, "last")?;
+    let report = engine.history();
+    let mut samples: &[(u64, crate::metrics::HistorySample)] = &report.samples;
+    if let Some(n) = last {
+        let n = (n as usize).max(1);
+        if samples.len() > n {
+            samples = &samples[samples.len() - n..];
+        }
+    }
+    let oldest = samples.first().unwrap_or(&report.now);
+    let rates =
+        crate::metrics::history_rates_json((oldest.0, &oldest.1), (report.now.0, &report.now.1));
+    Ok(format!(
+        concat!(
+            "{{\"ok\":true,\"op\":\"history\",{}",
+            "\"retain\":{{\"capacity\":{},\"interval_ms\":{}}},",
+            "\"count\":{},\"samples\":[{}],\"now\":{},\"rates\":{}}}"
+        ),
+        shard_member(engine),
+        report.capacity,
+        report.interval_ms,
+        samples.len(),
+        samples
+            .iter()
+            .map(|(t, s)| s.to_json(*t))
+            .collect::<Vec<_>>()
+            .join(","),
+        report.now.1.to_json(report.now.0),
+        rates,
+    ))
+}
+
+/// Recent stage spans from the engine's ring, filtered by trace id /
+/// tenant / op label / minimum duration. A filter that matches nothing
+/// (an unknown tenant, a `for_op` that names no span label) is an empty
+/// result, not an error — the ring is a window, not an index.
+fn trace(engine: &Engine, req: &Value) -> Result<String, String> {
+    let mut filter = TraceFilter {
+        trace: opt_str(req, "trace")?.map(str::to_string),
+        tenant: opt_str(req, "tenant")?.map(str::to_string),
+        ..TraceFilter::default()
+    };
+    // `Some(None)`: a `for_op` that names no span label.
+    let for_op = opt_str(req, "for_op")?.map(OpKind::from_name);
+    filter.op = for_op.flatten();
+    let min_us = opt_u64(req, "min_us")?;
+    let min_ms = opt_field(req, "min_ms", Value::as_f64, "a number")?;
+    filter.min_dur_us = min_ms.map_or(min_us.unwrap_or(0), |ms| (ms * 1e3) as u64);
+    if let Some(n) = opt_u64(req, "limit")? {
+        filter.limit = (n as usize).max(1);
+    }
+    let spans = match for_op {
+        Some(None) => Vec::new(),
+        _ => engine.trace_query(&filter),
+    };
+    Ok(format!(
+        "{{\"ok\":true,\"op\":\"trace\",{}\"count\":{},\"spans\":[{}]}}",
+        shard_member(engine),
+        spans.len(),
+        spans.iter().map(span_json).collect::<Vec<_>>().join(","),
+    ))
+}
+
+/// Replication stream (see `crate::replica`): sealed log events from
+/// `from_seq` as hex strings, or a full snapshot when the primary
+/// compacted past that point. Followers answer too, so either side of a
+/// pair can be audited or chained from.
+fn replicate(engine: &Engine, req: &Value) -> Result<String, String> {
+    let from_seq = opt_u64(req, "from_seq")?.unwrap_or(0);
+    let batch = engine.replicate(from_seq).map_err(|e| e.to_string())?;
+    let events: Vec<String> = batch
+        .events
+        .iter()
+        .map(|ev| format!("\"{}\"", freqywm_crypto::hex::encode(ev)))
+        .collect();
+    let snapshot = batch
+        .snapshot
+        .as_ref()
+        .map(|s| format!(",\"snapshot\":\"{}\"", freqywm_crypto::hex::encode(s)))
+        .unwrap_or_default();
+    Ok(format!(
+        concat!(
+            "{{\"ok\":true,\"op\":\"replicate\",\"from_seq\":{},",
+            "\"next_seq\":{},\"head\":\"{}\",\"events\":[{}]{}}}"
+        ),
+        batch.from_seq,
+        batch.next_seq,
+        freqywm_crypto::hex::encode(&batch.head),
+        events.join(","),
+        snapshot,
+    ))
+}
+
+/// Failover: flip a follower into a full primary after its replicated
+/// chain re-proves itself. Idempotent — promoting a primary reports its
+/// current head (`was_follower: false`).
+fn promote(engine: &Engine, _req: &Value) -> Result<String, String> {
+    let report = engine.promote().map_err(|e| e.to_string())?;
+    Ok(format!(
+        concat!(
+            "{{\"ok\":true,\"op\":\"promote\",\"was_follower\":{},",
+            "\"entries\":{},\"seq\":{},\"head\":\"{}\"}}"
+        ),
+        report.was_follower,
+        report.entries,
+        report.next_seq,
+        freqywm_crypto::hex::encode(&report.head),
+    ))
+}
+
+/// Connection handshake / liveness probe. With an auth token configured
+/// the Session consumes `hello` itself (it carries the token); an open
+/// session answers here so clients can probe either way — and learn
+/// which shard they reached.
+fn hello(engine: &Engine, _req: &Value) -> Result<String, String> {
+    let shard = engine
+        .shard_label()
+        .map(|s| format!(",\"shard\":\"{}\"", escape(s)))
+        .unwrap_or_default();
+    Ok(format!("{{\"ok\":true,\"op\":\"hello\"{shard}}}"))
 }
 
 /// Renders one span as a JSON object — the element type of the `trace`
@@ -1335,8 +1371,8 @@ pub fn span_json(span: &Span) -> String {
 }
 
 /// Executes a synchronous op and renders its response line.
-pub fn run_op(engine: &Engine, req: &Value, id: Option<&Value>) -> String {
-    match execute_op(engine, req) {
+pub fn run_op(engine: &Engine, call: &OpCall, id: Option<&Value>) -> String {
+    match (call.run)(engine, &call.req) {
         Ok(resp) => inject_id(resp, id),
         Err(e) => err_response(id, &e),
     }
@@ -1351,7 +1387,7 @@ fn respond(
 ) -> (String, bool) {
     match planned {
         Err(e) => (err_response(id, &e), false),
-        Ok(Planned::Op(req)) => (run_op(engine, &req, id), false),
+        Ok(Planned::Op(call)) => (run_op(engine, &call, id), false),
         Ok(Planned::Shutdown) => (
             inject_id("{\"ok\":true,\"op\":\"shutdown\"}".to_string(), id),
             true,
@@ -1398,14 +1434,6 @@ struct SpanCtx {
     received: Instant,
 }
 
-fn job_op_kind(kind: JobKind) -> OpKind {
-    match kind {
-        JobKind::Embed => OpKind::Embed,
-        JobKind::Detect => OpKind::Detect,
-        JobKind::Maintain => OpKind::Maintain,
-    }
-}
-
 /// Records the `parse` span for a freshly planned request and builds
 /// its [`SpanCtx`]. Ensures every planned job carries a trace id (the
 /// request's own, or one minted here) so the engine-side spans
@@ -1421,11 +1449,10 @@ fn observe_parse(
                 .get_or_insert_with(freqywm_obs::next_trace_id)
                 .clone(),
             spec.payload.tenant().to_string(),
-            job_op_kind(spec.payload.kind()),
+            spec.payload.kind().op(),
         ),
-        Ok(Planned::Op(req)) => {
-            let op_name = req.get("op").and_then(Value::as_str).unwrap_or("");
-            let op = OpKind::from_op(op_name);
+        Ok(Planned::Op(OpCall { op, req, .. })) => {
+            let op = *op;
             // On a `trace` *query* the "trace" and "tenant" fields are
             // filters, not this request's identity — mint a fresh id
             // and leave the tenant blank, so the query's own spans
@@ -1447,9 +1474,12 @@ fn observe_parse(
             };
             (trace, tenant, op)
         }
-        Ok(Planned::Shutdown) | Err(_) => {
-            (freqywm_obs::next_trace_id(), String::new(), OpKind::Other)
-        }
+        Ok(Planned::Shutdown) => (
+            freqywm_obs::next_trace_id(),
+            String::new(),
+            OpKind::Shutdown,
+        ),
+        Err(_) => (freqywm_obs::next_trace_id(), String::new(), OpKind::Other),
     };
     engine.obs().record(&Span::ending_now(
         &trace,
@@ -1580,7 +1610,7 @@ impl AuthGate {
     pub fn check(&mut self, req: &Envelope) -> Option<String> {
         let token = self.token.as_deref().filter(|_| !self.authed)?;
         let id = req.get("id");
-        if req.get("op").and_then(Value::as_str) == Some("hello") {
+        if req.op == OpKind::Hello {
             let presented = req.get("token").and_then(Value::as_str).unwrap_or("");
             if !token_eq(presented, token) {
                 return Some(err_response(id, "hello: bad auth token"));
@@ -1669,7 +1699,7 @@ impl Session {
         engine.obs().record(&Span::ending_now(
             req.get("trace").and_then(Value::as_str).unwrap_or(""),
             req.get("tenant").and_then(Value::as_str).unwrap_or(""),
-            OpKind::from_op(req.get("op").and_then(Value::as_str).unwrap_or("")),
+            req.op,
             Stage::Auth,
             started.elapsed().as_micros() as u64,
         ));
@@ -1835,8 +1865,8 @@ impl Session {
                         Err(e) => self.resolve(engine, seq, JobState::Failed(e)),
                     }
                 }
-                Planned::Op(req) => {
-                    let resp = run_op(engine, &req, id.as_ref());
+                Planned::Op(call) => {
+                    let resp = run_op(engine, &call, id.as_ref());
                     let idx = seq - self.base;
                     self.finish_slot(engine, idx, resp);
                 }
@@ -2295,6 +2325,12 @@ mod tests {
                 "exclude_free_pairs",
                 "true or false",
             ),
+            (
+                r#""timeout_ms":"5000","#,
+                "timeout_ms",
+                "a non-negative integer",
+            ),
+            (r#""trace":7,"#, "trace", "a string"),
         ] {
             assert_eq!(embed(extra), refused(field, must_be), "{extra}");
         }
@@ -2311,6 +2347,12 @@ mod tests {
             (r#""t":-1,"#, "t", "a non-negative integer"),
             (r#""k":"3","#, "k", "a non-negative integer"),
             (r#""scale":"0.5","#, "scale", "a positive finite number"),
+            (
+                r#""timeout_ms":-1,"#,
+                "timeout_ms",
+                "a non-negative integer",
+            ),
+            (r#""trace":["t-1"],"#, "trace", "a string"),
         ] {
             assert_eq!(detect(extra), refused(field, must_be), "{extra}");
         }
@@ -2331,6 +2373,61 @@ mod tests {
                 &format!(r#"{{"op":"dispute","a":"ty","b":"ty","id":1,{extra}}}"#),
             );
             assert_eq!(r, refused(field, must_be), "{extra}");
+        }
+        let r = handle_line(
+            &engine,
+            r#"{"op":"maintain","tenant":"ty","id":1,"updates":[["t0",1]],"trace":1}"#,
+        );
+        assert_eq!(r, refused("trace", "a string"));
+        // A mistyped secret never registers a random one in its place.
+        for (extra, field, must_be) in [
+            (r#""secret":123"#, "secret", "64 hex chars"),
+            (r#""secret":"zz""#, "secret", "64 hex chars"),
+            (r#""secret_label":5"#, "secret_label", "a string"),
+        ] {
+            let r = handle_line(
+                &engine,
+                &format!(r#"{{"op":"register","tenant":"ty2","id":1,{extra}}}"#),
+            );
+            assert_eq!(r, refused(field, must_be), "{extra}");
+        }
+        let r = handle_line(&engine, r#"{"op":"quota","tenant":"ty2"}"#);
+        assert!(r.contains("unknown tenant"), "ty2 stayed unregistered: {r}");
+        // A mistyped budget never turns a quota set into a read.
+        for field in ["embed", "detect", "maintain", "window_ms"] {
+            let r = handle_line(
+                &engine,
+                &format!(r#"{{"op":"quota","tenant":"ty","id":1,"{field}":"5"}}"#),
+            );
+            assert_eq!(r, refused(field, "a non-negative integer"), "{field}");
+        }
+        let r = handle_line(&engine, r#"{"op":"quota","tenant":"ty"}"#);
+        assert!(
+            r.contains("\"source\":\"default\""),
+            "no quota was set: {r}"
+        );
+        for (op, extra, field, must_be) in [
+            ("history", r#""last":"2""#, "last", "a non-negative integer"),
+            ("trace", r#""trace":1"#, "trace", "a string"),
+            ("trace", r#""tenant":false"#, "tenant", "a string"),
+            ("trace", r#""for_op":3"#, "for_op", "a string"),
+            (
+                "trace",
+                r#""min_us":"1""#,
+                "min_us",
+                "a non-negative integer",
+            ),
+            ("trace", r#""min_ms":"1""#, "min_ms", "a number"),
+            ("trace", r#""limit":-1"#, "limit", "a non-negative integer"),
+            (
+                "replicate",
+                r#""from_seq":"0""#,
+                "from_seq",
+                "a non-negative integer",
+            ),
+        ] {
+            let r = handle_line(&engine, &format!(r#"{{"op":"{op}","id":1,{extra}}}"#));
+            assert_eq!(r, refused(field, must_be), "{op} {extra}");
         }
         assert_eq!(engine.metrics()[M::Failed], 0);
         engine.shutdown();
@@ -2660,9 +2757,14 @@ mod tests {
             route(r#"{"op":"quota","tenant":"t3","embed":100}"#),
             RouteInfo::Tenant("t3".into())
         );
-        assert_eq!(route(r#"{"op":"metrics"}"#), RouteInfo::Broadcast);
-        assert_eq!(route(r#"{"op":"history"}"#), RouteInfo::Broadcast);
-        assert_eq!(route(r#"{"op":"shutdown"}"#), RouteInfo::Shutdown);
+        let broadcast = RouteInfo::Broadcast;
+        assert_eq!(route(r#"{"op":"metrics"}"#), broadcast(FanoutKind::Metrics));
+        assert_eq!(route(r#"{"op":"history"}"#), broadcast(FanoutKind::History));
+        assert_eq!(route(r#"{"op":"trace"}"#), broadcast(FanoutKind::Trace));
+        assert_eq!(
+            route(r#"{"op":"shutdown"}"#),
+            broadcast(FanoutKind::Shutdown)
+        );
         assert_eq!(route(r#"{"op":"hello"}"#), RouteInfo::Local);
         assert!(matches!(
             route(r#"{"op":"detect"}"#),
@@ -2671,26 +2773,11 @@ mod tests {
         assert!(matches!(route(r#"{"op":"fly"}"#), RouteInfo::Unroutable(_)));
         assert!(matches!(route(r#"{"x":1}"#), RouteInfo::Unroutable(_)));
 
-        // The two op tables mirror each other: over every op `plan`
-        // accepts, and one it does not, `route_of` calls an op unknown
-        // exactly when `plan` does.
+        // Over every wire op in the op table, and two names that are
+        // none, `route_of` calls an op unknown exactly when `plan` does.
         let unknown = |e: &str| e.starts_with("unknown op");
-        for op in [
-            "register",
-            "dispute",
-            "quota",
-            "metrics",
-            "history",
-            "trace",
-            "hello",
-            "replicate",
-            "promote",
-            "shutdown",
-            "embed",
-            "detect",
-            "maintain",
-            "fly",
-        ] {
+        let wire = OpKind::ALL.iter().filter(|&&op| op != OpKind::Other);
+        for op in wire.map(|op| op.as_str()).chain(["fly", "other"]) {
             let line = format!(r#"{{"op":"{op}"}}"#);
             let planned = plan(&line).1;
             let routed = route(&line);
@@ -2702,8 +2789,50 @@ mod tests {
                 "{op}: plan {:?}, route {routed:?}",
                 planned.as_ref().err()
             );
-            assert_eq!(plan_unknown, op == "fly", "{op}: {:?}", planned.err());
+            assert_eq!(
+                plan_unknown,
+                op == "fly" || op == "other",
+                "{op}: {:?}",
+                planned.err()
+            );
         }
+
+        // A keyed op missing a routing field is refused by the router
+        // with the text a shard answers the same line with.
+        let engine = test_engine();
+        let mut checked = 0;
+        for &op in OpKind::ALL {
+            let keys = [("tenant", "t"), ("a", "t"), ("b", "t")];
+            let line = |skip: &str| {
+                let fields: Vec<String> = keys
+                    .iter()
+                    .filter(|(k, _)| *k != skip)
+                    .map(|(k, v)| format!(r#","{k}":"{v}""#))
+                    .collect();
+                format!(r#"{{"op":"{}"{}}}"#, op.as_str(), fields.concat())
+            };
+            if !matches!(
+                route(&line("")),
+                RouteInfo::Tenant(_) | RouteInfo::TenantPair(..)
+            ) {
+                continue;
+            }
+            for (skip, _) in keys {
+                let line = line(skip);
+                if let RouteInfo::Unroutable(msg) = route(&line) {
+                    assert_eq!(handle_line(&engine, &line), err_response(None, &msg));
+                    checked += 1;
+                }
+            }
+        }
+        // register, embed, detect, maintain and quota miss `tenant`;
+        // dispute misses `a`, then `b`.
+        assert_eq!(checked, 7);
+        let RouteInfo::Unroutable(msg) = route(r#"{"x":1}"#) else {
+            panic!("a line with no op routes nowhere");
+        };
+        assert_eq!(handle_line(&engine, r#"{"x":1}"#), err_response(None, &msg));
+        engine.shutdown();
     }
 
     #[test]
@@ -2896,6 +3025,20 @@ mod tests {
         // Limit caps the span list.
         let r = handle_line(&engine, r#"{"op":"trace","limit":1}"#);
         assert!(r.contains("\"count\":1"), "{r}");
+        // A `for_op` that labels no span matches nothing, while every
+        // op's spans carry its own label: a quota op's parse and
+        // respond spans, a shutdown's, and `other` for a line that
+        // names no op.
+        handle_line(&engine, r#"{"op":"quota","tenant":"tf"}"#);
+        let r = handle_line(&engine, r#"{"op":"trace","for_op":"fly"}"#);
+        assert!(r.contains("\"count\":0"), "{r}");
+        handle_line(&engine, r#"{"op":"shutdown"}"#);
+        handle_line(&engine, r#"{"op":"fly"}"#);
+        for op in ["quota", "shutdown", "other"] {
+            let r = handle_line(&engine, &format!(r#"{{"op":"trace","for_op":"{op}"}}"#));
+            assert!(r.contains("\"count\":2"), "{op}: {r}");
+            assert!(r.contains(&format!("\"op\":\"{op}\"")), "{op}: {r}");
+        }
         engine.shutdown();
     }
 

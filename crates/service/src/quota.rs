@@ -45,15 +45,6 @@ pub fn class_index(kind: JobKind) -> usize {
     }
 }
 
-/// Wire/display name of an op class.
-pub fn class_name(kind: JobKind) -> &'static str {
-    match kind {
-        JobKind::Embed => "embed",
-        JobKind::Detect => "detect",
-        JobKind::Maintain => "maintain",
-    }
-}
-
 /// Per-op-class budgets over one sliding window. [`UNLIMITED`] means
 /// no cap for that class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 //! * [`ring`] — placement: jump-consistent hashing of tenant ids onto
 //!   shard indices (deterministic, uniform, moves ~1/N of tenants when
 //!   a shard is added), and the [`ring::ShardMap`] deployment contract;
-//! * [`router`] — the tier: `freqywm router --listen … --shard …×N`
+//! * [`run_router`] — the tier: `freqywm router --listen … --shard …×N`
 //!   accepts the ordinary JSON-lines protocol, forwards each request to
 //!   its tenant's shard over multiplexed pipelined backend connections,
 //!   fans out and merges tenant-agnostic ops, and survives backend

@@ -39,7 +39,7 @@ use freqywm_obs::prom::PromText;
 use freqywm_service::metrics::{aggregate_shard_metrics, ShardMetricsPiece};
 use freqywm_service::proto::{
     err_response, frame_too_large_response, id_echo, json, request_id, route_of, AuthGate,
-    Envelope, RouteInfo,
+    Envelope, FanoutKind, RouteInfo,
 };
 use json::Value;
 use std::collections::{HashMap, VecDeque};
@@ -360,19 +360,6 @@ struct BackendSlot {
     log_seq: Option<u64>,
 }
 
-enum FanoutKind {
-    Metrics,
-    Shutdown,
-    /// A `trace` query: forward the client's request line to every live
-    /// shard and merge the span arrays, tagging each span with the
-    /// shard it came from.
-    Trace,
-    /// A `history` query: forward the client's request line verbatim
-    /// (it carries `last`) and return the per-shard responses as a
-    /// series array, each tagged with its shard index.
-    History,
-}
-
 /// What the background prober last learned about one standby.
 #[derive(Debug, Clone, Copy, Default)]
 struct StandbyProbe {
@@ -602,10 +589,11 @@ impl<'a> TierView<'a> {
 /// Returns the request line with a router-minted `"trace"` field
 /// inserted when the client did not supply one, so every tenant-routed
 /// request is correlatable across the tier (client → router → shard).
-/// Client-supplied ids are forwarded verbatim — the insert is textual
-/// (right after the opening brace), never a reparse/rewrite.
+/// A client-supplied `"trace"` is forwarded verbatim, mistyped or not,
+/// for the shard to judge — the insert is textual (right after the
+/// opening brace), never a reparse/rewrite.
 fn ensure_trace(line: &str, req: &Envelope) -> String {
-    if req.get("trace").and_then(Value::as_str).is_some() {
+    if req.get("trace").is_some() {
         return line.to_string();
     }
     let Some(pos) = line.find('{') else {
@@ -1304,26 +1292,17 @@ impl Router {
                     self.stats.refused += 1;
                 }
             }
-            RouteInfo::Broadcast => {
-                // Broadcast ops fan out to every live shard; `trace`
-                // and `history` must forward the client's own request
-                // line (it carries filter/limit fields) where `metrics`
-                // sends a canonical probe.
-                let kind = match req.get("op").and_then(Value::as_str) {
-                    Some("trace") => FanoutKind::Trace,
-                    Some("history") => FanoutKind::History,
-                    _ => FanoutKind::Metrics,
-                };
+            RouteInfo::Broadcast(kind) => {
+                // Broadcast ops fan out to every live shard. A shutdown
+                // also drains the router, and the ack lands once every
+                // live backend acked. The fanout reserves the
+                // requester's response slot FIRST — start_drain closes
+                // settled clients, and the requester must survive to
+                // receive the ack.
                 self.start_fanout(client, id.as_ref(), kind, line);
-            }
-            RouteInfo::Shutdown => {
-                // Tier shutdown: drain the router AND take the backends
-                // down; the ack lands once every live backend acked.
-                // The fanout reserves the requester's response slot
-                // FIRST — start_drain closes settled clients, and the
-                // requester must survive to receive the ack.
-                self.start_fanout(client, id.as_ref(), FanoutKind::Shutdown, line);
-                self.start_drain();
+                if kind == FanoutKind::Shutdown {
+                    self.start_drain();
+                }
             }
             RouteInfo::Local => {
                 let Some(conn) = self.clients.get_mut(&client) else {
