@@ -1,12 +1,15 @@
 //! Command implementations.
 
-use crate::args::{AttackKind, Command, EngineOpts, RouterOpts, ServeNetOpts, USAGE};
+use crate::args::{
+    usage, Attack, AttackKind, Command, Detect, EngineStart, Generate, Inspect, Judge,
+    LedgerVerify, Router, Serve,
+};
 use freqywm_attacks::destroy::{destroy_with_reordering, destroy_within_boundaries};
 use freqywm_core::detect::detect_dataset;
 use freqywm_core::eligible::{eligible_pairs, r_max};
 use freqywm_core::generate::Watermarker;
 use freqywm_core::judge::{judge_dispute, Claim, Verdict};
-use freqywm_core::params::{DetectionParams, GenerationParams};
+use freqywm_core::params::DetectionParams;
 use freqywm_core::secret::SecretList;
 use freqywm_crypto::hex;
 use freqywm_crypto::prf::Secret;
@@ -14,54 +17,20 @@ use freqywm_data::dataset::Dataset;
 use freqywm_data::token::Token;
 use freqywm_service::engine::{Engine, EngineConfig};
 use freqywm_service::persist::DurableRegistry;
-use freqywm_service::proto;
+use freqywm_service::proto::{self, json};
 use freqywm_service::storage::DiskLog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
-
-fn ledger_key_bytes(key: &Option<String>) -> Vec<u8> {
-    key.as_ref()
-        .map(|k| k.as_bytes().to_vec())
-        .unwrap_or_else(|| EngineConfig::default().ledger_key)
-}
-
-fn engine_config(opts: &EngineOpts) -> EngineConfig {
-    EngineConfig {
-        workers: opts.workers.max(1),
-        queue_capacity: opts.queue.max(1),
-        snapshot_every: opts.snapshot_every,
-        ledger_key: ledger_key_bytes(&opts.ledger_key),
-        shard_gate: opts.shard_id.map(|(i, n)| {
-            freqywm_service::ShardGate::new(format!("{i}/{n}"), move |tenant| {
-                freqywm_shard::tenant_shard(tenant, n) == i
-            })
-        }),
-        slow_ms: opts.slow_ms,
-        retain_snapshots: opts.retain_snapshots.max(2),
-        retain_interval_ms: opts.retain_interval_ms.max(10),
-        quota: {
-            let mut quota = freqywm_service::QuotaConfig::default();
-            quota.limits.embed = opts.quota_embed.unwrap_or(freqywm_service::UNLIMITED);
-            quota.limits.detect = opts.quota_detect.unwrap_or(freqywm_service::UNLIMITED);
-            quota.limits.maintain = opts.quota_maintain.unwrap_or(freqywm_service::UNLIMITED);
-            if let Some(window_ms) = opts.quota_window_ms {
-                quota.window_ms = window_ms;
-            }
-            quota
-        },
-        ..EngineConfig::default()
-    }
-}
+use std::net::TcpListener;
 
 /// Starts an engine for `serve`/`batch`: durable when `--data-dir`
-/// was given, in-memory otherwise. With `follow` the engine opens as
-/// a read-only replica of that primary (its data-dir still recovers
-/// and verifies locally first).
-fn start_engine(opts: &EngineOpts, follow: Option<String>) -> Result<Engine, String> {
-    let mut config = engine_config(opts);
-    config.follow = follow;
-    match &opts.data_dir {
+/// was given, in-memory otherwise. With `config.follow` the engine
+/// opens as a read-only replica of that primary (its data-dir still
+/// recovers and verifies locally first).
+fn start_engine(start: &EngineStart) -> Result<Engine, String> {
+    let config = start.config.clone();
+    match &start.data_dir {
         Some(dir) => {
             let storage =
                 DiskLog::open(dir).map_err(|e| format!("cannot open data-dir {dir}: {e}"))?;
@@ -83,96 +52,71 @@ fn stop_engine(engine: &Engine, durable: bool) {
     engine.shutdown();
 }
 
-/// Binds the listen address and runs the epoll reactor until a
-/// `shutdown` op completes its graceful drain. The bound address is
-/// announced as `listening on <addr>` (port 0 requests an ephemeral
+/// Binds `addr` and announces the bound address as `<role> on
+/// <addr>`: `listening` for the protocol, `metrics` for the
+/// `--metrics-listen` HTTP scrape port (port 0 requests an ephemeral
 /// port, so callers need the announcement to find it).
-fn serve_network(
-    engine: &Engine,
+fn bind_announced(
     addr: &str,
-    net: &ServeNetOpts,
+    role: &str,
     out: &mut dyn std::io::Write,
-) -> Result<(), String> {
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+) -> Result<TcpListener, String> {
+    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    writeln!(out, "listening on {local}").ok();
-    let metrics_listener = bind_metrics_listener(&net.metrics_listen, out)?;
-    out.flush().ok();
-    let config = freqywm_net::NetConfig {
-        max_conns: net.max_conns.max(1),
-        idle_timeout: (net.idle_timeout_secs > 0)
-            .then(|| std::time::Duration::from_secs(net.idle_timeout_secs)),
-        max_frame: net.max_frame.max(1),
-        auth_token: net.auth_token.clone(),
-        ..freqywm_net::NetConfig::default()
-    };
-    freqywm_net::serve_listener_with_metrics(engine, listener, metrics_listener, config)
-        .map_err(|e| format!("network serve error: {e}"))
+    writeln!(out, "{role} on {local}").ok();
+    Ok(listener)
 }
 
-/// Binds the optional `--metrics-listen` HTTP scrape address and
-/// announces it as `metrics on <addr>` (port 0 works like `--listen`:
-/// the announcement is how callers learn the ephemeral port).
-fn bind_metrics_listener(
-    addr: &Option<String>,
+/// Binds the listen address and runs the epoll reactor until a
+/// `shutdown` op completes its graceful drain.
+fn serve_network(
+    engine: &Engine,
+    addr: &str,
+    serve: Serve,
     out: &mut dyn std::io::Write,
-) -> Result<Option<std::net::TcpListener>, String> {
-    let Some(addr) = addr else { return Ok(None) };
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| format!("cannot listen on metrics address {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound metrics address: {e}"))?;
-    writeln!(out, "metrics on {local}").ok();
-    Ok(Some(listener))
+) -> Result<(), String> {
+    let listener = bind_announced(addr, "listening", out)?;
+    let metrics_listener = serve
+        .metrics_listen
+        .as_deref()
+        .map(|addr| bind_announced(addr, "metrics", out))
+        .transpose()?;
+    out.flush().ok();
+    freqywm_net::serve_listener_with_metrics(engine, listener, metrics_listener, serve.net)
+        .map_err(|e| format!("network serve error: {e}"))
 }
 
 /// Binds the router's listen address, announces it and the shard map,
 /// and runs the router reactor until a `shutdown` op drains the tier
 /// (or SIGTERM/SIGINT drains the router alone).
-fn run_router(
-    listen: &str,
-    shards: Vec<String>,
-    standbys: Vec<Option<String>>,
-    opts: &RouterOpts,
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
-    let listener = std::net::TcpListener::bind(listen)
-        .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    writeln!(out, "listening on {local}").ok();
+fn run_router(router: Router, out: &mut dyn std::io::Write) -> Result<(), String> {
+    let Router {
+        listen,
+        metrics_listen,
+        mut config,
+    } = router;
+    let listener = bind_announced(&listen, "listening", out)?;
     // The shard map is the deployment contract — log it so operators
     // can verify placement against each backend's --shard-id.
     write!(
         out,
         "{}",
-        freqywm_shard::ShardMap::new(shards.clone()).describe()
+        freqywm_shard::ShardMap::new(config.shards.clone()).describe()
     )
     .ok();
-    for (i, standby) in standbys.iter().enumerate() {
+    for (i, standby) in config.standbys.iter().enumerate() {
         if let Some(addr) = standby {
             writeln!(out, "shard {i} standby -> {addr}").ok();
         }
     }
-    let metrics_listener = bind_metrics_listener(&opts.metrics_listen, out)?;
+    let metrics_listener = metrics_listen
+        .as_deref()
+        .map(|addr| bind_announced(addr, "metrics", out))
+        .transpose()?;
     out.flush().ok();
-    let config = freqywm_shard::RouterConfig {
-        max_conns: opts.max_conns.max(1),
-        max_frame: opts.max_frame.max(1),
-        probe_interval: std::time::Duration::from_secs(opts.probe_interval_secs.max(1)),
-        drain_timeout: std::time::Duration::from_secs(opts.drain_timeout_secs.max(1)),
-        failover_timeout: std::time::Duration::from_secs(opts.failover_timeout_secs.max(1)),
-        auth_token: opts.auth_token.clone(),
-        shard_auth_token: opts.shard_auth_token.clone(),
-        handle_signals: true,
-        standbys,
-        ..freqywm_shard::RouterConfig::new(shards)
-    };
+    config.handle_signals = true;
     freqywm_shard::run_router_with_metrics(listener, metrics_listener, config)
         .map_err(|e| format!("router error: {e}"))
 }
@@ -199,6 +143,28 @@ pub(crate) fn one_shot_request(addr: &str, request: &str) -> Result<String, Stri
         return Err(format!("{addr} closed the connection without answering"));
     }
     Ok(line.trim_end().to_string())
+}
+
+/// One-shot `op` request for `freqywm metrics`/`quota`/`trace`:
+/// `fields` (each `,"key":value`) plus the optional auth token. Prints
+/// the response; exit 0 when it is `"ok":true`, else 1.
+fn ask(
+    connect: &str,
+    op: &str,
+    mut fields: String,
+    auth: &Option<String>,
+    out: &mut dyn std::io::Write,
+) -> Result<i32, String> {
+    if let Some(token) = auth {
+        fields.push_str(&format!(",\"auth\":\"{}\"", json::escape(token)));
+    }
+    let response = one_shot_request(connect, &format!("{{\"op\":\"{op}\"{fields}}}"))?;
+    writeln!(out, "{response}").ok();
+    Ok(if response.starts_with("{\"ok\":true") {
+        0
+    } else {
+        1
+    })
 }
 
 /// Minimal HTTP scrape client for `freqywm metrics --prom`: one
@@ -261,25 +227,18 @@ fn write_tokens(path: &str, data: &Dataset) -> Result<(), String> {
 fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> {
     match cmd {
         Command::Help => {
-            writeln!(out, "{USAGE}").ok();
+            writeln!(out, "{}", usage()).ok();
             Ok(0)
         }
-        Command::Generate {
+        Command::Generate(Generate {
             input,
             output,
             secret_out,
-            budget,
-            z,
-            selection,
-            exclude_free_pairs,
+            params,
             secret_label,
-        } => {
+            ..
+        }) => {
             let data = read_tokens(&input)?;
-            let params = GenerationParams::default()
-                .with_budget(budget)
-                .with_z(z)
-                .with_selection(selection)
-                .with_exclude_free_pairs(exclude_free_pairs);
             let secret = match secret_label {
                 Some(label) => Secret::from_label(&label),
                 None => Secret::generate(&mut rand::rngs::OsRng),
@@ -306,34 +265,31 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
             .ok();
             Ok(0)
         }
-        Command::Detect {
+        Command::Detect(Detect {
             input,
             secret,
-            t,
-            k,
-            scale,
-        } => {
+            params,
+        }) => {
             let data = read_tokens(&input)?;
             let text =
                 fs::read_to_string(&secret).map_err(|e| format!("cannot read {secret}: {e}"))?;
             let secrets = SecretList::from_text(&text).map_err(|e| e.to_string())?;
-            let mut params = DetectionParams::default().with_t(t).with_k(k);
-            if let Some(s) = scale {
-                params = params.with_scale(s);
-            }
             let outcome = detect_dataset(&data, &secrets, &params);
             writeln!(
                 out,
-                "pairs: {} stored, {} present, {} verified (t={t}, k={k})\nresult: {}",
+                "pairs: {} stored, {} present, {} verified (t={}, k={})\nresult: {}",
                 outcome.total_pairs,
                 outcome.present_pairs,
                 outcome.accepted_pairs,
+                params.t,
+                params.k,
                 if outcome.accepted { "ACCEPT" } else { "REJECT" },
             )
             .ok();
             Ok(if outcome.accepted { 0 } else { 1 })
         }
-        Command::Inspect { input, z } => {
+        Command::Inspect(Inspect { input, params }) => {
+            let z = params.z;
             let data = read_tokens(&input)?;
             let hist = data.histogram();
             // Capacity probe with a throwaway secret: |Le| depends on
@@ -359,14 +315,14 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
             .ok();
             Ok(0)
         }
-        Command::Judge {
+        Command::Judge(Judge {
             a_input,
             a_secret,
             b_input,
             b_secret,
             t,
             quorum,
-        } => {
+        }) => {
             if !(0.0..=1.0).contains(&quorum) {
                 return Err(format!("quorum must be in [0,1], got {quorum}"));
             }
@@ -405,19 +361,19 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
             .ok();
             Ok(0)
         }
-        Command::Serve { engine: opts, net } => {
-            let engine = std::sync::Arc::new(start_engine(&opts, net.follow.clone())?);
-            if let Some(primary) = &net.follow {
+        Command::Serve(serve) => {
+            let engine = std::sync::Arc::new(start_engine(&serve.engine)?);
+            let durable = serve.engine.data_dir.is_some();
+            if let Some(follower) = &serve.follow {
                 // Announce follower mode before binding so harnesses
                 // tailing stdout see the role before the address.
+                let primary = &follower.primary;
                 writeln!(out, "following {primary} (read-only until promoted)").ok();
                 out.flush().ok();
-                let mut follower = freqywm_service::FollowerConfig::new(primary.clone());
-                follower.auth_token = net.follow_token.clone();
-                freqywm_service::spawn_follower(engine.clone(), follower);
+                freqywm_service::spawn_follower(engine.clone(), follower.clone());
             }
-            match &net.listen {
-                Some(addr) => serve_network(&engine, addr, &net, out)?,
+            match serve.listen.clone() {
+                Some(addr) => serve_network(&engine, &addr, serve, out)?,
                 None => {
                     // stdin/stdout pipe: pipelined through the same
                     // Session machinery as the socket path; EOF takes
@@ -427,32 +383,25 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
                         &engine,
                         std::io::BufReader::new(std::io::stdin()),
                         &mut *out,
-                        net.max_frame.max(1),
-                        net.auth_token.clone(),
+                        serve.net.max_frame,
+                        serve.net.auth_token,
                     )
                     .map_err(|e| format!("serve I/O error: {e}"))?;
                 }
             }
-            stop_engine(&engine, opts.data_dir.is_some());
+            stop_engine(&engine, durable);
             Ok(0)
         }
-        Command::Router {
-            listen,
-            shards,
-            standbys,
-            opts,
-        } => {
-            run_router(&listen, shards, standbys, &opts, out)?;
+        Command::Router(router) => {
+            run_router(router, out)?;
             Ok(0)
         }
-        Command::Batch {
-            input,
-            engine: opts,
-        } => {
+        Command::Batch(batch) => {
+            let input = &batch.input;
             let text =
-                fs::read_to_string(&input).map_err(|e| format!("cannot read {input}: {e}"))?;
+                fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
             let lines: Vec<String> = text.lines().map(str::to_string).collect();
-            let engine = start_engine(&opts, None)?;
+            let engine = start_engine(&batch.engine)?;
             let responses = proto::run_batch(&engine, &lines);
             let failed = responses
                 .iter()
@@ -461,22 +410,17 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
             for r in &responses {
                 writeln!(out, "{r}").ok();
             }
-            stop_engine(&engine, opts.data_dir.is_some());
+            stop_engine(&engine, batch.engine.data_dir.is_some());
             Ok(if failed == 0 { 0 } else { 1 })
         }
-        Command::Metrics {
-            connect,
-            prom,
-            check,
-            auth,
-        } => {
-            if prom {
-                let (status, body) = http_scrape(&connect)?;
+        Command::Metrics(m) => {
+            if m.prom {
+                let (status, body) = http_scrape(&m.connect)?;
                 if !status.contains("200") {
-                    return Err(format!("scrape of {connect} failed: {status}"));
+                    return Err(format!("scrape of {} failed: {status}", m.connect));
                 }
                 write!(out, "{body}").ok();
-                if check {
+                if m.check {
                     // A comment line keeps the output a valid
                     // exposition for anything piping it onward.
                     let families = freqywm_obs::prom::parse_exposition(&body)
@@ -491,110 +435,51 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
                 }
                 Ok(0)
             } else {
-                use freqywm_service::proto::json;
-                let req = match &auth {
-                    Some(token) => {
-                        format!(
-                            "{{\"op\":\"metrics\",\"auth\":\"{}\"}}",
-                            json::escape(token)
-                        )
-                    }
-                    None => "{\"op\":\"metrics\"}".to_string(),
-                };
-                let response = one_shot_request(&connect, &req)?;
-                writeln!(out, "{response}").ok();
-                Ok(if response.starts_with("{\"ok\":true") {
-                    0
-                } else {
-                    1
-                })
+                ask(&m.connect, "metrics", String::new(), &m.auth, out)
             }
         }
-        Command::Top {
-            connect,
-            interval_ms,
-            once,
-            auth,
-        } => crate::top::run_top(&connect, interval_ms, once, auth.as_deref(), out),
-        Command::Quota {
-            connect,
-            tenant,
-            embed,
-            detect,
-            maintain,
-            window_ms,
-            auth,
-        } => {
-            use freqywm_service::proto::json;
-            let mut req = format!(
-                "{{\"op\":\"quota\",\"tenant\":\"{}\"",
-                json::escape(&tenant)
-            );
+        Command::Top(top) => crate::top::run_top(&top, out),
+        Command::Quota(q) => {
+            let mut fields = format!(",\"tenant\":\"{}\"", json::escape(&q.tenant));
             for (key, value) in [
-                ("embed", embed),
-                ("detect", detect),
-                ("maintain", maintain),
-                ("window_ms", window_ms),
+                ("embed", q.embed),
+                ("detect", q.detect),
+                ("maintain", q.maintain),
+                ("window_ms", q.window_ms),
             ] {
                 if let Some(n) = value {
-                    req.push_str(&format!(",\"{key}\":{n}"));
+                    fields.push_str(&format!(",\"{key}\":{n}"));
                 }
             }
-            if let Some(token) = &auth {
-                req.push_str(&format!(",\"auth\":\"{}\"", json::escape(token)));
-            }
-            req.push('}');
-            let response = one_shot_request(&connect, &req)?;
-            writeln!(out, "{response}").ok();
-            Ok(if response.starts_with("{\"ok\":true") {
-                0
-            } else {
-                1
-            })
+            ask(&q.connect, "quota", fields, &q.auth, out)
         }
-        Command::Trace {
-            connect,
-            trace,
-            tenant,
-            for_op,
-            min_ms,
-            limit,
-            auth,
-        } => {
-            use freqywm_service::proto::json;
-            let mut req = String::from("{\"op\":\"trace\"");
+        Command::Trace(t) => {
+            let mut fields = String::new();
             for (key, value) in [
-                ("trace", &trace),
-                ("tenant", &tenant),
-                ("for_op", &for_op),
-                ("auth", &auth),
+                ("trace", &t.trace),
+                ("tenant", &t.tenant),
+                ("for_op", &t.for_op),
             ] {
                 if let Some(v) = value {
-                    req.push_str(&format!(",\"{key}\":\"{}\"", json::escape(v)));
+                    fields.push_str(&format!(",\"{key}\":\"{}\"", json::escape(v)));
                 }
             }
-            if let Some(ms) = min_ms {
-                req.push_str(&format!(",\"min_ms\":{ms}"));
+            for (key, value) in [("min_ms", t.min_ms), ("limit", t.limit)] {
+                if let Some(n) = value {
+                    fields.push_str(&format!(",\"{key}\":{n}"));
+                }
             }
-            if let Some(n) = limit {
-                req.push_str(&format!(",\"limit\":{n}"));
-            }
-            req.push('}');
-            let response = one_shot_request(&connect, &req)?;
-            writeln!(out, "{response}").ok();
-            Ok(if response.starts_with("{\"ok\":true") {
-                0
-            } else {
-                1
-            })
+            ask(&t.connect, "trace", fields, &t.auth, out)
         }
-        Command::LedgerVerify {
+        Command::LedgerVerify(LedgerVerify {
             data_dir,
             ledger_key,
-        } => {
+        }) => {
             // Read-only recovery: snapshot + log replay re-proves the
             // whole hash chain without touching the data-dir.
-            let key = ledger_key_bytes(&ledger_key);
+            let key = ledger_key
+                .map(String::into_bytes)
+                .unwrap_or_else(|| EngineConfig::default().ledger_key);
             let storage = DiskLog::open_read_only(&data_dir)
                 .map_err(|e| format!("cannot open data-dir {data_dir}: {e}"))?;
             let mut outcome = DurableRegistry::open_read_only(&key, Box::new(storage));
@@ -630,14 +515,13 @@ fn run_inner(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String> 
                 }
             }
         }
-        Command::Attack {
+        Command::Attack(Attack {
             input,
             output,
             kind,
             param,
             seed,
-            ..
-        } => {
+        }) => {
             let data = read_tokens(&input)?;
             let mut rng = StdRng::seed_from_u64(seed);
             let attacked: Dataset = match kind {

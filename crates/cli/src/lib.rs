@@ -1,13 +1,7 @@
-//! Library backing the `freqywm` command-line tool.
-//!
-//! Split from `main.rs` so the argument parser and command logic are
-//! unit-testable. Subcommands:
-//!
-//! * `generate` — watermark a token file, writing the watermarked file
-//!   and the secret list;
-//! * `detect`   — verify a suspect file against a secret list;
-//! * `inspect`  — histogram statistics and watermark capacity;
-//! * `attack`   — replay the paper's attacks on a watermarked file.
+//! Library backing the `freqywm` command-line tool: [`parse_args`]
+//! turns a command line into a [`Command`] by its subcommand's flag
+//! table, and [`run`] runs it. Split from `main.rs` so both are
+//! unit-testable.
 
 pub mod args;
 pub mod commands;

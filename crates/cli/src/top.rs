@@ -12,19 +12,16 @@
 //! and tests; otherwise each frame home-clears the terminal
 //! (`ESC[H ESC[2J`) and redraws every `--interval-ms`.
 
+use crate::args::Top;
 use crate::commands::one_shot_request;
 use freqywm_service::proto::json::{self, Value};
 use std::collections::HashMap;
 use std::io::Write;
 
-pub fn run_top(
-    connect: &str,
-    interval_ms: u64,
-    once: bool,
-    auth: Option<&str>,
-    out: &mut dyn Write,
-) -> Result<i32, String> {
-    let auth_part = auth
+pub fn run_top(top: &Top, out: &mut dyn Write) -> Result<i32, String> {
+    let auth_part = top
+        .auth
+        .as_ref()
         .map(|t| format!(",\"auth\":\"{}\"", json::escape(t)))
         .unwrap_or_default();
     let metrics_req = format!("{{\"op\":\"metrics\"{auth_part}}}");
@@ -33,15 +30,15 @@ pub fn run_top(
     let mut failures = 0u32;
     loop {
         frame += 1;
-        match fetch_frame(connect, &metrics_req, &history_req, frame) {
+        match fetch_frame(&top.connect, &metrics_req, &history_req, frame) {
             Ok(text) => {
                 failures = 0;
-                if !once {
+                if !top.once {
                     write!(out, "\x1b[H\x1b[2J").ok();
                 }
                 write!(out, "{text}").ok();
             }
-            Err(e) if once => return Err(e),
+            Err(e) if top.once => return Err(e),
             Err(e) => {
                 // A restarting router/engine should not kill the
                 // dashboard; give transient failures a few frames.
@@ -53,10 +50,10 @@ pub fn run_top(
             }
         }
         out.flush().ok();
-        if once {
+        if top.once {
             return Ok(0);
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
+        std::thread::sleep(std::time::Duration::from_millis(top.interval_ms.max(100)));
     }
 }
 

@@ -15,7 +15,7 @@ pub enum Backend {
 }
 
 /// Reactor limits and policies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Concurrent connection cap; excess accepts are closed immediately
     /// (counted in `net.rejected`).

@@ -51,7 +51,7 @@ pub struct FrontDoor {
     wake_rx: UnixStream,
     scrapes: HashMap<u64, HttpConn>,
     next_scrape: u64,
-    /// Cap on the caller's connections plus open scrapes.
+    /// Cap on the caller's connections plus open scrapes (at least 1).
     max_conns: usize,
     scrape_idle: Duration,
 }
@@ -84,7 +84,7 @@ impl FrontDoor {
             wake_rx,
             scrapes: HashMap::new(),
             next_scrape: 0,
-            max_conns,
+            max_conns: max_conns.max(1),
             scrape_idle: scrape_idle.unwrap_or(SCRAPE_IDLE),
         };
         Ok((door, wake_tx))

@@ -86,6 +86,14 @@ impl ShardGate {
     }
 }
 
+/// Gates compare by label: the label names the partition the gate
+/// admits.
+impl PartialEq for ShardGate {
+    fn eq(&self, other: &Self) -> bool {
+        self.label == other.label
+    }
+}
+
 impl std::fmt::Debug for ShardGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ShardGate({})", self.label)
@@ -93,20 +101,13 @@ impl std::fmt::Debug for ShardGate {
 }
 
 /// Engine construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads servicing the queue.
+    /// Worker threads servicing the queue (clamped to at least 1).
     pub workers: usize,
     /// Maximum queued (not yet running) jobs before submits are
-    /// rejected with [`ServiceError::QueueFull`].
+    /// rejected with [`ServiceError::QueueFull`] (clamped to at least 1).
     pub queue_capacity: usize,
-    /// Default whole-lifetime deadline for jobs without an explicit
-    /// `timeout`: a job that has not *finished* by then fails with a
-    /// deadline error — reaped from the queue, or cancelled at the
-    /// next cooperative checkpoint if already running.
-    pub default_timeout: Duration,
-    /// Threads for sharded histogram construction inside one job.
-    pub shard_threads: usize,
     /// HMAC key for the registration ledger.
     pub ledger_key: Vec<u8>,
     /// Registry mutations between automatic snapshot/compaction
@@ -123,10 +124,6 @@ pub struct EngineConfig {
     /// run time reaches this many milliseconds (`Some(0)` logs every
     /// request; `None` disables the slow log).
     pub slow_ms: Option<u64>,
-    /// Token-bucket ceiling on slow-log lines per second: a latency
-    /// storm cannot flood stderr; drops are counted in the
-    /// `slow_log_suppressed` metric instead.
-    pub slow_log_per_s: f64,
     /// Metrics-retention ring capacity: the engine samples its
     /// counters periodically and keeps the newest this-many samples
     /// for the `history` protocol op (clamped to at least 2).
@@ -146,19 +143,30 @@ pub struct EngineConfig {
     pub quota: QuotaConfig,
 }
 
+/// Whole-lifetime deadline for jobs without an explicit `timeout`: a
+/// job that has not *finished* by then fails with a deadline error —
+/// reaped from the queue, or cancelled at the next cooperative
+/// checkpoint if already running.
+const DEFAULT_JOB_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Threads for sharded histogram construction inside one job.
+const SHARD_THREADS: usize = 4;
+
+/// Token-bucket ceiling on slow-log lines per second: a latency storm
+/// cannot flood stderr; drops are counted in the `slow_log_suppressed`
+/// metric instead.
+const SLOW_LOG_PER_S: f64 = 10.0;
+
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 4,
             queue_capacity: 1024,
-            default_timeout: Duration::from_secs(30),
-            shard_threads: 4,
             ledger_key: b"freqywm-service-ledger".to_vec(),
             snapshot_every: crate::persist::DEFAULT_SNAPSHOT_EVERY,
             shard_gate: None,
             trace_ring: 4096,
             slow_ms: None,
-            slow_log_per_s: 10.0,
             retain_snapshots: 240,
             retain_interval_ms: 1000,
             follow: None,
@@ -213,18 +221,17 @@ struct Shared {
 }
 
 /// Token bucket for the slow-request log: refilled at
-/// `slow_log_per_s`, burst capacity one second's worth (min 1).
+/// [`SLOW_LOG_PER_S`], burst capacity one second's worth.
 struct SlowLogLimiter {
     tokens: f64,
     last: Instant,
 }
 
 impl SlowLogLimiter {
-    fn allow(&mut self, per_s: f64) -> bool {
-        let burst = per_s.max(1.0);
+    fn allow(&mut self) -> bool {
         let now = Instant::now();
-        self.tokens =
-            (self.tokens + now.duration_since(self.last).as_secs_f64() * per_s).min(burst);
+        let refill = now.duration_since(self.last).as_secs_f64() * SLOW_LOG_PER_S;
+        self.tokens = (self.tokens + refill).min(SLOW_LOG_PER_S);
         self.last = now;
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -317,7 +324,7 @@ impl Engine {
             history: Mutex::new(HistoryRing::new(config.retain_snapshots)),
             sampler_stop: (Mutex::new(false), Condvar::new()),
             slow_log: Mutex::new(SlowLogLimiter {
-                tokens: config.slow_log_per_s.max(1.0),
+                tokens: SLOW_LOG_PER_S,
                 last: Instant::now(),
             }),
             quota: QuotaManager::new(config.quota),
@@ -554,7 +561,7 @@ impl Engine {
     /// exactly once if this returns `Ok` and never if it returns `Err`.
     /// Non-blocking: rejects when full or draining.
     pub(crate) fn submit_to(&self, spec: JobSpec, sink: JobSink) -> Result<()> {
-        let timeout = spec.timeout.unwrap_or(self.shared.config.default_timeout);
+        let timeout = spec.timeout.unwrap_or(DEFAULT_JOB_TIMEOUT);
         let trace = spec.trace.unwrap_or_else(freqywm_obs::next_trace_id);
         let tenant = spec.payload.tenant().to_string();
         let reject = |err: ServiceError| {
@@ -602,12 +609,11 @@ impl Engine {
                 self.shared.quota.refund(&tenant, kind, now_ms);
                 return reject(ServiceError::ShuttingDown);
             }
-            if queue.len() >= self.shared.config.queue_capacity {
+            let capacity = self.shared.config.queue_capacity.max(1);
+            if queue.len() >= capacity {
                 drop(queue);
                 self.shared.quota.refund(&tenant, kind, now_ms);
-                return reject(ServiceError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
+                return reject(ServiceError::QueueFull { capacity });
             }
             queue.push_back(QueuedJob {
                 payload: spec.payload,
@@ -929,13 +935,13 @@ fn worker_loop(shared: Arc<Shared>) {
             let total = wait + took;
             if total.as_millis() as u64 >= threshold {
                 // Token bucket on the emit path: a latency storm logs
-                // at most ~slow_log_per_s lines; the overflow is
+                // at most ~SLOW_LOG_PER_S lines; the overflow is
                 // counted, not printed.
                 let allowed = shared
                     .slow_log
                     .lock()
                     .expect("slow log lock poisoned")
-                    .allow(shared.config.slow_log_per_s);
+                    .allow();
                 if allowed {
                     emit_slow_log(&shared, &trace, &tenant, op, wait, took);
                 } else {
@@ -1023,14 +1029,12 @@ fn check_deadline(cancel: &Cancellation) -> Result<()> {
     }
 }
 
-fn materialize(shared: &Shared, data: JobData, cancel: &Cancellation) -> Result<Histogram> {
+fn materialize(data: JobData, cancel: &Cancellation) -> Result<Histogram> {
     match data {
         JobData::Histogram(h) => Ok(h),
         JobData::Rows(rows) => Ok(rows.to_histogram()),
-        JobData::Tokens(tokens) => {
-            sharded_histogram_cancellable(&tokens, shared.config.shard_threads, cancel)
-                .map_err(|_| ServiceError::DeadlineExceeded)
-        }
+        JobData::Tokens(tokens) => sharded_histogram_cancellable(&tokens, SHARD_THREADS, cancel)
+            .map_err(|_| ServiceError::DeadlineExceeded),
     }
 }
 
@@ -1066,7 +1070,7 @@ fn run_payload(
                 .expect("registry lock poisoned")
                 .secret(&tenant)?
                 .clone();
-            let hist = materialize(shared, data, &cancel)?;
+            let hist = materialize(data, &cancel)?;
             check_deadline(&cancel)?;
             let sweep_started = Instant::now();
             let out = Watermarker::new(params).generate_histogram(&hist, secret)?;
@@ -1110,7 +1114,7 @@ fn run_payload(
                     secrets.detect(|t| rows.get(t), &params)
                 }
                 data => {
-                    let hist = materialize(shared, data, &cancel)?;
+                    let hist = materialize(data, &cancel)?;
                     check_deadline(&cancel)?;
                     sweep_started = Instant::now();
                     secrets.detect(|t| hist.count(t), &params)

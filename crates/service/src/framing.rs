@@ -30,10 +30,11 @@ pub struct LineFramer {
 }
 
 impl LineFramer {
+    /// `max_frame` is clamped to at least one byte.
     pub fn new(max_frame: usize) -> Self {
         LineFramer {
             buf: Vec::new(),
-            max_frame,
+            max_frame: max_frame.max(1),
             skipping: false,
         }
     }

@@ -56,10 +56,7 @@ pub use job::{
 pub use metrics::{aggregate_shard_metrics, Metrics, MetricsSnapshot, ShardMetricsPiece, M};
 pub use persist::{DurableRegistry, RecoveryReport, RegistryEvent, ReplicaBatch};
 pub use prf_cache::{CacheStats, PrfCache, PrfCacheConfig};
-pub use quota::{
-    FilterStorage, HashMapFilterStorage, QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus,
-    SlidingWindow, UNLIMITED,
-};
+pub use quota::{QuotaConfig, QuotaLimits, QuotaManager, QuotaStatus, SlidingWindow, UNLIMITED};
 pub use registry::{
     CountRows, KeyRegistry, QuotaRecord, StoredHistogram, StoredSecrets, StoredWatermark,
     TenantSnapshot,

@@ -497,9 +497,10 @@ pub fn err_response(id: Option<&Value>, msg: &str) -> String {
 }
 
 /// The error response for a frame that exceeded the transport's size
-/// cap. No id echo — an oversized frame is never parsed.
+/// cap (at least one byte, as [`LineFramer::new`] clamps it). No id
+/// echo — an oversized frame is never parsed.
 pub fn frame_too_large_response(max_frame: usize) -> String {
-    err_response(None, &format!("frame exceeds {max_frame} bytes"))
+    err_response(None, &format!("frame exceeds {} bytes", max_frame.max(1)))
 }
 
 /// Renders the `,"id":…` echo fragment for a response (empty when the

@@ -12,12 +12,11 @@
 //! charges against the budget. All methods take `now_ms` explicitly so
 //! the arithmetic is deterministic and property-testable.
 //!
-//! Tenant filters live behind the [`FilterStorage`] trait so the
-//! backing store is pluggable (the default is an in-process
-//! [`HashMapFilterStorage`]). Durable state — explicit limits set via
-//! the `quota` op and consumed-window checkpoints — is persisted by the
-//! registry log (`persist.rs`), not here; the [`QuotaManager`] only
-//! *signals* when a checkpoint is worth writing.
+//! Tenant filters live in the [`QuotaManager`]'s in-process map.
+//! Durable state — explicit limits set via the `quota` op and
+//! consumed-window checkpoints — is persisted by the registry log
+//! (`persist.rs`), not here; the manager only *signals* when a
+//! checkpoint is worth writing.
 
 use crate::job::JobKind;
 use std::collections::HashMap;
@@ -287,61 +286,6 @@ impl TenantFilter {
     }
 }
 
-/// Pluggable per-tenant filter storage. Implementations own the
-/// tenant → filter association; the [`QuotaManager`] provides the
-/// admission logic on top.
-pub trait FilterStorage: Send {
-    /// Look up a tenant's filter, creating it with `default` when the
-    /// tenant has never been seen.
-    fn filter_mut(&mut self, tenant: &str, default: &dyn Fn() -> TenantFilter)
-        -> &mut TenantFilter;
-    /// Look up without creating.
-    fn get_mut(&mut self, tenant: &str) -> Option<&mut TenantFilter>;
-    /// Insert or replace a tenant's filter.
-    fn insert(&mut self, tenant: &str, filter: TenantFilter);
-    /// Drop a tenant's filter (tenant removal).
-    fn remove(&mut self, tenant: &str);
-}
-
-/// The default storage: a plain in-process hash map. Filters are
-/// boxed, so the table holds a pointer per slot: its empty slots and
-/// its growth cost a pointer each, not a whole filter.
-#[derive(Default)]
-pub struct HashMapFilterStorage {
-    filters: HashMap<String, Box<TenantFilter>>,
-}
-
-impl HashMapFilterStorage {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl FilterStorage for HashMapFilterStorage {
-    fn filter_mut(
-        &mut self,
-        tenant: &str,
-        default: &dyn Fn() -> TenantFilter,
-    ) -> &mut TenantFilter {
-        if !self.filters.contains_key(tenant) {
-            self.filters.insert(tenant.to_string(), Box::new(default()));
-        }
-        self.filters.get_mut(tenant).expect("just inserted")
-    }
-
-    fn get_mut(&mut self, tenant: &str) -> Option<&mut TenantFilter> {
-        self.filters.get_mut(tenant).map(|f| &mut **f)
-    }
-
-    fn insert(&mut self, tenant: &str, filter: TenantFilter) {
-        self.filters.insert(tenant.to_string(), Box::new(filter));
-    }
-
-    fn remove(&mut self, tenant: &str) {
-        self.filters.remove(tenant);
-    }
-}
-
 /// Outcome of one admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionOutcome {
@@ -362,22 +306,35 @@ pub struct QuotaStatus {
     pub used: [u64; 3],
 }
 
-/// Thread-safe admission gate over a [`FilterStorage`].
+/// Thread-safe admission gate over the per-tenant filters.
 pub struct QuotaManager {
     config: QuotaConfig,
-    store: Mutex<Box<dyn FilterStorage>>,
+    /// Filters are boxed, so the table holds a pointer per slot: its
+    /// empty slots and its growth cost a pointer each, not a whole
+    /// filter.
+    filters: Mutex<HashMap<String, Box<TenantFilter>>>,
 }
 
 impl QuotaManager {
     pub fn new(config: QuotaConfig) -> Self {
-        QuotaManager::with_storage(config, Box::new(HashMapFilterStorage::new()))
-    }
-
-    pub fn with_storage(config: QuotaConfig, store: Box<dyn FilterStorage>) -> Self {
         QuotaManager {
             config,
-            store: Mutex::new(store),
+            filters: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// A tenant's filter, created with the engine defaults when the
+    /// tenant has never been seen.
+    fn filter_mut<'a>(
+        &self,
+        filters: &'a mut HashMap<String, Box<TenantFilter>>,
+        tenant: &str,
+    ) -> &'a mut TenantFilter {
+        if !filters.contains_key(tenant) {
+            let filter = TenantFilter::new(self.config.limits, self.config.window_ms, false);
+            filters.insert(tenant.to_string(), Box::new(filter));
+        }
+        filters.get_mut(tenant).expect("just inserted")
     }
 
     /// Deduct-or-refuse for one job. Also decides whether the consumed
@@ -385,11 +342,8 @@ impl QuotaManager {
     /// hit fully-spent, or on a refusal — both at most once per bucket,
     /// so the registry log grows by O(1) events per window per abuser.
     pub fn check(&self, tenant: &str, kind: JobKind, now_ms: u64) -> AdmissionOutcome {
-        let mut store = self.store.lock().unwrap();
-        let config = self.config;
-        let filter = store.filter_mut(tenant, &|| {
-            TenantFilter::new(config.limits, config.window_ms, false)
-        });
+        let mut filters = self.filters.lock().unwrap();
+        let filter = self.filter_mut(&mut filters, tenant);
         if filter.limits.is_unlimited() {
             return AdmissionOutcome {
                 refused: None,
@@ -419,8 +373,7 @@ impl QuotaManager {
     /// then refused by the queue (capacity / shutdown) — those paths
     /// must not burn budget.
     pub fn refund(&self, tenant: &str, kind: JobKind, now_ms: u64) {
-        let mut store = self.store.lock().unwrap();
-        if let Some(filter) = store.get_mut(tenant) {
+        if let Some(filter) = self.filters.lock().unwrap().get_mut(tenant) {
             filter.refund(kind, now_ms);
         }
     }
@@ -428,11 +381,8 @@ impl QuotaManager {
     /// Apply an explicit `quota` op (or a replicated one). Consumed
     /// windows survive unless the window width changes.
     pub fn set_limits(&self, tenant: &str, limits: QuotaLimits, window_ms: u64) {
-        let mut store = self.store.lock().unwrap();
-        let config = self.config;
-        let filter = store.filter_mut(tenant, &|| {
-            TenantFilter::new(config.limits, config.window_ms, false)
-        });
+        let mut filters = self.filters.lock().unwrap();
+        let filter = self.filter_mut(&mut filters, tenant);
         filter.set_limits(limits, window_ms);
     }
 
@@ -441,11 +391,8 @@ impl QuotaManager {
     /// Idempotent per checkpoint timestamp — re-seeding the same (or
     /// an older) checkpoint is a no-op, so callers can resync freely.
     pub fn seed_usage(&self, tenant: &str, used: [u64; 3], at_ms: u64) {
-        let mut store = self.store.lock().unwrap();
-        let config = self.config;
-        let filter = store.filter_mut(tenant, &|| {
-            TenantFilter::new(config.limits, config.window_ms, false)
-        });
+        let mut filters = self.filters.lock().unwrap();
+        let filter = self.filter_mut(&mut filters, tenant);
         if at_ms <= filter.last_seed_at_ms {
             return;
         }
@@ -459,13 +406,12 @@ impl QuotaManager {
 
     /// Forget a tenant (tenant removal).
     pub fn remove(&self, tenant: &str) {
-        self.store.lock().unwrap().remove(tenant);
+        self.filters.lock().unwrap().remove(tenant);
     }
 
     /// Effective state for the `quota` op response.
     pub fn status(&self, tenant: &str, now_ms: u64) -> QuotaStatus {
-        let mut store = self.store.lock().unwrap();
-        match store.get_mut(tenant) {
+        match self.filters.lock().unwrap().get_mut(tenant) {
             Some(filter) => QuotaStatus {
                 limits: filter.limits(),
                 window_ms: filter.window_ms(),
@@ -656,62 +602,5 @@ mod tests {
         assert!(st.limits.is_unlimited());
         assert_eq!(st.used, [0, 0, 0]);
         assert!(!st.explicit);
-    }
-
-    /// The trait is genuinely pluggable: a storage that caps how many
-    /// tenants it tracks (e.g. an LRU in front of a remote store).
-    #[test]
-    fn custom_filter_storage_plugs_in() {
-        struct Capped {
-            inner: HashMapFilterStorage,
-            cap: usize,
-            order: Vec<String>,
-        }
-        impl FilterStorage for Capped {
-            fn filter_mut(
-                &mut self,
-                tenant: &str,
-                default: &dyn Fn() -> TenantFilter,
-            ) -> &mut TenantFilter {
-                if self.inner.get_mut(tenant).is_none() {
-                    if self.order.len() >= self.cap {
-                        let evict = self.order.remove(0);
-                        self.inner.remove(&evict);
-                    }
-                    self.order.push(tenant.to_string());
-                }
-                self.inner.filter_mut(tenant, default)
-            }
-            fn get_mut(&mut self, tenant: &str) -> Option<&mut TenantFilter> {
-                self.inner.get_mut(tenant)
-            }
-            fn insert(&mut self, tenant: &str, filter: TenantFilter) {
-                self.inner.insert(tenant, filter);
-            }
-            fn remove(&mut self, tenant: &str) {
-                self.order.retain(|t| t != tenant);
-                self.inner.remove(tenant);
-            }
-        }
-        let mgr = QuotaManager::with_storage(
-            QuotaConfig {
-                limits: QuotaLimits {
-                    embed: 1,
-                    detect: UNLIMITED,
-                    maintain: UNLIMITED,
-                },
-                window_ms: 8_000,
-            },
-            Box::new(Capped {
-                inner: HashMapFilterStorage::new(),
-                cap: 1,
-                order: Vec::new(),
-            }),
-        );
-        assert!(mgr.check("a", JobKind::Embed, 0).refused.is_none());
-        assert!(mgr.check("a", JobKind::Embed, 0).refused.is_some());
-        // "b" evicts "a"; re-admitting "a" starts a fresh filter.
-        assert!(mgr.check("b", JobKind::Embed, 0).refused.is_none());
-        assert!(mgr.check("a", JobKind::Embed, 0).refused.is_none());
     }
 }

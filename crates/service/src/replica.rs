@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the follower thread reaches and paces its primary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FollowerConfig {
     /// Primary address (`host:port`) whose log this engine tails.
     pub primary: String,

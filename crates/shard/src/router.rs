@@ -112,8 +112,12 @@ const BACKEND_MAX_FRAME: usize = 8 << 20;
 /// observed promptly even if a wake byte is lost.
 const MAX_POLL: Duration = Duration::from_millis(500);
 
+/// Per-attempt bound on dialing a backend or standby, and on a standby
+/// probe's read.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Router tier configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Backend engine addresses; position in the vec is the shard id
     /// and must match each backend's `--shard-id i/N`.
@@ -124,26 +128,24 @@ pub struct RouterConfig {
     /// and redirects the shard's traffic — requests arriving during
     /// the switch are parked, not errored.
     pub standbys: Vec<Option<String>>,
-    /// Concurrent client connection cap.
+    /// Concurrent client connection cap (at least 1).
     pub max_conns: usize,
     /// Client input frame cap (same semantics as the engine serve).
     pub max_frame: usize,
     /// Slow-client eviction bound on unread response bytes.
     pub max_write_buffer: usize,
     /// Bound on a drain (shutdown op or SIGTERM) before remaining
-    /// connections are closed forcibly.
+    /// connections are closed forcibly (zero is taken as one second).
     pub drain_timeout: Duration,
     /// Idle gap after which a connected backend gets a `metrics`
-    /// health probe.
+    /// health probe (zero is taken as one second).
     pub probe_interval: Duration,
     /// Reconnect backoff range for dead backends.
     pub reconnect_min: Duration,
     pub reconnect_max: Duration,
-    /// Per-attempt bound on dialing a backend (connector thread).
-    pub connect_timeout: Duration,
     /// How long requests may park while a standby promotion is in
     /// progress before they error out (promotion itself keeps
-    /// retrying past this).
+    /// retrying past this; zero is taken as one second).
     pub failover_timeout: Duration,
     /// Client-side shared-secret auth (`hello` op / per-request
     /// `auth`), mirroring `freqywm serve --auth-token`.
@@ -162,6 +164,17 @@ impl RouterConfig {
     pub fn new(shards: Vec<String>) -> Self {
         RouterConfig {
             shards,
+            ..RouterConfig::default()
+        }
+    }
+}
+
+/// No shards: [`run_router`] refuses an empty shard map, so set
+/// `shards` (or use [`RouterConfig::new`]).
+impl Default for RouterConfig {
+    fn default() -> Self {
+        RouterConfig {
+            shards: Vec::new(),
             standbys: Vec::new(),
             max_conns: 1024,
             max_frame: 1 << 20,
@@ -170,7 +183,6 @@ impl RouterConfig {
             probe_interval: Duration::from_secs(2),
             reconnect_min: Duration::from_millis(100),
             reconnect_max: Duration::from_secs(3),
-            connect_timeout: Duration::from_secs(1),
             failover_timeout: Duration::from_secs(10),
             auth_token: None,
             shard_auth_token: None,
@@ -387,16 +399,13 @@ struct StandbyProberState {
 fn standby_prober_loop(
     state: Arc<StandbyProberState>,
     interval: Duration,
-    connect_timeout: Duration,
     auth_token: Option<String>,
 ) {
     loop {
         let addrs: Vec<Option<String>> = state.addrs.lock().expect("prober addrs").clone();
         for (idx, addr) in addrs.iter().enumerate() {
             let probe = match addr {
-                Some(addr) => {
-                    probe_standby(addr, connect_timeout, auth_token.as_deref()).unwrap_or_default()
-                }
+                Some(addr) => probe_standby(addr, auth_token.as_deref()).unwrap_or_default(),
                 None => StandbyProbe::default(),
             };
             state.probes.lock().expect("prober probes")[idx] = probe;
@@ -414,15 +423,9 @@ fn standby_prober_loop(
 
 /// One blocking metrics exchange with a standby; `None` on any failure
 /// (connect, timeout, bad response) — the standby is then just "down".
-fn probe_standby(
-    addr: &str,
-    connect_timeout: Duration,
-    auth_token: Option<&str>,
-) -> Option<StandbyProbe> {
-    let stream = connect_backend(addr, connect_timeout).ok()?;
-    stream
-        .set_read_timeout(Some(connect_timeout.max(Duration::from_secs(1))))
-        .ok()?;
+fn probe_standby(addr: &str, auth_token: Option<&str>) -> Option<StandbyProbe> {
+    let stream = connect_backend(addr).ok()?;
+    stream.set_read_timeout(Some(CONNECT_TIMEOUT)).ok()?;
     let mut writer = stream.try_clone().ok()?;
     let mut reader = BufReader::new(stream);
     let mut request = String::new();
@@ -628,20 +631,31 @@ fn text(v: Option<&str>) -> Val<'_> {
     v.map_or(Val::Null, |t| Val::Str(t.into()))
 }
 
-fn connect_backend(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+fn connect_backend(addr: &str) -> io::Result<TcpStream> {
     let resolved = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("cannot resolve {addr}")))?;
-    TcpStream::connect_timeout(&resolved, timeout)
+    TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT)
 }
 
 impl Router {
     fn new(
         listener: TcpListener,
         metrics_listener: Option<TcpListener>,
-        config: RouterConfig,
+        mut config: RouterConfig,
     ) -> io::Result<Self> {
+        // A zero period would spin the prober, or end every drain and
+        // failover park at once.
+        for period in [
+            &mut config.probe_interval,
+            &mut config.drain_timeout,
+            &mut config.failover_timeout,
+        ] {
+            if period.is_zero() {
+                *period = Duration::from_secs(1);
+            }
+        }
         let (door, wake_tx) = FrontDoor::open(
             listener,
             metrics_listener,
@@ -665,11 +679,9 @@ impl Router {
             });
             let thread_state = Arc::clone(&state);
             let interval = config.probe_interval;
-            let connect_timeout = config.connect_timeout;
             let token = config.shard_auth_token.clone();
-            let handle = std::thread::spawn(move || {
-                standby_prober_loop(thread_state, interval, connect_timeout, token)
-            });
+            let handle =
+                std::thread::spawn(move || standby_prober_loop(thread_state, interval, token));
             Some((state, handle))
         } else {
             None
@@ -837,11 +849,10 @@ impl Router {
     fn spawn_connector(&mut self, idx: usize) {
         self.backends[idx].connecting = true;
         let addr = self.backends[idx].addr.clone();
-        let timeout = self.config.connect_timeout;
         let tx = self.connect_tx.clone();
         let wake = self.wake_tx.try_clone().ok();
         std::thread::spawn(move || {
-            let result = connect_backend(&addr, timeout);
+            let result = connect_backend(&addr);
             let _ = tx.send((idx, result));
             if let Some(wake) = wake {
                 let _ = (&wake).write(&[1]);
