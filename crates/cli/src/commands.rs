@@ -43,8 +43,8 @@ fn start_engine(start: &EngineStart) -> Result<Engine, String> {
 
 /// Clean engine teardown: checkpoint durable state (so the next open
 /// replays nothing), then drain and join workers. Followers skip the
-/// checkpoint — compacting a replica's log is the primary's job, and
-/// a read-only registry refuses it anyway.
+/// checkpoint and leave their log tail for the next open to replay;
+/// they compact on their own every `snapshot_every` applied events.
 fn stop_engine(engine: &Engine, durable: bool) {
     if durable && !engine.is_follower() {
         let _ = engine.checkpoint();

@@ -33,10 +33,6 @@ pub struct NetConfig {
     /// bytes pile up unread is evicted (counted in `net.evicted_slow`)
     /// so it cannot pin reactor memory.
     pub max_write_buffer: usize,
-    /// After a `shutdown` op: how long the drain (flush in-flight
-    /// responses, then close) may take before remaining connections are
-    /// closed forcibly.
-    pub drain_timeout: Duration,
     pub backend: Backend,
     /// Shared-secret front-end auth. When set, every connection must
     /// authenticate before its first op — a `hello` op carrying
@@ -53,7 +49,6 @@ impl Default for NetConfig {
             idle_timeout: None,
             max_frame: 1 << 20,
             max_write_buffer: 4 << 20,
-            drain_timeout: Duration::from_secs(10),
             backend: Backend::Auto,
             auth_token: None,
         }

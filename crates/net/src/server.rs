@@ -39,6 +39,11 @@ use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// After a `shutdown` op: how long the drain (flush in-flight
+/// responses, then close) may take before remaining connections are
+/// closed forcibly.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Serves the engine's JSON-lines protocol on `listener` until a
 /// `shutdown` op completes its graceful drain.
 ///
@@ -300,7 +305,7 @@ impl<'a> Reactor<'a> {
     /// connections finish their in-flight work and close as they
     /// settle.
     fn start_drain(&mut self) {
-        self.draining = Some(Instant::now() + self.config.drain_timeout);
+        self.draining = Some(Instant::now() + DRAIN_TIMEOUT);
         self.door.stop_accepting();
         for fd in self.conns.keys().copied().collect::<Vec<_>>() {
             self.post_process(fd);

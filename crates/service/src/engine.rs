@@ -49,7 +49,7 @@ use freqywm_data::histogram::Histogram;
 use freqywm_obs::history::HistoryRing;
 use freqywm_obs::{OpKind, Span, SpanRing, Stage, TraceFilter};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -198,9 +198,6 @@ struct Shared {
     queue_cv: Condvar,
     registry: RwLock<DurableRegistry>,
     metrics: Metrics,
-    /// Logical clock for registration ordering (strictly monotonic, so
-    /// ledger chronology is deterministic under test).
-    clock: AtomicU64,
     state: AtomicU8,
     /// True while this engine is a read-only replica; flipped off by
     /// [`Engine::promote`]. Checked on every mutation path.
@@ -310,12 +307,11 @@ impl Engine {
     /// Opens the engine over a [`Storage`] backend, recovering and
     /// verifying whatever registry state the backend holds: the latest
     /// snapshot is restored, the log tail replayed (a torn final
-    /// record from a crash mid-append is dropped), the full hash chain
-    /// re-verified, and the logical clock resumed *above* every
-    /// persisted timestamp so recovered chronology stays monotonic.
+    /// record from a crash mid-append is dropped) and the full hash
+    /// chain re-verified. Every commit stamps its event one above the
+    /// registry's clock floor, so recovered chronology stays monotonic.
     pub fn open(config: EngineConfig, storage: Box<dyn Storage>) -> Result<Self> {
         let registry = DurableRegistry::open(&config.ledger_key, storage, config.snapshot_every)?;
-        let clock_start = registry.clock_floor() + 1;
         let follower = config.follow.is_some();
         let shared = Arc::new(Shared {
             registry: RwLock::new(registry),
@@ -332,7 +328,6 @@ impl Engine {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             metrics: Metrics::default(),
-            clock: AtomicU64::new(clock_start),
             state: AtomicU8::new(STATE_RUNNING),
         });
         // Restore persisted quota state (explicit limits + the last
@@ -366,11 +361,11 @@ impl Engine {
             .registry
             .write()
             .expect("registry lock poisoned");
-        // Tick under the exclusive lock: ledger timestamps must be
+        // Stamp under the exclusive lock: ledger timestamps must be
         // monotone in commit order, or a concurrent pair of
         // registrations could durably record inverted chronology — the
         // exact evidence disputes are decided on.
-        let now = self.shared.clock.fetch_add(1, Ordering::Relaxed);
+        let now = registry.clock_floor() + 1;
         registry.register_tenant(tenant, secret, now)
     }
 
@@ -409,8 +404,8 @@ impl Engine {
                 .registry
                 .write()
                 .expect("registry lock poisoned");
-            // Tick under the lock (see Engine::register_tenant).
-            let now = self.shared.clock.fetch_add(1, Ordering::Relaxed);
+            // Stamp under the lock (see Engine::register_tenant).
+            let now = registry.clock_floor() + 1;
             registry.set_quota(tenant, limits, window_ms, now)?;
         }
         self.shared.quota.set_limits(tenant, limits, window_ms);
@@ -503,11 +498,7 @@ impl Engine {
             registry.apply_sealed_event(sealed)?;
         }
         let next_seq = registry.next_seq();
-        let floor = registry.clock_floor();
         drop(registry);
-        // Keep the serving clock above every replicated timestamp so
-        // chronology stays monotone if this replica is promoted.
-        self.shared.clock.fetch_max(floor + 1, Ordering::SeqCst);
         // Replicated quota events (explicit limits, consumed-window
         // checkpoints) take effect on this follower's own admission
         // gate; seeding is idempotent per checkpoint timestamp.
@@ -526,9 +517,9 @@ impl Engine {
     }
 
     /// Promotes a follower to primary: re-verifies the replicated hash
-    /// chain end to end, resumes the logical clock above every
-    /// replicated timestamp, then lifts the read-only gate. Idempotent
-    /// — promoting a primary just reports its current head.
+    /// chain end to end, then lifts the read-only gate. The replicated
+    /// clock floor is the new primary's clock. Idempotent — promoting a
+    /// primary just reports its current head.
     pub fn promote(&self) -> Result<PromoteReport> {
         let registry = self.shared.registry.read().expect("registry lock poisoned");
         registry
@@ -541,9 +532,7 @@ impl Engine {
             head: registry.ledger().head_hash(),
             next_seq: registry.next_seq(),
         };
-        let floor = registry.clock_floor();
         drop(registry);
-        self.shared.clock.fetch_max(floor + 1, Ordering::SeqCst);
         // The new primary enforces the replicated quota state.
         resync_quota(&self.shared);
         Ok(report)
@@ -815,16 +804,15 @@ fn resync_quota(shared: &Shared) {
 /// Durably records a consumed-window checkpoint so a restart (or a
 /// failover) cannot reset an abuser's window. Primary only — a
 /// follower writing its own log would fork the replicated chain.
-/// Best-effort: the admission decision already stands.
+/// Best-effort: the admission decision already stands, and the
+/// registry refuses an unregistered tenant, which has nothing durable
+/// to pin.
 fn checkpoint_quota(shared: &Shared, tenant: &str, used: [u64; 3], at_ms: u64) {
     if shared.follower.load(Ordering::SeqCst) {
         return;
     }
     let mut registry = shared.registry.write().expect("registry lock poisoned");
-    if !registry.contains(tenant) {
-        return; // unregistered tenants have nothing durable to pin
-    }
-    let now = shared.clock.fetch_add(1, Ordering::Relaxed);
+    let now = registry.clock_floor() + 1;
     let _ = registry.checkpoint_quota(tenant, used, at_ms, now);
 }
 
@@ -1080,9 +1068,9 @@ fn run_payload(
             check_deadline(&cancel)?;
             let ledger_index = {
                 let mut registry = shared.registry.write().expect("registry lock poisoned");
-                // Tick under the lock so ledger chronology is monotone
+                // Stamp under the lock so ledger chronology is monotone
                 // in commit order (see Engine::register_tenant).
-                let now = shared.clock.fetch_add(1, Ordering::Relaxed);
+                let now = registry.clock_floor() + 1;
                 registry.record_watermark(&tenant, out.secrets, out.watermarked.clone(), now)?
             };
             Ok(JobOutput::Embed(EmbedOutcome {
@@ -1146,7 +1134,7 @@ fn run_payload(
             let (secrets, hist) = maintainer.into_parts();
             let ledger_index = {
                 let mut registry = shared.registry.write().expect("registry lock poisoned");
-                let now = shared.clock.fetch_add(1, Ordering::Relaxed);
+                let now = registry.clock_floor() + 1;
                 registry.replace_latest_watermark(&tenant, secrets, hist, now)?
             };
             Ok(JobOutput::Maintain(MaintainOutcome {

@@ -1,11 +1,13 @@
 //! Durable registry: write-ahead event log + snapshots over a
 //! [`Storage`] backend.
 //!
-//! Every mutation of the tenant/key registry is validated, encoded as
-//! a [`RegistryEvent`], durably appended (frame codec + fsync in the
-//! backend), and only then applied in memory — so the on-disk log is
-//! always at least as new as the in-memory state, and a crash at any
-//! byte boundary loses at most the mutation that was mid-append.
+//! Every mutation of the tenant/key registry, local or replicated from
+//! a primary, takes one path: it is validated, sealed as a
+//! [`RegistryEvent`] (a replica keeps the primary's sealed bytes),
+//! durably appended (frame codec + fsync in the backend), and only then
+//! applied in memory — so the on-disk log is always at least as new as
+//! the in-memory state, and a crash at any byte boundary loses at most
+//! the mutation that was mid-append.
 //!
 //! Recovery ([`DurableRegistry::open`]) restores the latest snapshot,
 //! replays the log tail (skipping events the snapshot already covers,
@@ -35,6 +37,7 @@ use freqywm_ledger::codec::{
     decode_entry, encode_entry, frame, put_bytes, put_str, put_u64, scan_frames, CodecError, Reader,
 };
 use freqywm_ledger::Ledger;
+use std::borrow::Cow;
 use std::io::Write;
 
 /// Default number of events between automatic snapshots.
@@ -471,8 +474,9 @@ pub struct DurableRegistry {
     ledger_key: Vec<u8>,
     /// Sequence number the next event will carry.
     next_seq: u64,
-    /// Highest logical timestamp ever persisted; the engine clock must
-    /// restart above this or recovered chronology could be violated.
+    /// Highest logical timestamp ever persisted: the only logical
+    /// clock. Callers stamp a commit one above it, so chronology stays
+    /// strictly increasing across restarts and failovers.
     clock_floor: u64,
     /// Clean (frame-aligned) log length, maintained so a failed
     /// partial append can be rolled back to a record boundary.
@@ -543,7 +547,7 @@ impl DurableRegistry {
         let snapshot = storage
             .read_snapshot()
             .map_err(|e| ServiceError::Storage(e.to_string()))?;
-        let (mut inner, mut next_seq, mut clock_floor) = match snapshot {
+        let (inner, next_seq, clock_floor) = match snapshot {
             Some(bytes) => {
                 let snap = decode_snapshot(&bytes, ledger_key).map_err(ServiceError::Storage)?;
                 recovery.snapshot_restored = true;
@@ -566,36 +570,7 @@ impl DurableRegistry {
                 .truncate_log(clean_len)
                 .map_err(|e| ServiceError::Storage(e.to_string()))?;
         }
-        for sealed in &scan.payloads {
-            let event = unseal_event(ledger_key, sealed)
-                .map_err(|e| ServiceError::Storage(format!("log: {e}")))?;
-            let (seq, ev) =
-                decode_event(event).map_err(|e| ServiceError::Storage(format!("log: {e}")))?;
-            if seq < next_seq {
-                // Snapshot already covers this event (crash between
-                // snapshot install and log truncation).
-                recovery.skipped_events += 1;
-                continue;
-            }
-            if seq != next_seq {
-                return Err(ServiceError::Storage(format!(
-                    "log: sequence gap (expected {next_seq}, found {seq})"
-                )));
-            }
-            clock_floor = clock_floor.max(ev.now());
-            apply(&mut inner, ev, None)
-                .map_err(|e| ServiceError::Storage(format!("replay failed: {e}")))?;
-            next_seq += 1;
-            recovery.replayed_events += 1;
-        }
-
-        // 3. The recovered chain must re-prove itself end to end.
-        inner
-            .ledger()
-            .verify_chain()
-            .map_err(|e| ServiceError::Storage(format!("recovered ledger corrupt: {e}")))?;
-
-        Ok(DurableRegistry {
+        let mut reg = DurableRegistry {
             inner,
             storage,
             ledger_key: ledger_key.to_vec(),
@@ -607,7 +582,25 @@ impl DurableRegistry {
             events_since_snapshot: 0,
             snapshot_every,
             recovery,
-        })
+        };
+        for sealed in &scan.payloads {
+            let Some(ev) = reg.read_record(sealed, "log")? else {
+                // Snapshot already covers this event (crash between
+                // snapshot install and log truncation).
+                reg.recovery.skipped_events += 1;
+                continue;
+            };
+            reg.advance(ev, None)
+                .map_err(|e| ServiceError::Storage(format!("replay failed: {e}")))?;
+            reg.recovery.replayed_events += 1;
+        }
+
+        // 3. The recovered chain must re-prove itself end to end.
+        reg.inner
+            .ledger()
+            .verify_chain()
+            .map_err(|e| ServiceError::Storage(format!("recovered ledger corrupt: {e}")))?;
+        Ok(reg)
     }
 
     /// What recovery found when this registry was opened.
@@ -615,15 +608,48 @@ impl DurableRegistry {
         self.recovery
     }
 
-    /// Highest logical timestamp ever durably recorded. A restarted
-    /// engine must resume its clock *above* this.
+    /// Highest logical timestamp ever durably recorded: the registry's
+    /// clock. A commit stamps its event `clock_floor() + 1`.
     pub fn clock_floor(&self) -> u64 {
         self.clock_floor
     }
 
-    /// Durably appends `ev`, then applies it. The caller has already
-    /// validated that applying cannot fail.
-    fn commit(&mut self, ev: RegistryEvent) -> Result<()> {
+    /// Unseals and decodes one sealed record and places it against
+    /// `next_seq`: `None` for an event this registry already holds, a
+    /// gap error for one past it. `source` names the record's origin in
+    /// errors.
+    fn read_record(&self, sealed: &[u8], source: &str) -> Result<Option<RegistryEvent>> {
+        let (seq, ev) = unseal_event(&self.ledger_key, sealed)
+            .and_then(decode_event)
+            .map_err(|e| ServiceError::Storage(format!("{source}: {e}")))?;
+        match seq.cmp(&self.next_seq) {
+            std::cmp::Ordering::Less => Ok(None),
+            std::cmp::Ordering::Equal => Ok(Some(ev)),
+            std::cmp::Ordering::Greater => Err(ServiceError::Storage(format!(
+                "{source}: sequence gap (expected {}, found {seq})",
+                self.next_seq
+            ))),
+        }
+    }
+
+    /// Applies the event at `next_seq` in memory and moves the sequence
+    /// number and the clock past it. A watermark event registers
+    /// `secret_text` when the caller already rendered it.
+    fn advance(&mut self, ev: RegistryEvent, secret_text: Option<String>) -> Result<()> {
+        let now = ev.now();
+        apply(&mut self.inner, ev, secret_text)?;
+        self.next_seq += 1;
+        self.clock_floor = self.clock_floor.max(now);
+        Ok(())
+    }
+
+    /// The write-ahead path every mutation takes, local or replicated:
+    /// refuse on an audit handle or a poisoned log, decode a replicated
+    /// record (`Ok(false)` for one already held), [`validate`], durably
+    /// append the sealed record, then apply it and compact every
+    /// `snapshot_every` events. The log is therefore always at least as
+    /// new as the in-memory state, on a primary and a replica alike.
+    fn commit(&mut self, incoming: Incoming<'_>) -> Result<bool> {
         if self.read_only {
             return Err(ServiceError::Storage(
                 "registry opened read-only (audit); mutations refused".into(),
@@ -634,12 +660,28 @@ impl DurableRegistry {
                 "registry log has an unrepaired torn tail; reopen to recover".into(),
             ));
         }
+        let (ev, sealed) = match incoming {
+            Incoming::Local(ev) => (ev, None),
+            Incoming::Sealed(sealed) => match self.read_record(sealed, "replicated event")? {
+                Some(ev) => (ev, Some(sealed)),
+                None => return Ok(false),
+            },
+        };
+        // Validate before the append so an impossible event (a refused
+        // call, or primary/replica divergence) is refused rather than
+        // buried in the log where replay would die on it.
+        validate(&self.inner, &ev)?;
+        let durable = self.storage.is_durable();
         let mut secret_text = None;
-        if self.storage.is_durable() {
-            let framed = frame(&seal_event(
-                &self.ledger_key,
-                &encode_event(self.next_seq, &ev, &mut secret_text),
-            ));
+        if durable {
+            let sealed = match sealed {
+                Some(sealed) => Cow::Borrowed(sealed),
+                None => Cow::Owned(seal_event(
+                    &self.ledger_key,
+                    &encode_event(self.next_seq, &ev, &mut secret_text),
+                )),
+            };
+            let framed = frame(&sealed);
             if let Err(e) = self.storage.append_log(&framed) {
                 // The append may have landed partially (ENOSPC, I/O
                 // error, crash-injection). Roll the log back to the
@@ -654,19 +696,15 @@ impl DurableRegistry {
             }
             self.log_len += framed.len() as u64;
         }
-        self.next_seq += 1;
-        self.clock_floor = self.clock_floor.max(ev.now());
-        apply(&mut self.inner, ev, secret_text).expect("validated event cannot fail to apply");
+        self.advance(ev, secret_text)
+            .expect("validated event cannot fail to apply");
         self.events_since_snapshot += 1;
-        if self.storage.is_durable()
-            && self.snapshot_every > 0
-            && self.events_since_snapshot >= self.snapshot_every
-        {
+        if durable && self.snapshot_every > 0 && self.events_since_snapshot >= self.snapshot_every {
             // Best-effort compaction: the event itself is already
             // durable, so a failed snapshot only means a longer replay.
             let _ = self.snapshot_now();
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Installs a snapshot of the current state and truncates the log.
@@ -695,15 +733,12 @@ impl DurableRegistry {
 
     /// See [`KeyRegistry::register_tenant`]; durably logged.
     pub fn register_tenant(&mut self, tenant: &str, secret: Secret, now: u64) -> Result<u64> {
-        if self.inner.contains(tenant) {
-            return Err(ServiceError::DuplicateTenant(tenant.to_string()));
-        }
         let index = self.inner.ledger().len() as u64;
-        self.commit(RegistryEvent::RegisterTenant {
+        self.commit(Incoming::Local(RegistryEvent::RegisterTenant {
             tenant: tenant.to_string(),
             secret,
             now,
-        })?;
+        }))?;
         Ok(index)
     }
 
@@ -715,16 +750,13 @@ impl DurableRegistry {
         watermarked: Histogram,
         now: u64,
     ) -> Result<u64> {
-        if !self.inner.contains(tenant) {
-            return Err(ServiceError::UnknownTenant(tenant.to_string()));
-        }
         let index = self.inner.ledger().len() as u64;
-        self.commit(RegistryEvent::RecordWatermark {
+        self.commit(Incoming::Local(RegistryEvent::RecordWatermark {
             tenant: tenant.to_string(),
             secrets: StoredSecrets::new(&secrets),
             watermarked: StoredHistogram::new(&watermarked),
             now,
-        })?;
+        }))?;
         Ok(index)
     }
 
@@ -736,16 +768,13 @@ impl DurableRegistry {
         watermarked: Histogram,
         now: u64,
     ) -> Result<u64> {
-        if self.inner.latest_watermark(tenant).is_none() {
-            return Err(ServiceError::NoWatermark(tenant.to_string()));
-        }
         let index = self.inner.ledger().len() as u64;
-        self.commit(RegistryEvent::ReplaceWatermark {
+        self.commit(Incoming::Local(RegistryEvent::ReplaceWatermark {
             tenant: tenant.to_string(),
             secrets: StoredSecrets::new(&secrets),
             watermarked: StoredHistogram::new(&watermarked),
             now,
-        })?;
+        }))?;
         Ok(index)
     }
 
@@ -755,9 +784,9 @@ impl DurableRegistry {
         if !self.inner.contains(tenant) {
             return Ok(false);
         }
-        self.commit(RegistryEvent::RemoveTenant {
+        self.commit(Incoming::Local(RegistryEvent::RemoveTenant {
             tenant: tenant.to_string(),
-        })?;
+        }))?;
         Ok(true)
     }
 
@@ -769,15 +798,13 @@ impl DurableRegistry {
         window_ms: u64,
         now: u64,
     ) -> Result<()> {
-        if !self.inner.contains(tenant) {
-            return Err(ServiceError::UnknownTenant(tenant.to_string()));
-        }
-        self.commit(RegistryEvent::SetQuota {
+        self.commit(Incoming::Local(RegistryEvent::SetQuota {
             tenant: tenant.to_string(),
             limits,
             window_ms,
             now,
-        })
+        }))
+        .map(drop)
     }
 
     /// See [`KeyRegistry::checkpoint_quota`]; durably logged.
@@ -788,15 +815,13 @@ impl DurableRegistry {
         at_ms: u64,
         now: u64,
     ) -> Result<()> {
-        if !self.inner.contains(tenant) {
-            return Err(ServiceError::UnknownTenant(tenant.to_string()));
-        }
-        self.commit(RegistryEvent::QuotaCheckpoint {
+        self.commit(Incoming::Local(RegistryEvent::QuotaCheckpoint {
             tenant: tenant.to_string(),
             used,
             at_ms,
             now,
-        })
+        }))
+        .map(drop)
     }
 
     // ---- replication ----------------------------------------------------
@@ -878,60 +903,13 @@ impl DurableRegistry {
     /// Applies one sealed event received from a primary: verifies the
     /// MAC, checks the sequence number, durably appends the identical
     /// record to the local log, then applies it in memory — the same
-    /// write-ahead discipline as a primary's commit, so a replica killed
-    /// at any byte boundary recovers exactly like a primary.
+    /// write-ahead path as a local commit, so a replica killed at any
+    /// byte boundary recovers exactly like a primary.
     ///
     /// Returns `false` (and changes nothing) for an event the replica
     /// already holds — reconnect overlap is idempotent.
     pub fn apply_sealed_event(&mut self, sealed: &[u8]) -> Result<bool> {
-        if self.read_only {
-            return Err(ServiceError::Storage(
-                "registry opened read-only (audit); mutations refused".into(),
-            ));
-        }
-        if self.poisoned {
-            return Err(ServiceError::Storage(
-                "registry log has an unrepaired torn tail; reopen to recover".into(),
-            ));
-        }
-        let event = unseal_event(&self.ledger_key, sealed)
-            .map_err(|e| ServiceError::Storage(format!("replicated event: {e}")))?;
-        let (seq, ev) = decode_event(event)
-            .map_err(|e| ServiceError::Storage(format!("replicated event: {e}")))?;
-        if seq < self.next_seq {
-            return Ok(false);
-        }
-        if seq > self.next_seq {
-            return Err(ServiceError::Storage(format!(
-                "replication gap (expected {}, got {seq})",
-                self.next_seq
-            )));
-        }
-        // Validate before the append so a semantically impossible
-        // event (primary/replica divergence) is refused rather than
-        // buried in the log where replay would die on it.
-        validate(&self.inner, &ev)?;
-        if self.storage.is_durable() {
-            let framed = frame(sealed);
-            if let Err(e) = self.storage.append_log(&framed) {
-                if self.storage.truncate_log(self.log_len).is_err() {
-                    self.poisoned = true;
-                }
-                return Err(ServiceError::Storage(e.to_string()));
-            }
-            self.log_len += framed.len() as u64;
-        }
-        self.next_seq += 1;
-        self.clock_floor = self.clock_floor.max(ev.now());
-        apply(&mut self.inner, ev, None).expect("validated event cannot fail to apply");
-        self.events_since_snapshot += 1;
-        if self.storage.is_durable()
-            && self.snapshot_every > 0
-            && self.events_since_snapshot >= self.snapshot_every
-        {
-            let _ = self.snapshot_now();
-        }
-        Ok(true)
+        self.commit(Incoming::Sealed(sealed))
     }
 
     /// Replaces local state with an authenticated snapshot shipped by
@@ -985,9 +963,16 @@ pub struct ReplicaBatch {
     pub snapshot: Option<Vec<u8>>,
 }
 
-/// Pre-checks that `ev` can apply cleanly — mirrors the validation the
-/// public mutators perform before logging, for events arriving over
-/// replication instead.
+/// An event entering [`DurableRegistry::commit`].
+enum Incoming<'a> {
+    /// A local mutation, sealed at commit when the storage is durable.
+    Local(RegistryEvent),
+    /// A primary's sealed record, appended byte for byte.
+    Sealed(&'a [u8]),
+}
+
+/// Checks that `ev` can apply cleanly: the registry's only copy of
+/// these rules, for local and replicated events alike.
 fn validate(registry: &KeyRegistry, ev: &RegistryEvent) -> Result<()> {
     match ev {
         RegistryEvent::RegisterTenant { tenant, .. } if registry.contains(tenant) => {
@@ -1608,6 +1593,53 @@ mod tests {
             .replace_latest_watermark("t", secrets("w"), hist(), 4)
             .is_err());
         assert!(!reg.remove_tenant("ghost").unwrap());
+        let limits = QuotaLimits {
+            embed: 1,
+            detect: 1,
+            maintain: 1,
+        };
+        assert!(matches!(
+            reg.set_quota("ghost", limits, 1_000, 5),
+            Err(ServiceError::UnknownTenant(_))
+        ));
+        assert!(matches!(
+            reg.checkpoint_quota("ghost", [1, 0, 0], 9, 6),
+            Err(ServiceError::UnknownTenant(_))
+        ));
         assert_eq!(storage.log_len(), len, "rejected mutations must not log");
+        assert_eq!(reg.next_seq(), 1);
+        assert_eq!(reg.clock_floor(), 1);
+    }
+
+    #[test]
+    fn replicated_event_invalid_for_the_replica_is_refused() {
+        // P and Q share the ledger key but not their histories. The
+        // replica follows P for one event; Q's seq-1 watermark for a
+        // tenant only Q registered is valid for Q, not for the replica.
+        let mut p = open(&InMemoryStorage::new(), 0);
+        p.register_tenant("acme", Secret::from_label("a"), 1)
+            .unwrap();
+        let mut q = open(&InMemoryStorage::new(), 0);
+        q.register_tenant("zed", Secret::from_label("z"), 1)
+            .unwrap();
+        q.record_watermark("zed", secrets("wz"), hist(), 2).unwrap();
+        let from_p = p.events_since(0, usize::MAX).unwrap();
+        let from_q = q.events_since(1, usize::MAX).unwrap();
+
+        let storage = InMemoryStorage::new();
+        let mut replica = open(&storage, 0);
+        assert!(replica.apply_sealed_event(&from_p.events[0]).unwrap());
+        let log = Storage::read_log(&mut storage.clone()).unwrap();
+        let (seq, floor) = (replica.next_seq(), replica.clock_floor());
+
+        let err = replica.apply_sealed_event(&from_q.events[0]).unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::UnknownTenant(t) if t == "zed"),
+            "{err}"
+        );
+        assert_eq!(Storage::read_log(&mut storage.clone()).unwrap(), log);
+        assert_eq!(replica.next_seq(), seq);
+        assert_eq!(replica.clock_floor(), floor);
+        assert!(!replica.contains("zed"));
     }
 }

@@ -560,7 +560,7 @@ pub struct StoredWatermark {
     pub watermarked: StoredHistogram,
     /// Index of this watermark's fingerprint in the ledger chain.
     pub ledger_index: u64,
-    /// Logical registration timestamp (engine clock tick).
+    /// Logical registration timestamp (registry clock floor + 1).
     pub registered_at: u64,
 }
 

@@ -264,6 +264,13 @@ fn promote_flips_follower_to_writable_primary() {
     let stale = primary.events_since(2, usize::MAX).unwrap();
     assert!(engine.apply_replica_batch(&stale).is_err());
 
+    // A refused mutation stamps nothing: the registry's clock floor is
+    // the engine's only clock, so it moves only when an event commits.
+    assert!(matches!(
+        engine.register_tenant("acme", Secret::from_label("dup")),
+        Err(ServiceError::DuplicateTenant(_))
+    ));
+
     // Writable, and chronology stays strictly monotonic: the clock
     // resumed above the replicated timestamps (41, 42).
     engine
@@ -275,6 +282,11 @@ fn promote_flips_follower_to_writable_primary() {
         assert!(
             timestamps.windows(2).all(|w| w[0] < w[1]),
             "timestamps must stay strictly increasing across promotion: {timestamps:?}"
+        );
+        assert_eq!(
+            timestamps,
+            [41, 42, 43],
+            "a refused call must not skip a stamp"
         );
     }
     engine.shutdown();

@@ -116,6 +116,12 @@ const MAX_POLL: Duration = Duration::from_millis(500);
 /// probe's read.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Slow-client eviction bound on unread response bytes.
+const MAX_WRITE_BUFFER: usize = 4 << 20;
+
+/// Poller backend: epoll on Linux, `poll(2)` elsewhere.
+const POLLER: Backend = Backend::Auto;
+
 /// Router tier configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
@@ -132,8 +138,6 @@ pub struct RouterConfig {
     pub max_conns: usize,
     /// Client input frame cap (same semantics as the engine serve).
     pub max_frame: usize,
-    /// Slow-client eviction bound on unread response bytes.
-    pub max_write_buffer: usize,
     /// Bound on a drain (shutdown op or SIGTERM) before remaining
     /// connections are closed forcibly (zero is taken as one second).
     pub drain_timeout: Duration,
@@ -153,8 +157,6 @@ pub struct RouterConfig {
     /// Token the router presents to backends (their `--auth-token`),
     /// sent as a `hello` op right after each (re)connect.
     pub shard_auth_token: Option<String>,
-    /// Poller backend selection.
-    pub backend: Backend,
     /// Install SIGTERM/SIGINT handlers that drain the router (the CLI
     /// turns this on; embedded/test routers leave it off).
     pub handle_signals: bool,
@@ -178,7 +180,6 @@ impl Default for RouterConfig {
             standbys: Vec::new(),
             max_conns: 1024,
             max_frame: 1 << 20,
-            max_write_buffer: 4 << 20,
             drain_timeout: Duration::from_secs(10),
             probe_interval: Duration::from_secs(2),
             reconnect_min: Duration::from_millis(100),
@@ -186,7 +187,6 @@ impl Default for RouterConfig {
             failover_timeout: Duration::from_secs(10),
             auth_token: None,
             shard_auth_token: None,
-            backend: Backend::Auto,
             handle_signals: false,
         }
     }
@@ -656,13 +656,8 @@ impl Router {
                 *period = Duration::from_secs(1);
             }
         }
-        let (door, wake_tx) = FrontDoor::open(
-            listener,
-            metrics_listener,
-            config.backend,
-            config.max_conns,
-            None,
-        )?;
+        let (door, wake_tx) =
+            FrontDoor::open(listener, metrics_listener, POLLER, config.max_conns, None)?;
         if config.handle_signals {
             signal::install_drain_handler(wake_tx.as_raw_fd());
         }
@@ -1587,7 +1582,7 @@ impl Router {
                 conn.io.flush();
             }
             conn.io.failed
-                || conn.io.buffered() > self.config.max_write_buffer
+                || conn.io.buffered() > MAX_WRITE_BUFFER
                 || ((conn.io.eof || self.drain.is_some()) && conn.settled())
         };
         if close {
