@@ -107,7 +107,7 @@ impl LineStream {
     /// delivered as a final line only if `deliver_tail`: a request may
     /// omit its last newline, but a response without one was cut off
     /// mid-write.
-    pub fn read_ready(&mut self, deliver_tail: bool, mut sink: impl FnMut(LineEvent)) -> usize {
+    pub fn read_ready(&mut self, deliver_tail: bool, mut sink: impl FnMut(LineEvent<'_>)) -> usize {
         let mut chunk = [0u8; READ_CHUNK];
         let mut total = 0;
         while total < READ_BUDGET {
@@ -136,7 +136,16 @@ impl LineStream {
 
     /// Appends one response line (and its newline) to the output.
     pub fn queue_line(&mut self, line: &str) {
-        self.out.extend(line.as_bytes());
+        self.queue_parts(&[line]);
+    }
+
+    /// Appends one line given as consecutive parts (and its newline):
+    /// a line assembled from pieces is written without first being
+    /// joined into a string of its own.
+    pub fn queue_parts(&mut self, parts: &[&str]) {
+        for part in parts {
+            self.out.extend(part.as_bytes());
+        }
         self.out.extend(b"\n");
     }
 

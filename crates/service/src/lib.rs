@@ -45,6 +45,7 @@ pub mod registry;
 pub mod replica;
 pub mod shard;
 pub mod storage;
+mod swar;
 
 pub use engine::{DisputeOutcome, Engine, EngineConfig, PromoteReport, ShardGate};
 pub use error::ServiceError;

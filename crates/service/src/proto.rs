@@ -63,7 +63,13 @@ pub mod json {
     //! `Parser::skip_value`, which checks them exactly as [`parse`]
     //! would, error text included; a shard's decodes them into rows in
     //! the same pass, through `Parser::decode_value`.
+    //!
+    //! Both take a bulk row of the shape the tier carries,
+    //! `["token",count]`, through `Parser::fixed_row`: one match of that
+    //! exact shape, which on anything else leaves the row to the general
+    //! path. String text is searched eight bytes at a time.
 
+    use crate::swar;
     use std::borrow::Cow;
 
     /// A parsed JSON value. Numbers are `f64` (counts fit exactly up to
@@ -270,15 +276,17 @@ pub mod json {
             }
         }
 
-        /// Checks the next value exactly as [`Parser::value`] would and
-        /// returns its text, building nothing (an object key inside it
-        /// is decoded only if it carries an escape).
-        pub(super) fn skip_value(&mut self) -> Result<&'a str, String> {
-            let first = self.peek()?;
-            let start = self.pos;
-            match first {
-                b'{' => self.object(|p, _| p.skip_value().map(drop))?,
-                b'[' => self.array(|p| p.skip_value().map(drop))?,
+        /// Checks the next value exactly as [`Parser::value`] would,
+        /// building nothing (an object key inside it is decoded only if
+        /// it carries an escape).
+        pub(super) fn skip_value(&mut self) -> Result<(), String> {
+            match self.peek()? {
+                b'{' => self.object(|p, _| p.skip_value())?,
+                b'[' => {
+                    if self.fixed_row().is_none() {
+                        self.array(|p| p.skip_value())?;
+                    }
+                }
                 b'"' => {
                     self.scan_string(None)?;
                 }
@@ -293,7 +301,7 @@ pub mod json {
                     }
                 }
             }
-            Ok(&self.input[start..self.pos])
+            Ok(())
         }
 
         /// Opens one array or object level (the next byte is its bracket).
@@ -356,7 +364,12 @@ pub mod json {
                 }
                 loop {
                     item(p)?;
-                    match p.peek()? {
+                    // The separator mostly follows the element directly.
+                    let next = match p.bytes.get(p.pos) {
+                        Some(&b @ (b',' | b']')) => b,
+                        _ => p.peek()?,
+                    };
+                    match next {
                         b',' => p.pos += 1,
                         b']' => {
                             p.pos += 1;
@@ -393,10 +406,7 @@ pub mod json {
             loop {
                 // The input is a `str`: no byte of a multi-byte character
                 // is a quote or a backslash, so scanning bytes is exact.
-                let Some(off) = self.bytes[self.pos..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                else {
+                let Some(off) = swar::find2(&self.bytes[self.pos..], b'"', b'\\') else {
                     self.pos = self.bytes.len();
                     return Err("unterminated string".to_string());
                 };
@@ -439,6 +449,45 @@ pub mod json {
                 }
                 run = self.pos;
             }
+        }
+
+        /// Matches the value the parser stands on against the one row
+        /// shape the tier sends, `["<text>",<digits>]`: no whitespace, a
+        /// token with no quote or backslash, and 1–15 ASCII digits after
+        /// an optional `-`. Such a row is valid JSON, its token is the
+        /// text between the quotes and its number fits an `i64` exactly,
+        /// so on a match the parser steps past the row and returns both:
+        /// what the general path reads from it. On anything else it
+        /// returns `None` without moving, and the general path takes the
+        /// row, so every refusal, error text and offset comes from there.
+        #[inline]
+        pub(super) fn fixed_row(&mut self) -> Option<(&'a str, i64)> {
+            let b = self.bytes;
+            // The row is one nesting level, refused at the cap.
+            if self.depth == MAX_DEPTH || b.get(self.pos..self.pos + 2)? != b"[\"" {
+                return None;
+            }
+            let open = self.pos + 2;
+            let close = open + swar::find2(&b[open..], b'"', b'\\')?;
+            if b[close] != b'"' || b.get(close + 1) != Some(&b',') {
+                return None;
+            }
+            let negative = b.get(close + 2) == Some(&b'-');
+            let digits = close + 2 + usize::from(negative);
+            let (mut end, mut n) = (digits, 0i64);
+            // Sixteen digits at most: one past what the shape allows.
+            for &c in b[digits..].iter().take(16) {
+                if !c.is_ascii_digit() {
+                    break;
+                }
+                n = n * 10 + i64::from(c - b'0');
+                end += 1;
+            }
+            if !(1..=15).contains(&(end - digits)) || b.get(end) != Some(&b']') {
+                return None;
+            }
+            self.pos = end + 1;
+            Some((&self.input[open..close], if negative { -n } else { n }))
         }
 
         /// Decodes the value the parser stands on with `decode`, which
@@ -661,15 +710,28 @@ fn delta_of(text: &str) -> Option<i64> {
     small_int(text).or_else(|| Value::Num(text.parse().ok()?).as_i64())
 }
 
+/// One element of a bulk array, as a row decoder receives it.
+enum Row<'p, 'a> {
+    /// A row in the fixed shape (`json::Parser::fixed_row`), already
+    /// scanned: its token and its number, as `count_of` and `delta_of`
+    /// read its text.
+    Fixed(&'a str, i64),
+    /// Any other element, for the decoder to scan; the parser stands on
+    /// it.
+    Scan(&'p mut json::Parser<'a>),
+}
+
 /// Scans the bulk array `field` the parser stands on, handing each
-/// row to `row` until one is refused. The refused row is scanned again
-/// for syntax only, and so is every row after it. The outer error is a
-/// syntax error anywhere in the array; the inner one is the refusal of
-/// the first faulty row, or of a value that is not an array.
+/// element to `row` until one is refused. The refused element is
+/// scanned again for syntax only, and so is every element after it. The
+/// outer error is a syntax error anywhere in the array; the inner one is
+/// the refusal of the first faulty element, or of a value that is not
+/// an array. A fixed-shape row is valid JSON, so its refusal needs no
+/// second scan.
 fn bulk_rows<'a>(
     p: &mut json::Parser<'a>,
     field: &str,
-    mut row: impl FnMut(&mut json::Parser<'a>) -> Result<(), String>,
+    mut row: impl FnMut(Row<'_, 'a>) -> Result<(), String>,
 ) -> Result<Result<(), String>, String> {
     if p.peek()? != b'[' {
         p.skip_value()?;
@@ -677,10 +739,12 @@ fn bulk_rows<'a>(
     }
     let mut refusal = None;
     p.array(|p| {
-        if refusal.is_none() {
-            refusal = p.decode_value(&mut row)?.err();
-        } else {
+        if refusal.is_some() {
             p.skip_value()?;
+        } else if let Some((token, n)) = p.fixed_row() {
+            refusal = row(Row::Fixed(token, n)).err();
+        } else {
+            refusal = p.decode_value(|p| row(Row::Scan(p)))?.err();
         }
         Ok(())
     })?;
@@ -692,11 +756,15 @@ fn bulk_rows<'a>(
 /// one token would corrupt a histogram's rank invariants.
 fn decode_counts(p: &mut json::Parser<'_>) -> Result<Result<CountRows, String>, String> {
     let mut rows = CountRows::with_capacity(p.remaining());
-    let decoded = bulk_rows(p, "counts", |p| {
-        let (token, count) = token_row(p, "counts entries must be [token, count]")?;
-        let c = count
-            .and_then(count_of)
-            .ok_or("count must be a non-negative integer")?;
+    let decoded = bulk_rows(p, "counts", |row| {
+        let (token, count) = match row {
+            Row::Fixed(token, n) => (Cow::Borrowed(token), u64::try_from(n).ok()),
+            Row::Scan(p) => {
+                let (token, n) = token_row(p, "counts entries must be [token, count]")?;
+                (token, n.and_then(count_of))
+            }
+        };
+        let c = count.ok_or("count must be a non-negative integer")?;
         if !rows.push(&token, c) {
             return Err(format!("duplicate token {token:?} in counts"));
         }
@@ -708,9 +776,15 @@ fn decode_counts(p: &mut json::Parser<'_>) -> Result<Result<CountRows, String>, 
 /// Decodes an `updates` array into `(token, delta)` rows.
 fn decode_updates(p: &mut json::Parser<'_>) -> Result<Result<Vec<(Token, i64)>, String>, String> {
     let mut rows = Vec::new();
-    let decoded = bulk_rows(p, "updates", |p| {
-        let (token, n) = token_row(p, "updates entries must be [token, delta]")?;
-        let d = n.and_then(delta_of).ok_or("delta must be an integer")?;
+    let decoded = bulk_rows(p, "updates", |row| {
+        let (token, delta) = match row {
+            Row::Fixed(token, n) => (Cow::Borrowed(token), Some(n)),
+            Row::Scan(p) => {
+                let (token, n) = token_row(p, "updates entries must be [token, delta]")?;
+                (token, n.and_then(delta_of))
+            }
+        };
+        let d = delta.ok_or("delta must be an integer")?;
         rows.push((Token::new(token), d));
         Ok(())
     })?;
@@ -720,9 +794,13 @@ fn decode_updates(p: &mut json::Parser<'_>) -> Result<Result<Vec<(Token, i64)>, 
 /// Decodes a `tokens` array.
 fn decode_tokens(p: &mut json::Parser<'_>) -> Result<Result<Vec<Token>, String>, String> {
     let mut tokens = Vec::new();
-    let decoded = bulk_rows(p, "tokens", |p| {
+    let decoded = bulk_rows(p, "tokens", |row| {
+        let refusal = || "tokens entries must be strings".to_string();
+        let Row::Scan(p) = row else {
+            return Err(refusal());
+        };
         if p.peek()? != b'"' {
-            return Err("tokens entries must be strings".to_string());
+            return Err(refusal());
         }
         tokens.push(Token::new(p.string()?));
         Ok(())
@@ -1895,7 +1973,9 @@ impl Session {
 }
 
 enum ServeEvent {
-    Input(LineEvent),
+    /// A frame from the reader thread: its line crosses the thread, so
+    /// it travels owned.
+    Input(LineEvent<'static>),
     Eof,
     /// A job delivered to the session's inbox.
     Wake,
@@ -1907,7 +1987,7 @@ enum ServeEvent {
 fn read_frames<R: BufRead>(
     reader: &mut R,
     max_frame: usize,
-    mut emit: impl FnMut(LineEvent) -> bool,
+    mut emit: impl FnMut(LineEvent<'_>) -> bool,
 ) {
     let mut framer = LineFramer::new(max_frame);
     let mut open = true;
@@ -1957,7 +2037,7 @@ where
     let wake_tx = tx.clone();
     std::thread::spawn(move || {
         read_frames(&mut reader, max_frame, |e| {
-            tx.send(ServeEvent::Input(e)).is_ok()
+            tx.send(ServeEvent::Input(e.into_owned())).is_ok()
         });
         let _ = tx.send(ServeEvent::Eof);
     });
@@ -2639,7 +2719,7 @@ mod tests {
         let mut reader = std::io::BufReader::with_capacity(8, std::io::Cursor::new(input));
         let mut frames = Vec::new();
         read_frames(&mut reader, 16, |e| {
-            frames.push(e);
+            frames.push(e.into_owned());
             true
         });
         assert_eq!(

@@ -21,7 +21,7 @@ use freqywm_data::token::Token;
 use freqywm_ledger::codec::{put_str, put_u64, CodecError, Reader};
 use freqywm_ledger::Ledger;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Appends `v` as LEB128: seven bits per byte, low bits first, the
 /// top bit set on every byte but the last.
@@ -129,7 +129,7 @@ impl CountRows {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow();
         }
-        let hash = self.hasher.hash_one(token) as u32;
+        let hash = self.hash(token);
         let Err(slot) = self.probe(token, hash) else {
             return false;
         };
@@ -143,11 +143,20 @@ impl CountRows {
 
     /// The count of `token`'s row, if it has one.
     pub fn get(&self, token: &str) -> Option<u64> {
-        let hash = self.hasher.hash_one(token) as u32;
+        let hash = self.hash(token);
         let slot = self.probe(token, hash).ok()?;
         let mut row = self.row_at(self.slots[slot].1);
         row.token_bytes();
         Some(row.varint())
+    }
+
+    /// The low 32 bits of `token`'s keyed hash: its bytes alone, with
+    /// none of the end marker `Hash for str` adds, as rows hold whole
+    /// tokens and compare them in full.
+    fn hash(&self, token: &str) -> u32 {
+        let mut hasher = self.hasher.build_hasher();
+        hasher.write(token.as_bytes());
+        hasher.finish() as u32
     }
 
     /// The slot holding `token`'s row (`Ok`), or the empty slot where

@@ -235,8 +235,9 @@ fn disk_log_crash_points_recover() {
 
 /// Engine-level acceptance: a process "killed" mid-registration (the
 /// durable append dies partway) restarts with a verified chain, keeps
-/// every completed registration, and resumes its logical clock above
-/// all recovered timestamps so chronology stays monotonic.
+/// every completed registration, and stamps new commits above all
+/// recovered timestamps (replay raises the registry's clock floor, the
+/// only clock) so chronology stays monotonic.
 #[test]
 fn engine_killed_mid_registration_recovers_and_continues() {
     let storage = InMemoryStorage::new();

@@ -876,7 +876,9 @@ fn tokens_and_quotes_straddle_every_word_edge() {
             // `lead` shifts the row's quote across the words of the line.
             let pad = "p".repeat(lead);
             let tok = "t".repeat(len);
-            check_rows(&format!(r#"[["{pad}",1],["{tok}",{len}],["{tok}{len}",7]]"#));
+            check_rows(&format!(
+                r#"[["{pad}",1],["{tok}",{len}],["{tok}{len}",7]]"#
+            ));
             check_rows(&format!(r#"[["{tok}\"{pad}",2]]"#));
             check_rows(&format!(r#"[["{tok}\\",2],["{pad}é{tok}",3]]"#));
             check_rows(&format!(r#"[["{tok}","{pad}"]]"#));
@@ -990,7 +992,11 @@ fn the_depth_cap_matches_the_reference() {
 
 #[test]
 fn a_valid_line_truncated_at_every_byte_of_its_first_rows_matches_the_reference() {
-    for (op, field) in [("detect", "counts"), ("maintain", "updates"), ("embed", "counts")] {
+    for (op, field) in [
+        ("detect", "counts"),
+        ("maintain", "updates"),
+        ("embed", "counts"),
+    ] {
         let line = format!(
             r#"{{"op":"{op}","tenant":"t","id":"mé","{field}":[["alpha",12],["b\"q",3],["中文",1e1],["d",4]],"k":1}}"#
         );

@@ -209,8 +209,9 @@ fn late_joining_standby_bootstraps_from_snapshot_after_compaction() {
 }
 
 /// Engine-level follower lifecycle: mutations gated while following,
-/// `promote` verifies the chain and flips the gate exactly once, the
-/// logical clock resumes above every replicated timestamp, and
+/// `promote` verifies the chain and flips the gate exactly once, new
+/// commits are stamped above every replicated timestamp (the registry's
+/// clock floor, raised by each replicated event, is the only clock), and
 /// replica batches are refused from then on (a racing batch can never
 /// clobber post-promotion writes).
 #[test]
@@ -272,7 +273,8 @@ fn promote_flips_follower_to_writable_primary() {
     ));
 
     // Writable, and chronology stays strictly monotonic: the clock
-    // resumed above the replicated timestamps (41, 42).
+    // floor already stands at the replicated timestamps (41, 42), so
+    // the next commit is stamped above them.
     engine
         .register_tenant("bee", Secret::from_label("b"))
         .unwrap();

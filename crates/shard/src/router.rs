@@ -277,6 +277,31 @@ impl ClientConn {
     }
 }
 
+/// The frames one client read delivered. Handling a line takes the
+/// whole router, while the read borrows the client's connection, so the
+/// lines are copied once into a buffer the router reuses across reads
+/// instead of each into a `String` of its own.
+#[derive(Default)]
+struct Incoming {
+    text: String,
+    /// Per frame in arrival order: its line's range in `text`, or `None`
+    /// for an oversized frame.
+    frames: Vec<Option<std::ops::Range<usize>>>,
+}
+
+impl Incoming {
+    fn push(&mut self, event: LineEvent<'_>) {
+        self.frames.push(match event {
+            LineEvent::Line(line) => {
+                let start = self.text.len();
+                self.text.push_str(&line);
+                Some(start..self.text.len())
+            }
+            LineEvent::Oversized => None,
+        });
+    }
+}
+
 /// One request in flight on a backend connection, in FIFO order.
 enum Pending {
     /// Forward the response line verbatim to this client slot.
@@ -487,6 +512,8 @@ struct Router {
     connect_tx: Sender<(usize, io::Result<TcpStream>)>,
     /// Clients by id, which is also their poller token.
     clients: HashMap<u64, ClientConn>,
+    /// The frames of one client read, held while they are handled.
+    incoming: Incoming,
     next_client: u64,
     backends: Vec<BackendSlot>,
     fanouts: HashMap<u64, Fanout>,
@@ -589,27 +616,51 @@ impl<'a> TierView<'a> {
     }
 }
 
-/// Returns the request line with a router-minted `"trace"` field
-/// inserted when the client did not supply one, so every tenant-routed
-/// request is correlatable across the tier (client → router → shard).
-/// A client-supplied `"trace"` is forwarded verbatim, mistyped or not,
-/// for the shard to judge — the insert is textual (right after the
-/// opening brace), never a reparse/rewrite.
-fn ensure_trace(line: &str, req: &Envelope) -> String {
-    if req.get("trace").is_some() {
-        return line.to_string();
+/// A tenant-routed request line as the router forwards it: with a
+/// router-minted `"trace"` field inserted when the client did not supply
+/// one, so every tenant-routed request is correlatable across the tier
+/// (client → router → shard). A client-supplied `"trace"` is forwarded
+/// verbatim, mistyped or not, for the shard to judge. The insert is
+/// textual (right after the opening brace), never a reparse/rewrite, and
+/// the line is written to the backend in its three parts.
+struct Traced<'a> {
+    /// The line through its opening brace (the whole line when nothing
+    /// is inserted).
+    head: &'a str,
+    /// The inserted `"trace":"…",` field, or nothing.
+    field: String,
+    rest: &'a str,
+}
+
+impl<'a> Traced<'a> {
+    fn new(line: &'a str, req: &Envelope) -> Self {
+        let whole = Traced {
+            head: line,
+            field: String::new(),
+            rest: "",
+        };
+        if req.get("trace").is_some() {
+            return whole;
+        }
+        let Some(pos) = line.find('{') else {
+            return whole; // unparseable lines never route here
+        };
+        let rest = &line[pos + 1..];
+        let comma = if rest.trim_start().starts_with('}') {
+            ""
+        } else {
+            ","
+        };
+        Traced {
+            head: &line[..=pos],
+            field: format!("\"trace\":\"{}\"{comma}", freqywm_obs::next_trace_id()),
+            rest,
+        }
     }
-    let Some(pos) = line.find('{') else {
-        return line.to_string(); // unparseable lines never route here
-    };
-    let trace = freqywm_obs::next_trace_id();
-    let rest = &line[pos + 1..];
-    let comma = if rest.trim_start().starts_with('}') {
-        ""
-    } else {
-        ","
-    };
-    format!("{}\"trace\":\"{}\"{}{}", &line[..=pos], trace, comma, rest)
+
+    fn parts(&self) -> [&str; 3] {
+        [self.head, &self.field, self.rest]
+    }
 }
 
 /// Whether a backend response line reports success (`"ok": true`).
@@ -711,6 +762,7 @@ impl Router {
             connect_rx,
             connect_tx,
             clients: HashMap::new(),
+            incoming: Incoming::default(),
             next_client: 0,
             backends,
             fanouts: HashMap::new(),
@@ -832,7 +884,7 @@ impl Router {
                 None => false,
             };
             if due {
-                self.send_backend(idx, "{\"op\":\"metrics\"}", Pending::Probe);
+                self.send_backend(idx, &["{\"op\":\"metrics\"}"], Pending::Probe);
             }
         }
     }
@@ -893,12 +945,12 @@ impl Router {
                 "{{\"op\":\"hello\",\"token\":\"{}\"}}",
                 json::escape(&token)
             );
-            self.send_backend(idx, &hello, Pending::Hello);
+            self.send_backend(idx, &[&hello], Pending::Hello);
         }
         if self.backends[idx].promoting.is_some() {
-            self.send_backend(idx, "{\"op\":\"promote\"}", Pending::Promote);
+            self.send_backend(idx, &["{\"op\":\"promote\"}"], Pending::Promote);
         }
-        self.send_backend(idx, "{\"op\":\"metrics\"}", Pending::Probe);
+        self.send_backend(idx, &["{\"op\":\"metrics\"}"], Pending::Probe);
     }
 
     fn schedule_reconnect(&mut self, idx: usize) {
@@ -909,11 +961,13 @@ impl Router {
 
     // ----- backend side -----------------------------------------------
 
-    fn send_backend(&mut self, idx: usize, line: &str, pending: Pending) {
+    /// Writes one request line, given as consecutive parts, to a
+    /// backend and records what its response answers.
+    fn send_backend(&mut self, idx: usize, line: &[&str], pending: Pending) {
         let Some(conn) = self.backends[idx].conn.as_mut() else {
             return;
         };
-        conn.io.queue_line(line);
+        conn.io.queue_parts(line);
         conn.inflight.push_back((Instant::now(), pending));
         conn.io.flush();
         conn.last_activity = Instant::now();
@@ -938,7 +992,7 @@ impl Router {
                 // A backend tail with no newline is a response
                 // truncated mid-write — never a deliverable line.
                 conn.io.read_ready(false, |e| match e {
-                    LineEvent::Line(line) => lines.push(line),
+                    LineEvent::Line(line) => lines.push(line.into_owned()),
                     LineEvent::Oversized => oversized = true,
                 });
                 // A response that overflows the cap means the stream
@@ -1075,7 +1129,7 @@ impl Router {
                     self.stats.forwarded += 1;
                     self.send_backend(
                         idx,
-                        &p.line,
+                        &[&p.line],
                         Pending::Client {
                             client: p.client,
                             seq: p.seq,
@@ -1218,9 +1272,10 @@ impl Router {
     }
 
     fn client_ready(&mut self, client: u64, ev: Event) {
-        let mut incoming = Vec::new();
+        let mut incoming = std::mem::take(&mut self.incoming);
         {
             let Some(conn) = self.clients.get_mut(&client) else {
+                self.incoming = incoming;
                 return;
             };
             if ev.readable && !conn.io.eof && self.drain.is_none() {
@@ -1232,16 +1287,18 @@ impl Router {
                 conn.io.flush();
             }
         }
-        for event in incoming {
-            match event {
-                LineEvent::Line(line) => self.handle_client_line(client, &line),
-                LineEvent::Oversized => {
+        for frame in incoming.frames.drain(..) {
+            match frame {
+                Some(range) => self.handle_client_line(client, &incoming.text[range]),
+                None => {
                     if let Some(conn) = self.clients.get_mut(&client) {
                         conn.push_ready(frame_too_large_response(self.config.max_frame));
                     }
                 }
             }
         }
+        incoming.text.clear();
+        self.incoming = incoming;
         self.pump_client(client);
     }
 
@@ -1278,14 +1335,12 @@ impl Router {
         match route_of(&req) {
             RouteInfo::Tenant(tenant) => {
                 let shard = self.map.shard_of(&tenant);
-                let line = ensure_trace(line, &req);
-                self.forward(client, shard, &line, id.as_ref());
+                self.forward(client, shard, &Traced::new(line, &req), id.as_ref());
             }
             RouteInfo::TenantPair(a, b) => {
                 let (sa, sb) = (self.map.shard_of(&a), self.map.shard_of(&b));
                 if sa == sb {
-                    let line = ensure_trace(line, &req);
-                    self.forward(client, sa, &line, id.as_ref());
+                    self.forward(client, sa, &Traced::new(line, &req), id.as_ref());
                 } else {
                     let msg = format!(
                         "unroutable dispute: tenants {a:?} (shard {sa}) and {b:?} \
@@ -1330,12 +1385,13 @@ impl Router {
         }
     }
 
-    /// Forwards the raw request line to `shard`, reserving the client's
-    /// next response slot. During a failover the request parks instead
-    /// (released when the standby's promotion acks); a down shard with
-    /// no failover in progress answers immediately with a protocol
-    /// error — errors are scoped to the shard, never the tier.
-    fn forward(&mut self, client: u64, shard: usize, line: &str, id: Option<&Value>) {
+    /// Forwards the request line to `shard`, reserving the client's
+    /// next response slot. During a failover the request parks instead,
+    /// as an owned copy of the line (released when the standby's
+    /// promotion acks); a down shard with no failover in progress
+    /// answers immediately with a protocol error — errors are scoped to
+    /// the shard, never the tier.
+    fn forward(&mut self, client: u64, shard: usize, line: &Traced, id: Option<&Value>) {
         let id_part = id_echo(id);
         let Some(conn) = self.clients.get_mut(&client) else {
             return;
@@ -1347,7 +1403,7 @@ impl Router {
                     client,
                     seq,
                     id_part,
-                    line: line.to_string(),
+                    line: line.parts().concat(),
                 });
                 return;
             }
@@ -1372,7 +1428,7 @@ impl Router {
             seq,
             id_part,
         };
-        self.send_backend(shard, line, pending);
+        self.send_backend(shard, &line.parts(), pending);
     }
 
     fn start_fanout(&mut self, client: u64, id: Option<&Value>, kind: FanoutKind, line: &str) {
@@ -1405,7 +1461,7 @@ impl Router {
             },
         );
         for idx in connected {
-            self.send_backend(idx, &request, Pending::Fanout { fanout: fanout_id });
+            self.send_backend(idx, &[&request], Pending::Fanout { fanout: fanout_id });
         }
         self.try_finish_fanout(fanout_id);
     }
