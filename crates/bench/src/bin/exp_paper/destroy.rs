@@ -10,15 +10,14 @@
 //!   {10,30,50,60,80,90} at t = 4 (paper: 94/88/82/79/78/76 % of pairs).
 //!
 //! ```sh
-//! cargo run --release -p freqywm-bench --bin exp_destroy            # both
-//! cargo run --release -p freqywm-bench --bin exp_destroy -- fig5
-//! cargo run --release -p freqywm-bench --bin exp_destroy -- reorder
+//! cargo run --release -p freqywm-bench --bin exp_paper -- fig5
+//! cargo run --release -p freqywm-bench --bin exp_paper -- reorder
 //! ```
 
 use freqywm_attacks::destroy::{
     destroy_percentage, destroy_with_reordering, destroy_within_boundaries,
 };
-use freqywm_bench::{mean, paper_zipf, print_header, print_row, timed};
+use freqywm_bench::{mean, paper_zipf, print_header, print_row};
 use freqywm_core::detect::detect_histogram;
 use freqywm_core::generate::Watermarker;
 use freqywm_core::params::{DetectionParams, GenerationParams};
@@ -47,7 +46,8 @@ fn rate(hist: &Histogram, secrets: &SecretList, t: u64) -> f64 {
     .accept_rate()
 }
 
-fn fig5(wm: &Histogram, secrets: &SecretList) {
+pub fn fig5() {
+    let (wm, secrets) = &testbed();
     println!(
         "\nFig. 5 — verified pairs (%) vs tolerance t ({} pairs, mean of {REPEATS} attack draws)",
         secrets.len()
@@ -80,7 +80,8 @@ fn fig5(wm: &Histogram, secrets: &SecretList) {
     );
 }
 
-fn reorder(wm: &Histogram, secrets: &SecretList) {
+pub fn reorder() {
+    let (wm, secrets) = &testbed();
     println!("\nSec. V-C2 — destroy attack WITH re-ordering (t = 4, mean of {REPEATS} draws)");
     let widths = [8, 12, 14, 14];
     print_header(
@@ -113,20 +114,4 @@ fn reorder(wm: &Histogram, secrets: &SecretList) {
         "paper: success rates 94/88/82/79/78/76 % for 10..90% noise at t=4 —\n\
               the watermark outlives the data (ranking and similarity are wrecked first)"
     );
-}
-
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let ((), secs) = timed(|| {
-        let (wm, secrets) = testbed();
-        match arg.as_str() {
-            "fig5" => fig5(&wm, &secrets),
-            "reorder" => reorder(&wm, &secrets),
-            _ => {
-                fig5(&wm, &secrets);
-                reorder(&wm, &secrets);
-            }
-        }
-    });
-    println!("\n[exp_destroy {arg}: {secs:.1}s]");
 }

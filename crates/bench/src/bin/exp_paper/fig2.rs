@@ -2,11 +2,10 @@
 //! number of chosen pairs for Optimal / Greedy / Random selection.
 //!
 //! ```sh
-//! cargo run --release -p freqywm-bench --bin exp_fig2_params            # all three panels
-//! cargo run --release -p freqywm-bench --bin exp_fig2_params -- fig2a  # one panel
+//! cargo run --release -p freqywm-bench --bin exp_paper -- fig2a   # or fig2b, fig2c
 //! ```
 
-use freqywm_bench::{paper_zipf, print_header, print_row, timed};
+use freqywm_bench::{paper_zipf, print_header, print_row};
 use freqywm_core::generate::Watermarker;
 use freqywm_core::params::{GenerationParams, Selection};
 use freqywm_crypto::prf::Secret;
@@ -20,72 +19,55 @@ fn chosen(hist: &Histogram, params: GenerationParams, label: &str) -> usize {
     }
 }
 
-fn strategies(seed: u64) -> [(&'static str, Selection); 3] {
-    [
-        ("optimal", Selection::Optimal),
-        ("greedy", Selection::Greedy),
-        ("random", Selection::Random { seed }),
-    ]
+/// One row of Fig. 2a/2b: `first`, then the pairs Optimal, Greedy and
+/// Random (seeded `seed`) choose at b = 2 and modulo base `z`, then
+/// `|Le|` (0 when no selector finds a pair).
+fn selector_row(first: String, hist: &Histogram, z: u64, label: &str, seed: u64) -> Vec<String> {
+    let mut cells = vec![first];
+    let mut eligible = 0usize;
+    for sel in [
+        Selection::Optimal,
+        Selection::Greedy,
+        Selection::Random { seed },
+    ] {
+        let params = GenerationParams::default()
+            .with_budget(2.0)
+            .with_z(z)
+            .with_selection(sel);
+        let n = match Watermarker::new(params).generate_histogram(hist, Secret::from_label(label)) {
+            Ok(out) => {
+                eligible = out.report.eligible_pairs;
+                out.report.chosen_pairs
+            }
+            Err(_) => 0,
+        };
+        cells.push(n.to_string());
+    }
+    cells.push(eligible.to_string());
+    cells
 }
 
-fn fig2a() {
+pub fn fig2a() {
     println!("\nFig. 2a — chosen pairs vs skewness alpha (1K tokens, 1M samples, b = 2, z = 1031)");
     let widths = [7, 9, 9, 9, 10];
     print_header(&["alpha", "optimal", "greedy", "random", "|Le|"], &widths);
     for alpha in [0.05, 0.2, 0.5, 0.7, 0.9, 1.0] {
-        let hist = paper_zipf(alpha);
-        let mut cells = vec![format!("{alpha:.2}")];
-        let mut eligible = 0usize;
-        for (label, sel) in strategies(7) {
-            let params = GenerationParams::default()
-                .with_budget(2.0)
-                .with_z(1031)
-                .with_selection(sel);
-            let wm = Watermarker::new(params);
-            let n = match wm.generate_histogram(&hist, Secret::from_label("fig2a")) {
-                Ok(out) => {
-                    eligible = out.report.eligible_pairs;
-                    out.report.chosen_pairs
-                }
-                Err(_) => 0,
-            };
-            let _ = label;
-            cells.push(n.to_string());
-        }
-        cells.push(eligible.to_string());
+        let cells = selector_row(format!("{alpha:.2}"), &paper_zipf(alpha), 1031, "fig2a", 7);
         print_row(&cells, &widths);
     }
 }
 
-fn fig2b() {
+pub fn fig2b() {
     println!("\nFig. 2b — chosen pairs vs modulo base z (alpha = 0.5, b = 2)");
     let hist = paper_zipf(0.5);
     let widths = [7, 9, 9, 9, 10];
     print_header(&["z", "optimal", "greedy", "random", "|Le|"], &widths);
     for z in [10u64, 131, 521, 1031, 2053, 4099] {
-        let mut cells = vec![z.to_string()];
-        let mut eligible = 0usize;
-        for (_, sel) in strategies(11) {
-            let params = GenerationParams::default()
-                .with_budget(2.0)
-                .with_z(z)
-                .with_selection(sel);
-            let wm = Watermarker::new(params);
-            let n = match wm.generate_histogram(&hist, Secret::from_label("fig2b")) {
-                Ok(out) => {
-                    eligible = out.report.eligible_pairs;
-                    out.report.chosen_pairs
-                }
-                Err(_) => 0,
-            };
-            cells.push(n.to_string());
-        }
-        cells.push(eligible.to_string());
-        print_row(&cells, &widths);
+        print_row(&selector_row(z.to_string(), &hist, z, "fig2b", 11), &widths);
     }
 }
 
-fn fig2c() {
+pub fn fig2c() {
     println!("\nFig. 2c — heuristics vs optimal as the budget grows (alpha = 0.7, z = 1031)");
     let hist = paper_zipf(0.7);
     let widths = [9, 9, 9, 9, 13, 13];
@@ -145,19 +127,4 @@ fn fig2c() {
             &widths,
         );
     }
-}
-
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let (_, secs) = timed(|| match arg.as_str() {
-        "fig2a" => fig2a(),
-        "fig2b" => fig2b(),
-        "fig2c" => fig2c(),
-        _ => {
-            fig2a();
-            fig2b();
-            fig2c();
-        }
-    });
-    println!("\n[exp_fig2_params {arg}: {secs:.1}s]");
 }

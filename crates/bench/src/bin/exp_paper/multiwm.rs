@@ -9,13 +9,12 @@
 //! * `history` — Fig. 9: the daily browser-history volume itself.
 //!
 //! ```sh
-//! cargo run --release -p freqywm-bench --bin exp_multiwm              # everything
-//! cargo run --release -p freqywm-bench --bin exp_multiwm -- discrepancy
-//! cargo run --release -p freqywm-bench --bin exp_multiwm -- decompose
-//! cargo run --release -p freqywm-bench --bin exp_multiwm -- history
+//! cargo run --release -p freqywm-bench --bin exp_paper -- discrepancy
+//! cargo run --release -p freqywm-bench --bin exp_paper -- decompose
+//! cargo run --release -p freqywm-bench --bin exp_paper -- history
 //! ```
 
-use freqywm_bench::{print_header, print_row, timed};
+use freqywm_bench::{print_header, print_row};
 use freqywm_core::detect::detect_histogram;
 use freqywm_core::generate::Watermarker;
 use freqywm_core::multiwm::{multi_watermark, MultiWatermark};
@@ -41,7 +40,8 @@ fn testbed() -> (ClickStream, MultiWatermark, ClickStream) {
     (log, multi, wlog)
 }
 
-fn discrepancy(log: &ClickStream, multi: &MultiWatermark) {
+pub fn discrepancy() {
+    let (log, multi, _) = &testbed();
     let original = log.urls().histogram();
     println!(
         "\nSec. VI — {} successive watermarks (budget 2% each), per-round view",
@@ -86,7 +86,8 @@ fn discrepancy(log: &ClickStream, multi: &MultiWatermark) {
     );
 }
 
-fn decompose(log: &ClickStream, wlog: &ClickStream) {
+pub fn decompose() {
+    let (log, _, wlog) = &testbed();
     let days = log.span_days();
     let before = log.daily_counts(days);
     let after = wlog.daily_counts(days);
@@ -116,7 +117,8 @@ fn decompose(log: &ClickStream, wlog: &ClickStream) {
     println!("paper: multi-watermarks introduce an insignificant change to all three components");
 }
 
-fn history(log: &ClickStream, wlog: &ClickStream) {
+pub fn history() {
+    let (log, _, wlog) = &testbed();
     let days = log.span_days();
     let before = log.daily_counts(days);
     let after = wlog.daily_counts(days);
@@ -141,22 +143,4 @@ fn history(log: &ClickStream, wlog: &ClickStream) {
         series_correlation(&before, &after),
         max_abs_diff(&before, &after)
     );
-}
-
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let ((), secs) = timed(|| {
-        let (log, multi, wlog) = testbed();
-        match arg.as_str() {
-            "discrepancy" => discrepancy(&log, &multi),
-            "decompose" => decompose(&log, &wlog),
-            "history" => history(&log, &wlog),
-            _ => {
-                discrepancy(&log, &multi);
-                decompose(&log, &wlog);
-                history(&log, &wlog);
-            }
-        }
-    });
-    println!("\n[exp_multiwm {arg}: {secs:.1}s]");
 }

@@ -12,11 +12,11 @@
 //! the owner's data and the four-run protocol cannot discriminate).
 //!
 //! ```sh
-//! cargo run --release -p freqywm-bench --bin exp_rewatermark
+//! cargo run --release -p freqywm-bench --bin exp_paper -- rewatermark
 //! ```
 
 use freqywm_attacks::rewatermark::rewatermark_attack;
-use freqywm_bench::{paper_zipf, print_header, print_row, timed};
+use freqywm_bench::{paper_zipf, print_header, print_row};
 use freqywm_core::generate::Watermarker;
 use freqywm_core::judge::{judge_dispute, Claim};
 use freqywm_core::params::{DetectionParams, GenerationParams};
@@ -57,28 +57,23 @@ fn run_case(label: &str, exclude_free: bool) {
     );
 }
 
-fn main() {
-    let ((), secs) = timed(|| {
-        println!(
-            "\nSec. V-D — re-watermarking dispute, four detection runs at t = 0, k = |pairs|/4"
-        );
-        println!("(own/own = self check; own/pirate = owner's mark on the re-marked copy; etc.)\n");
-        let widths = [22, 10, 10, 10, 10, 15];
-        print_header(
-            &[
-                "selector", "own/own%", "own/pir%", "pir/pir%", "pir/own%", "verdict",
-            ],
-            &widths,
-        );
-        run_case("paper-faithful", false);
-        run_case("exclude-free-pairs", true);
-        println!(
-            "\npaper: first watermark detected with ~92% of pairs on the re-marked copy; the judge\n\
-             declares the party whose secret verifies on BOTH datasets. Reproduction note: with the\n\
-             paper-faithful selector the pirate's zero-cost pairs also verify on the owner's earlier\n\
-             copy (pir/own is high), so the protocol cannot discriminate; excluding free pairs\n\
-             restores the separation (pir/own collapses to ~0)."
-        );
-    });
-    println!("\n[exp_rewatermark: {secs:.1}s]");
+pub fn run() {
+    println!("\nSec. V-D — re-watermarking dispute, four detection runs at t = 0, k = |pairs|/4");
+    println!("(own/own = self check; own/pirate = owner's mark on the re-marked copy; etc.)\n");
+    let widths = [22, 10, 10, 10, 10, 15];
+    print_header(
+        &[
+            "selector", "own/own%", "own/pir%", "pir/pir%", "pir/own%", "verdict",
+        ],
+        &widths,
+    );
+    run_case("paper-faithful", false);
+    run_case("exclude-free-pairs", true);
+    println!(
+        "\npaper: first watermark detected with ~92% of pairs on the re-marked copy; the judge\n\
+         declares the party whose secret verifies on BOTH datasets. Reproduction note: with the\n\
+         paper-faithful selector the pirate's zero-cost pairs also verify on the owner's earlier\n\
+         copy (pir/own is high), so the protocol cannot discriminate; excluding free pairs\n\
+         restores the separation (pir/own collapses to ~0)."
+    );
 }

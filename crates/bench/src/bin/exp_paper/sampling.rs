@@ -9,13 +9,12 @@
 //!   sample exceeds ~5× the distinct-token count.
 //!
 //! ```sh
-//! cargo run --release -p freqywm-bench --bin exp_sampling            # both panels
-//! cargo run --release -p freqywm-bench --bin exp_sampling -- large
-//! cargo run --release -p freqywm-bench --bin exp_sampling -- fig4
+//! cargo run --release -p freqywm-bench --bin exp_paper -- large
+//! cargo run --release -p freqywm-bench --bin exp_paper -- fig4
 //! ```
 
 use freqywm_attacks::sampling::{detect_scaled, thin_histogram};
-use freqywm_bench::{mean, paper_zipf, print_header, print_row, timed};
+use freqywm_bench::{mean, paper_zipf, print_header, print_row};
 use freqywm_core::generate::Watermarker;
 use freqywm_core::params::{DetectionParams, GenerationParams};
 use freqywm_core::secret::SecretList;
@@ -58,7 +57,8 @@ fn rate_at(
     (mean(&rates), mean(&distinct))
 }
 
-fn large(wm: &Histogram, secrets: &SecretList) {
+pub fn large() {
+    let (wm, secrets) = &testbed();
     println!(
         "\nSec. V-B — sampling attack, large samples ({} pairs, mean of {REPEATS} runs)",
         secrets.len()
@@ -77,7 +77,8 @@ fn large(wm: &Histogram, secrets: &SecretList) {
     println!("paper: t=0 ~36%; t=1..10 -> 72%..99.5% (roughly size-independent above 1K tokens)");
 }
 
-fn fig4(wm: &Histogram, secrets: &SecretList) {
+pub fn fig4() {
+    let (wm, secrets) = &testbed();
     println!("\nFig. 4 — sampling attack at very low sample sizes (alpha = 0.5, 1M tokens)");
     let widths = [10, 11, 12, 9, 9, 9];
     print_header(
@@ -101,20 +102,4 @@ fn fig4(wm: &Histogram, secrets: &SecretList) {
         "paper: detection stabilises once the sample holds >5x the 1K distinct tokens; below ~2x it \
          degrades quickly (and the sample has little utility left)"
     );
-}
-
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let ((), secs) = timed(|| {
-        let (wm, secrets) = testbed();
-        match arg.as_str() {
-            "large" => large(&wm, &secrets),
-            "fig4" => fig4(&wm, &secrets),
-            _ => {
-                large(&wm, &secrets);
-                fig4(&wm, &secrets);
-            }
-        }
-    });
-    println!("\n[exp_sampling {arg}: {secs:.1}s]");
 }

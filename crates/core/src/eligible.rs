@@ -73,8 +73,8 @@ pub fn eligible_pairs(hist: &Histogram, secret: &Secret, z: u64) -> Vec<Eligible
 ///   `u64::MAX`;
 /// * `min_s > 2` lets the owner skip tiny moduli, whose pairs verify
 ///   trivially once the detection tolerance `t` reaches `s/2` and so
-///   raise the false-positive rate on unmarked data (`exp_ablation`
-///   measures the trade-off).
+///   raise the false-positive rate on unmarked data (`exp_paper
+///   ablation` measures the trade-off).
 pub fn eligible_pairs_with_min(
     hist: &Histogram,
     secret: &Secret,

@@ -87,7 +87,7 @@ mod tests {
     /// pirate re-watermarks the owner's output. Both run with
     /// free-pair exclusion — without it the pirate's watermark largely
     /// pre-exists in the owner's data and the four-run protocol cannot
-    /// discriminate (`exp_rewatermark` measures both settings).
+    /// discriminate (`exp_paper rewatermark` measures both settings).
     fn dispute() -> (Claim, Claim) {
         let wm = Watermarker::new(
             GenerationParams::default()

@@ -51,7 +51,7 @@ pub struct GenerationParams {
     /// distortion), but such pairs occur naturally and therefore carry
     /// no ownership evidence — a pirate re-watermarking a stolen copy
     /// collects mostly free pairs, which weakens the Sec. V-D dispute
-    /// protocol (`exp_rewatermark` measures both settings). Enabling
+    /// protocol (`exp_paper rewatermark` measures both settings). Enabling
     /// this hardens false-claim resistance at a small distortion cost.
     /// Default `false` (paper-faithful).
     pub exclude_free_pairs: bool,

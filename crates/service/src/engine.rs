@@ -1117,25 +1117,35 @@ fn run_payload(
             replenish,
         } => {
             // Snapshot the watermark, run maintenance outside the lock,
-            // then write back. Maintenance is per-tenant serialised by
-            // construction only if callers do not race maintain jobs
-            // for the same tenant; concurrent tenants never contend.
-            let (secrets, hist) = {
-                let registry = shared.registry.read().expect("registry lock poisoned");
-                let wm = registry.require_watermark(&tenant)?;
-                (wm.secrets.clone(), wm.watermarked.clone())
-            };
-            let params = freqywm_core::params::GenerationParams::default().with_z(secrets.z());
-            let mut maintainer =
-                IncrementalWatermarker::new(params, secrets.to_secret_list(), hist.to_histogram());
-            let sweep_started = Instant::now();
-            let report = maintainer.apply_updates(&updates, replenish)?;
-            sweep_span(&tenant, JobKind::Maintain, sweep_started);
-            let (secrets, hist) = maintainer.into_parts();
-            let ledger_index = {
+            // then write back only if the latest watermark is still the
+            // one maintained; a maintain or embed that committed in
+            // between sends this one round again on the newer mark.
+            let (report, ledger_index) = loop {
+                check_deadline(&cancel)?;
+                let (read_index, secrets, hist) = {
+                    let registry = shared.registry.read().expect("registry lock poisoned");
+                    let wm = registry.require_watermark(&tenant)?;
+                    (wm.ledger_index, wm.secrets.clone(), wm.watermarked.clone())
+                };
+                let params = freqywm_core::params::GenerationParams::default().with_z(secrets.z());
+                let mut maintainer = IncrementalWatermarker::new(
+                    params,
+                    secrets.to_secret_list(),
+                    hist.to_histogram(),
+                );
+                let sweep_started = Instant::now();
+                let report = maintainer.apply_updates(&updates, replenish)?;
+                sweep_span(&tenant, JobKind::Maintain, sweep_started);
+                let (secrets, hist) = maintainer.into_parts();
                 let mut registry = shared.registry.write().expect("registry lock poisoned");
+                if registry.require_watermark(&tenant)?.ledger_index != read_index {
+                    continue;
+                }
                 let now = registry.clock_floor() + 1;
-                registry.replace_latest_watermark(&tenant, secrets, hist, now)?
+                break (
+                    report,
+                    registry.replace_latest_watermark(&tenant, secrets, hist, now)?,
+                );
             };
             Ok(JobOutput::Maintain(MaintainOutcome {
                 tenant,

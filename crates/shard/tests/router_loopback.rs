@@ -133,13 +133,20 @@ fn onboard(c: &mut Client, tenant: &str) {
 
 #[test]
 fn routes_tenants_aggregates_metrics_and_drains() {
-    let b0 = start_backend(Some((0, 2)), None);
-    let b1 = start_backend(Some((1, 2)), None);
-    let (router_addr, router) = start_router(&[&b0, &b1], |_| {});
+    for shards in [1, 2, 4] {
+        route_aggregate_and_drain(shards);
+    }
+}
+
+/// One tier of `n` shards: placement, aggregated metrics, disputes,
+/// the shard gate, and the drain on one `shutdown`.
+fn route_aggregate_and_drain(n: usize) {
+    let backends: Vec<Backend> = (0..n).map(|i| start_backend(Some((i, n)), None)).collect();
+    let (router_addr, router) = start_router(&backends.iter().collect::<Vec<_>>(), |_| {});
 
     let tenants: Vec<String> = (0..20).map(|i| format!("tenant-{i:02}")).collect();
     let mut c = Client::connect(router_addr);
-    wait_until_shards_up(&mut c, 2);
+    wait_until_shards_up(&mut c, n as u64);
     for t in &tenants {
         onboard(&mut c, t);
         let r = c.request(&format!(
@@ -152,14 +159,13 @@ fn routes_tenants_aggregates_metrics_and_drains() {
 
     // Placement is verifiable from outside: each backend's registry
     // holds exactly the tenants that hash to its shard.
-    let expect0 = tenants.iter().filter(|t| tenant_shard(t, 2) == 0).count();
-    let expect1 = tenants.len() - expect0;
-    assert!(
-        expect0 > 0 && expect1 > 0,
-        "degenerate split {expect0}/{expect1}"
-    );
-    assert_eq!(b0.engine.metrics()[M::Tenants] as usize, expect0);
-    assert_eq!(b1.engine.metrics()[M::Tenants] as usize, expect1);
+    let on_shard =
+        |i: usize| -> Vec<&String> { tenants.iter().filter(|t| tenant_shard(t, n) == i).collect() };
+    for (i, b) in backends.iter().enumerate() {
+        let expect = on_shard(i).len();
+        assert!(expect > 0, "shard {i}/{n} owns no tenant");
+        assert_eq!(b.engine.metrics()[M::Tenants] as usize, expect);
+    }
 
     // Aggregated metrics: totals sum across shards, shard map attached.
     let m = c.request(r#"{"op":"metrics","id":"agg"}"#);
@@ -167,32 +173,31 @@ fn routes_tenants_aggregates_metrics_and_drains() {
     let v = json::parse(&m).expect("metrics response parses");
     assert_eq!(v.get("scheme").unwrap().as_str(), Some("jump"));
     let agg = v.get("metrics").unwrap();
-    assert_eq!(agg.get("shard_count").unwrap().as_u64(), Some(2));
-    assert_eq!(agg.get("shards_up").unwrap().as_u64(), Some(2));
+    assert_eq!(agg.get("shard_count").unwrap().as_u64(), Some(n as u64));
+    assert_eq!(agg.get("shards_up").unwrap().as_u64(), Some(n as u64));
     let totals = agg.get("totals").unwrap();
     assert_eq!(totals.get("tenants").unwrap().as_u64(), Some(20));
     // 20 embeds + 20 detects.
     assert_eq!(totals.get("embed_jobs").unwrap().as_u64(), Some(20));
     assert_eq!(totals.get("detect_jobs").unwrap().as_u64(), Some(20));
     let shard_map = v.get("shard_map").unwrap().as_arr().unwrap();
-    assert_eq!(shard_map.len(), 2);
+    assert_eq!(shard_map.len(), n);
     assert_eq!(shard_map[0].get("up").unwrap().as_bool(), Some(true));
     // Per-shard metrics carry the backend's own shard label.
     let per = agg.get("per_shard").unwrap().as_arr().unwrap();
     assert_eq!(
-        per[1]
+        per[n - 1]
             .get("metrics")
             .unwrap()
             .get("shard")
             .unwrap()
             .as_str(),
-        Some("1/2")
+        Some(format!("{}/{n}", n - 1).as_str())
     );
 
     // Disputes: same-shard pairs route; cross-shard pairs are refused
     // with a protocol error (not a hang, not a tier failure).
-    let shard0: Vec<&String> = tenants.iter().filter(|t| tenant_shard(t, 2) == 0).collect();
-    let shard1: Vec<&String> = tenants.iter().filter(|t| tenant_shard(t, 2) == 1).collect();
+    let shard0 = on_shard(0);
     if shard0.len() >= 2 {
         let r = c.request(&format!(
             "{{\"op\":\"dispute\",\"a\":\"{}\",\"b\":\"{}\"}}",
@@ -200,25 +205,27 @@ fn routes_tenants_aggregates_metrics_and_drains() {
         ));
         assert!(r.contains("\"winner\":"), "same-shard dispute: {r}");
     }
-    let r = c.request(&format!(
-        "{{\"op\":\"dispute\",\"a\":\"{}\",\"b\":\"{}\",\"id\":7}}",
-        shard0[0], shard1[0]
-    ));
-    assert!(r.contains("\"ok\":false"), "{r}");
-    assert!(r.contains("unroutable"), "{r}");
-    assert!(r.contains("\"id\":7"), "{r}");
+    if n > 1 {
+        let shard1 = on_shard(1);
+        let r = c.request(&format!(
+            "{{\"op\":\"dispute\",\"a\":\"{}\",\"b\":\"{}\",\"id\":7}}",
+            shard0[0], shard1[0]
+        ));
+        assert!(r.contains("\"ok\":false"), "{r}");
+        assert!(r.contains("unroutable"), "{r}");
+        assert!(r.contains("\"id\":7"), "{r}");
 
-    // Misrouting directly to a backend is refused by its shard gate.
-    let mut direct = Client::connect(b0.addr);
-    let foreign = shard1[0];
-    let r = direct.request(&format!(
-        "{{\"op\":\"detect\",\"tenant\":\"{foreign}\",\"counts\":[[\"a\",1]]}}"
-    ));
-    assert!(r.contains("not owned by this shard"), "{r}");
-    drop(direct);
+        // Misrouting directly to a backend is refused by its shard gate.
+        let mut direct = Client::connect(backends[0].addr);
+        let foreign = shard1[0];
+        let r = direct.request(&format!(
+            "{{\"op\":\"detect\",\"tenant\":\"{foreign}\",\"counts\":[[\"a\",1]]}}"
+        ));
+        assert!(r.contains("not owned by this shard"), "{r}");
+    }
 
-    // Tier drain: one shutdown op through the router takes down both
-    // backends and the router, acking after everyone drained.
+    // Tier drain: one shutdown op through the router takes down every
+    // backend and the router, acking after everyone drained.
     let ack = c.request(r#"{"op":"shutdown","id":"bye"}"#);
     assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
     assert!(ack.contains("\"id\":\"bye\""), "{ack}");
@@ -226,10 +233,13 @@ fn routes_tenants_aggregates_metrics_and_drains() {
     c.reader.read_to_string(&mut rest).expect("drain to EOF");
     assert!(rest.is_empty(), "data after shutdown ack: {rest}");
     router.join().unwrap().expect("router exits cleanly");
-    b0.handle.join().unwrap().expect("backend 0 drains");
-    b1.handle.join().unwrap().expect("backend 1 drains");
-    b0.engine.shutdown();
-    b1.engine.shutdown();
+    for (i, b) in backends.into_iter().enumerate() {
+        b.handle
+            .join()
+            .unwrap()
+            .unwrap_or_else(|e| panic!("backend {i} drains: {e}"));
+        b.engine.shutdown();
+    }
 }
 
 #[test]

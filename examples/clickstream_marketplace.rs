@@ -73,7 +73,7 @@ fn main() {
     // (Heavily subsampled copies of THIS dataset are a different story:
     // its tail counts are small, so sampling noise swamps the moduli —
     // the paper's Sec. V-B sampling results live in the 1M-sample
-    // synthetic regime; see `exp_sampling`.)
+    // synthetic regime; see `exp_paper large`.)
     let pirated = watermarked_log.urls();
     println!(
         "\npirate re-lists the full watermarked log: {} events",

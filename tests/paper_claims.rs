@@ -1,8 +1,7 @@
 //! Executable versions of the paper's headline claims, at CI-friendly
-//! scale. The `exp_*` runners in `crates/bench` print the full-scale
-//! numbers; these tests pin
-//! the *shapes* so a regression that breaks a reproduced result fails
-//! the suite, not just the benchmark report.
+//! scale. `exp_paper` in `crates/bench` prints the full-scale numbers;
+//! these tests pin the *shapes* so a regression that breaks a
+//! reproduced result fails the suite, not just the experiment report.
 
 use freqywm::prelude::*;
 use freqywm_data::synthetic::{power_law_counts, PowerLawConfig};
